@@ -229,8 +229,8 @@ class _HopState:
     total: int
     fragment: bytes
     route_nodes: tuple[str, ...]   # starting at this node
-    route_links: tuple[str, ...]
-    attempts: int = 0
+    route_links: tuple[str, ...]   # empty while parked: the timer reroutes
+    attempts: int = 1
     gen: int = 0
 
 
@@ -391,12 +391,6 @@ class Engine:
             raise TimeTravel(f"event at t={event.time_s} is before now={self.now}")
         self._schedule(event)
 
-    def link_between(self, a: str, b: str) -> LinkSpec:
-        for link in self.topology.links:
-            if {link.a, link.b} == {a, b}:
-                return link
-        raise KeyError(f"no link between {a} and {b}")
-
     # -- requests ------------------------------------------------------------
 
     def submit_request(self, req_payload: dict, at: float,
@@ -450,9 +444,7 @@ class Engine:
             flipped[-1] ^= 0x01
             msg.payload = bytes(flipped)
             self.msg_counts["corrupted_in_transit"] += 1
-        loss = self.scenario.loss_for(link_id)
-        if loss > 0 and self._rng_loss.random() < loss:
-            self.msg_counts["lost"] += 1
+        if self._lost(link_id):
             return False
         latency = HOP_LATENCY_S
         if self.scenario.jitter_ms > 0:
@@ -462,6 +454,14 @@ class Engine:
             "link": link_id, "to": to_node, "msg": msg, "meta": meta or {},
         }))
         return True
+
+    def _lost(self, link_id: str) -> bool:
+        """One seeded loss draw for a frame on a link; counts the frame if lost."""
+        loss = self.scenario.loss_for(link_id)
+        if loss > 0 and self._rng_loss.random() < loss:
+            self.msg_counts["lost"] += 1
+            return True
+        return False
 
     # -- run loop ------------------------------------------------------------
 
@@ -544,11 +544,12 @@ class Engine:
                 self.link_events.append((self.now, link_id, "up"))
             if block is not None:
                 lrt.q3p.push(block)
-                # distillation dialogue: two device-authenticated messages per
-                # block; their key cost is already netted out of the rate law
-                for sender in (lrt.spec.a, lrt.spec.b):
-                    self.msg_counts["distill"] += 1
-                    self.send_message(link_id, sender, _DistillMarker())
+                # distillation runs inside the link devices and the rate law is
+                # net of its key cost; its two frames per block (one each way)
+                # are only counted, each with its own loss draw
+                self.msg_counts["distill"] += 2
+                self._lost(link_id)
+                self._lost(link_id)
         self._apply_drains()
         for link_id, lrt in self.links.items():
             level = lrt.q3p.min_level()
@@ -602,11 +603,7 @@ class Engine:
         if lrt.runtime.status.state is LinkState.DOWN:
             self.msg_counts["dropped_link_down"] += 1
             return
-        msg = p["msg"]
-        if isinstance(msg, _DistillMarker):
-            self.msg_counts["distill_arrived"] += 1
-            return
-        self.agents[p["to"]].on_message(link_id, msg, p["meta"])
+        self.agents[p["to"]].on_message(link_id, p["msg"], p["meta"])
 
     def _start_refill(self, p: dict) -> None:
         link = self.topology.link(p["link"])
@@ -712,12 +709,6 @@ class Engine:
             )
 
 
-class _DistillMarker:
-    """Stand-in for the distillation dialogue on the Distill channel."""
-
-    channel = Channel.DISTILL
-
-
 class NodeAgent:
     """One node module: floods link state, relays secrets hop by hop."""
 
@@ -727,7 +718,7 @@ class NodeAgent:
         self.topology = engine.topology
         self.db = LinkStateDB(engine.topology, usable_floor=engine.auth_reserve)
         self.flood = FloodingState()
-        self.incident = [l for l in engine.topology.links if name in (l.a, l.b)]
+        self.incident = engine.topology.links_at(name)
         self._lsa_seq: dict[str, int] = {l.id: 0 for l in self.incident}
         self._advertised: dict[str, tuple[bool, int, float]] = {}
         self._relays: dict[tuple[int, int], _HopState] = {}
@@ -878,10 +869,8 @@ class NodeAgent:
         while state.inflight[path_idx] < WINDOW_PER_PATH and state.queues[path_idx]:
             seq = state.queues[path_idx].popleft()
             state.inflight[path_idx] += 1
-            self._send_hop(
-                request_id, seq, len(fragments), fragments[seq],
-                route_nodes=path.nodes, route_links=path.links, attempts=1,
-            )
+            self._send_hop(_HopState(request_id, seq, len(fragments), fragments[seq],
+                                     route_nodes=path.nodes, route_links=path.links))
 
     # -- transport: hop machinery ---------------------------------------------------------
 
@@ -907,68 +896,52 @@ class NodeAgent:
         except NoRoute:
             return None
 
-    def _send_hop(self, request_id: int, seq: int, total: int, fragment: bytes,
-                  route_nodes: tuple[str, ...], route_links: tuple[str, ...],
-                  attempts: int) -> None:
+    def _send_hop(self, hop: _HopState) -> None:
         """Seal one fragment onto the next link of its route; on any local
         obstacle try one reroute, otherwise park it for the retry timer."""
-        assert route_nodes[0] == self.name
-        dst = route_nodes[-1]
-        meta = self.engine.request_meta(request_id)
-        rec = self.engine.records[request_id]
-        out_link = route_links[0] if route_links else None
-        if out_link is None or not self._eligible(out_link, len(fragment)):
-            new_path = self._reroute(request_id, dst, len(fragment))
-            if new_path is not None and new_path.links:
-                route_nodes, route_links = new_path.nodes, new_path.links
-                out_link = route_links[0]
-            else:
-                self._park(request_id, seq, total, fragment, route_nodes, route_links, attempts)
+        assert hop.route_nodes[0] == self.name
+        out_link = hop.route_links[0] if hop.route_links else None
+        if out_link is None or not self._eligible(out_link, len(hop.fragment)):
+            new_path = self._reroute(hop.request_id, hop.route_nodes[-1], len(hop.fragment))
+            if new_path is None or not new_path.links:
+                self._park(hop)
                 return
+            hop.route_nodes, hop.route_links = new_path.nodes, new_path.links
+            out_link = hop.route_links[0]
         lrt = self.engine.links[out_link]
-        side = self.side_on(out_link)
-        payload = encode_segment(request_id, seq, total, fragment)
+        payload = encode_segment(hop.request_id, hop.seq, hop.total, hop.fragment)
         try:
             msg = lrt.q3p.seal(
-                side, Channel.TRANSPORT, payload,
-                encrypt=True, auth=True, purpose=meta["purpose"],
+                self.side_on(out_link), Channel.TRANSPORT, payload,
+                encrypt=True, auth=True,
+                purpose=self.engine.request_meta(hop.request_id)["purpose"],
                 now=self.engine.now, clear_len=SEGMENT_CLEAR_LEN,
             )
         except InsufficientKey:
-            self._park(request_id, seq, total, fragment, route_nodes, route_links, attempts)
+            self._park(hop)
             return
-        rec.per_link_consumed[out_link] = (
-            rec.per_link_consumed.get(out_link, 0) + msg.key_cost_bytes
-        )
+        consumed = self.engine.records[hop.request_id].per_link_consumed
+        consumed[out_link] = consumed.get(out_link, 0) + msg.key_cost_bytes
         self.engine.msg_counts["transport_sent"] += 1
-        self._timer_gen += 1
-        hop = _HopState(
-            request_id=request_id, seq=seq, total=total, fragment=fragment,
-            route_nodes=route_nodes, route_links=route_links,
-            attempts=attempts, gen=self._timer_gen,
-        )
-        self._relays[(request_id, seq)] = hop
         self.engine.send_message(
             out_link, self.name, msg,
-            meta={"route_nodes": route_nodes[1:], "route_links": route_links[1:]},
+            meta={"route_nodes": hop.route_nodes[1:], "route_links": hop.route_links[1:]},
         )
-        self.engine._schedule(Event(self.engine.now + RETRY_TIMEOUT_S, EventKind.TIMER, {
-            "node": self.name, "request_id": request_id, "seq": seq, "gen": hop.gen,
-        }))
+        self._arm_retry(hop)
 
-    def _park(self, request_id: int, seq: int, total: int, fragment: bytes,
-              route_nodes, route_links, attempts: int) -> None:
-        """No way forward right now; hold the fragment and retry on timer."""
+    def _park(self, hop: _HopState) -> None:
+        """No way forward right now; hold the fragment and reroute on timer."""
+        hop.route_links = ()
+        self._arm_retry(hop)
+
+    def _arm_retry(self, hop: _HopState) -> None:
+        """Hold a fragment at this node and (re)start its retry timer; a
+        newer timer supersedes any older one for the same fragment."""
         self._timer_gen += 1
-        hop = _HopState(
-            request_id=request_id, seq=seq, total=total, fragment=fragment,
-            route_nodes=route_nodes, route_links=route_links,
-            attempts=attempts, gen=self._timer_gen,
-        )
-        hop.route_links = ()  # force reroute when the timer fires
-        self._relays[(request_id, seq)] = hop
+        hop.gen = self._timer_gen
+        self._relays[(hop.request_id, hop.seq)] = hop
         self.engine._schedule(Event(self.engine.now + RETRY_TIMEOUT_S, EventKind.TIMER, {
-            "node": self.name, "request_id": request_id, "seq": seq, "gen": hop.gen,
+            "node": self.name, "request_id": hop.request_id, "seq": hop.seq, "gen": hop.gen,
         }))
 
     def on_timer(self, p: dict) -> None:
@@ -985,24 +958,16 @@ class NodeAgent:
             self.engine.fragment_failed(hop.request_id, hop.seq, "retry_limit_exceeded")
             self._free_window(hop.request_id, hop.seq)
             return
-        route_nodes = hop.route_nodes if hop.route_links else (self.name,)
-        route_links = hop.route_links
-        if not route_links:
+        hop.attempts += 1
+        if not hop.route_links:
             dst = self.engine.records[hop.request_id].dst
             path = self._reroute(hop.request_id, dst, len(hop.fragment))
             if path is None:
-                hop.attempts += 1
-                self._timer_gen += 1
-                hop.gen = self._timer_gen
-                self.engine._schedule(Event(self.engine.now + RETRY_TIMEOUT_S, EventKind.TIMER, {
-                    "node": self.name, "request_id": hop.request_id,
-                    "seq": hop.seq, "gen": hop.gen,
-                }))
+                self._arm_retry(hop)
                 return
-            route_nodes, route_links = path.nodes, path.links
+            hop.route_nodes, hop.route_links = path.nodes, path.links
         self.engine.msg_counts["retransmissions"] += 1
-        self._send_hop(hop.request_id, hop.seq, hop.total, hop.fragment,
-                       route_nodes, route_links, hop.attempts + 1)
+        self._send_hop(hop)
 
     def _on_ack(self, link_id: str, request_id: int, seq: int) -> None:
         hop = self._relays.pop((request_id, seq), None)
@@ -1037,5 +1002,5 @@ class NodeAgent:
         # trusted-node relay: the fragment exists in plaintext here between
         # open and re-seal; make that observable
         self.engine.record_exposure(self.name, request_id, len(fragment))
-        self._send_hop(request_id, seq, total, fragment,
-                       route_nodes=route_nodes, route_links=route_links, attempts=1)
+        self._send_hop(_HopState(request_id, seq, total, fragment,
+                                 route_nodes=route_nodes, route_links=route_links))

@@ -95,9 +95,17 @@ class Topology:
     links: tuple[LinkSpec, ...]
     profiles: dict[str, DeviceProfile]
     _by_id: dict[str, LinkSpec] = field(init=False, repr=False, compare=False)
+    _adjacent: dict[str, tuple[tuple[str, LinkSpec], ...]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._by_id = {l.id: l for l in self.links}
+        # node -> (neighbour, link) in link order; flooding order follows it
+        adjacent: dict[str, list[tuple[str, LinkSpec]]] = {}
+        for l in self.links:
+            adjacent.setdefault(l.a, []).append((l.b, l))
+            adjacent.setdefault(l.b, []).append((l.a, l))
+        self._adjacent = {node: tuple(pairs) for node, pairs in adjacent.items()}
 
     def link(self, link_id: str) -> LinkSpec:
         return self._by_id[link_id]
@@ -110,17 +118,11 @@ class Topology:
     def kind(self, node: str) -> NodeKind:
         return self.nodes[node]
 
-    def links_at(self, node: str) -> list[LinkSpec]:
-        return [l for l in self.links if node in (l.a, l.b)]
+    def links_at(self, node: str) -> tuple[LinkSpec, ...]:
+        return tuple(l for _, l in self._adjacent.get(node, ()))
 
-    def neighbors(self, node: str) -> list[tuple[str, LinkSpec]]:
-        out = []
-        for l in self.links:
-            if l.a == node:
-                out.append((l.b, l))
-            elif l.b == node:
-                out.append((l.a, l))
-        return out
+    def neighbors(self, node: str) -> tuple[tuple[str, LinkSpec], ...]:
+        return self._adjacent.get(node, ())
 
     def qbb_links(self) -> list[LinkSpec]:
         return [l for l in self.links if l.link_class is LinkClass.QBB_FIBER]
@@ -130,8 +132,7 @@ class Topology:
 
     def attachment_of(self, user: str) -> tuple[str, LinkSpec]:
         """Backbone node and access link of an end-user node."""
-        (link,) = self.links_at(user)
-        other = link.b if link.a == user else link.a
+        ((other, link),) = self._adjacent.get(user, ())
         return other, link
 
 

@@ -66,13 +66,6 @@ def chain_rate(total_km: float, link_km: float, params: PlannerParams) -> float:
     return key_rate(params.profile(), link_km) * RELAY_EFFICIENCY
 
 
-def device_count(total_km: float, link_km: float, params: PlannerParams) -> int:
-    n = link_count(total_km, link_km)
-    if params.geometry is Geometry.GRID2D:
-        return 2 * n * n
-    return 2 * n
-
-
 def cost_per_bit(total_km: float, link_km: float, params: PlannerParams) -> float:
     """Device cost divided by delivered rate.
 

@@ -197,7 +197,7 @@ class KeyStore:
         self._appended_raw = 0
         self._pool_appended = [0, 0]
         self._pool_consumed = [0, 0]
-        self._alloc_offset = [0, 0]              # pool-local allocation cursor
+        self._cursor = [(0, 0), (0, 0)]          # per pool: next (chunk, offset) to reserve
         self._consumed = _IntervalSet()
         self._last_block_id: int | None = None
         self.initial_bytes = len(preshared)
@@ -295,24 +295,19 @@ class KeyStore:
             )
         ranges: list[tuple[int, int]] = []
         parts: list[bytes] = []
-        offset = self._alloc_offset[d]
+        chunks = self._pool_chunks[d]
+        i, local = self._cursor[d]
         remaining = n_bytes
-        cum = 0
-        for chunk in self._pool_chunks[d]:
-            clen = len(chunk.data)
-            if offset >= cum + clen:
-                cum += clen
-                continue
-            local = max(offset - cum, 0)
-            take = min(clen - local, remaining)
+        while remaining:
+            chunk = chunks[i]
+            take = min(len(chunk.data) - local, remaining)
             ranges.append((chunk.raw_start + local, chunk.raw_start + local + take))
             parts.append(chunk.data[local : local + take])
             remaining -= take
-            cum += clen
-            if remaining == 0:
-                break
-        assert remaining == 0
-        self._alloc_offset[d] = offset + n_bytes
+            local += take
+            if local == len(chunk.data):
+                i, local = i + 1, 0
+        self._cursor[d] = (i, local)
         return self._commit(tuple(ranges), b"".join(parts), d, purpose, now)
 
     def reserve_exact(
@@ -531,14 +526,9 @@ class Q3PLink:
         )
         self._next_id: dict[tuple[int, Channel], int] = {}
         self._watermark: dict[tuple[int, Channel], int] = {}
-        self._block_counter = 0
 
     def store(self, side: int) -> KeyStore:
         return self.stores[side]
-
-    def next_block_id(self) -> int:
-        self._block_counter += 1
-        return self._block_counter
 
     def push(self, block: KeyBlock) -> None:
         """Deliver one produced block identically to both endpoint stores."""

@@ -1,5 +1,7 @@
 """Topology model: parsing, validation, presets, scaling formulas."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from qkdnet.model import (
     LinkClass,
     NodeKind,
     ParseError,
+    Topology,
     ValidationError,
     building_block_preset,
     full_mesh_link_count,
@@ -117,6 +120,41 @@ def test_vienna_core_survives_any_single_core_cut():
     for link_id in core:
         assert connected_without(link_id), link_id
     assert not connected_without("BREIT-STP")
+
+
+def _grid_with_users(n: int = 4, users: int = 5) -> Topology:
+    """n x n backbone grid plus users on access fibres, links in shuffled
+    order so no node's links sit together."""
+    rng = Random(7)
+    lines = ["[profile] id=p r0_bps=10000 alpha=0.2 max_km=60 restart_s=30"]
+    lines += [f"[node] name=N{r}{c} kind=qbb" for r in range(n) for c in range(n)]
+    links = []
+    for r in range(n):
+        for c in range(n):
+            for r2, c2 in ((r, c + 1), (r + 1, c)):
+                if r2 < n and c2 < n:
+                    links.append(f"[link] id=N{r}{c}-N{r2}{c2} a=N{r}{c} b=N{r2}{c2} "
+                                 f"km=20 profile=p class=qbb preshared=8192")
+    anchors = rng.sample([f"N{r}{c}" for r in range(n) for c in range(n)], users)
+    for i, anchor in enumerate(anchors):
+        lines.append(f"[node] name=u{i} kind=user")
+        links.append(f"[link] id={anchor}-u{i} a=u{i} b={anchor} km=2 profile=p "
+                     f"class=qan_fiber preshared=8192")
+    rng.shuffle(links)
+    return load_topology("\n".join(lines + links) + "\n")
+
+
+@pytest.mark.parametrize("make", [vienna_preset, building_block_preset, _grid_with_users],
+                         ids=["vienna", "building-block", "grid"])
+def test_adjacency_follows_link_order(make):
+    # flooding order depends on the order of a node's links
+    topo = make()
+    for node in topo.nodes:
+        scan = [(l.b if l.a == node else l.a, l) for l in topo.links if node in (l.a, l.b)]
+        assert list(topo.neighbors(node)) == scan
+        assert list(topo.links_at(node)) == [l for _, l in scan]
+        if topo.kind(node) is NodeKind.END_USER:
+            assert topo.attachment_of(node) == scan[0]
 
 
 def test_scaling_formulas():

@@ -308,6 +308,62 @@ class TestRandomOperationSequences:
             assert a.available_bytes == b.available_bytes
 
 
+_CURSOR_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(1, 40)),
+        # (reserve, direction, end exactly on a chunk boundary?, boundaries
+        # to skip when it does, size when it does not)
+        st.tuples(st.just("reserve"), st.integers(0, 1), st.booleans(),
+                  st.integers(0, 2), st.integers(1, 60)),
+    ),
+    max_size=60,
+)
+
+
+class TestReserveCursor:
+    @settings(max_examples=200, deadline=None)
+    @given(preshared=st.integers(0, 9), ops=_CURSOR_OPS)
+    def test_reservations_are_the_next_bytes_of_their_pool(self, preshared, ops):
+        # reference model: each pool is its blocks' halves concatenated, and
+        # reservations slice it at a running offset
+        data = Random(preshared).randbytes(preshared)
+        stores = [KeyStore("L", side=s, preshared=data, auth_reserve=0) for s in (0, 1)]
+        pools = [bytearray(), bytearray()]
+        chunk_ends = [[], []]
+        offset = [0, 0]
+
+        def add(block):
+            half = (len(block) + 1) // 2
+            for d, part in enumerate((block[:half], block[half:])):
+                if part:
+                    pools[d] += part
+                    chunk_ends[d].append(len(pools[d]))
+
+        add(data)
+        next_id = 1
+        for op in ops:
+            if op[0] == "push":
+                block = Random(next_id).randbytes(op[1])
+                for s in stores:
+                    s.push_block(KeyBlock(next_id, block, "L"))
+                add(block)
+                next_id += 1
+                continue
+            _, d, to_chunk_end, skip, size = op
+            if to_chunk_end:
+                ahead = [e for e in chunk_ends[d] if e > offset[d]]
+                if not ahead:
+                    continue
+                size = ahead[min(skip, len(ahead) - 1)] - offset[d]
+            if size > len(pools[d]) - offset[d]:
+                continue
+            want = bytes(pools[d][offset[d] : offset[d] + size])
+            res = stores[d].reserve(size, Purpose.AUTHENTICATE, direction=d)
+            assert res.key == want
+            assert stores[1 - d].reserve_exact(res.ranges, Purpose.AUTHENTICATE).key == want
+            offset[d] += size
+
+
 class TestWireFrame:
     def test_golden_layout(self):
         tag = bytes(range(16))
