@@ -33,6 +33,7 @@ from .q3p import (
     KeyBlock,
     KeyReuseError,
     KeyStore,
+    KeyStream,
     OutOfOrderBlock,
     Purpose,
     Q3PLink,

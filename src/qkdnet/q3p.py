@@ -1,11 +1,13 @@
 """Point-to-point key layer: per-link key stores, one-time-pad encryption,
 information-theoretic message authentication, and authenticated framing.
 
-Every QKD link feeds an identical stream of secret bytes into a key store at
-each endpoint. Consumption is tracked in an append-only ledger whose byte
-ranges never overlap: that ledger IS the one-time-pad discipline. Because
-both ends hold mirrored copies of the stream, the two stores stay level-equal
-as long as they see the same message history.
+Every QKD link feeds an identical stream of secret bytes to a key store at
+each endpoint. The stream is held once per link (``KeyStream``) and both
+stores read it; a store holds only its consumption state. Consumption is
+tracked in an append-only ledger whose byte ranges never overlap: that
+ledger IS the one-time-pad discipline. Because both ends read the same
+stream, the two stores stay level-equal as long as they see the same message
+history.
 
 To let both endpoints send concurrently without ever assigning the same key
 bytes twice, each key block is split in half: the first half fuels messages
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import hmac
 import struct
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -159,19 +162,108 @@ class _IntervalSet:
         return iter(zip(self._starts, self._ends))
 
 
-@dataclass
-class _Chunk:
-    raw_start: int
-    data: bytes
-    direction: int
+class KeyStream:
+    """One link's key stream, held once and read by both endpoint stores.
+
+    Each block splits in half: the first half is appended to pool 0 (a to b),
+    the second to pool 1 (b to a), so each pool is one contiguous
+    ``bytearray``. Raw offsets number the stream's bytes in arrival order,
+    halves interleaved. A columnar index keeps one row per appended half:
+    its raw start, its pool and its offset inside that pool, plus each
+    pool's rows in order. No ``memoryview`` of a pool may outlive a read,
+    because a ``bytearray`` with a live export cannot grow.
+    """
+
+    def __init__(self, preshared: bytes = b"") -> None:
+        self.pools = (bytearray(), bytearray())
+        self.raw_starts = array("q")                 # per row, ascending
+        self.row_pool = bytearray()                  # per row: 0 or 1
+        self.pool_offsets = array("q")               # per row: start in its pool
+        self.pool_rows = (array("q"), array("q"))    # per pool: its rows in order
+        self.last_block_id: int | None = None
+        self.initial_bytes = len(preshared)
+        if preshared:
+            self._append(preshared)
+            self.last_block_id = 0                   # the preshared secret is block 0
 
     @property
-    def raw_end(self) -> int:
-        return self.raw_start + len(self.data)
+    def appended_bytes(self) -> int:
+        return len(self.pools[0]) + len(self.pools[1])
+
+    def push(self, block: KeyBlock) -> None:
+        """Append a freshly produced block; ids must strictly increase."""
+        if self.last_block_id is not None and block.id <= self.last_block_id:
+            raise OutOfOrderBlock(
+                f"block id {block.id} not above stored id {self.last_block_id}"
+            )
+        self._append(block.data)
+        self.last_block_id = block.id
+
+    def _append(self, data: bytes) -> None:
+        half = (len(data) + 1) // 2
+        for direction, part in ((0, data[:half]), (1, data[half:])):
+            if not part:
+                continue
+            pool = self.pools[direction]
+            self.pool_rows[direction].append(len(self.raw_starts))
+            self.raw_starts.append(self.appended_bytes)
+            self.row_pool.append(direction)
+            self.pool_offsets.append(len(pool))
+            pool += part
+
+    def read_pool(
+        self, direction: int, cursor: tuple[int, int], n_bytes: int
+    ) -> tuple[tuple[tuple[int, int], ...], bytes, tuple[int, int]]:
+        """The ``n_bytes`` of a pool from ``cursor`` (index into the pool's
+        rows, offset inside the pool): raw ranges, one per row touched; the
+        key; and the cursor just past them."""
+        pool = self.pools[direction]
+        rows = self.pool_rows[direction]
+        i, pos = cursor
+        end = pos + n_bytes
+        key = bytes(pool[pos:end])
+        ranges: list[tuple[int, int]] = []
+        while pos < end:
+            row = rows[i]
+            row_end = self.pool_offsets[rows[i + 1]] if i + 1 < len(rows) else len(pool)
+            raw = self.raw_starts[row] + pos - self.pool_offsets[row]
+            take = min(row_end, end) - pos
+            ranges.append((raw, raw + take))
+            pos += take
+            if pos == row_end:
+                i += 1
+        return tuple(ranges), key, (i, pos)
+
+    def read_raw(self, ranges: tuple[tuple[int, int], ...]) -> tuple[bytes, int]:
+        """The key bytes at explicit raw ranges, and the pool of the last one."""
+        parts: list[bytes] = []
+        direction = None
+        appended = self.appended_bytes
+        for start, end in ranges:
+            if start < 0 or end > appended:
+                raise InsufficientKey(f"range [{start},{end}) beyond stream")
+            row = bisect_right(self.raw_starts, start) - 1
+            while start < end:
+                direction = self.row_pool[row]
+                raw_end = self.raw_starts[row + 1] if row + 1 < len(self.raw_starts) else appended
+                take = min(end, raw_end) - start
+                pos = self.pool_offsets[row] + start - self.raw_starts[row]
+                parts.append(self.pools[direction][pos : pos + take])
+                start += take
+                row += 1
+        if direction is None:
+            raise ValueError("empty range list")
+        return b"".join(parts), direction
 
 
 class KeyStore:
-    """One endpoint's pool of shared link key with reservation semantics.
+    """One endpoint's consumption state over its link's shared key stream.
+
+    The stream itself is held once per link (``KeyStream``) and read by
+    both ends; a store keeps only what differs per end: its reservation
+    cursors, its consumed ranges, its ledger and its consumed counters.
+    A store built without a stream gets one of its own, seeded with
+    ``preshared``.
 
     ``side`` 0 sits at the link's ``a`` endpoint and allocates from direction
     pool 0 (a to b); side 1 allocates from pool 1. Levels and the ledger span
@@ -184,31 +276,30 @@ class KeyStore:
         side: int = 0,
         preshared: bytes = b"",
         auth_reserve: int = AUTH_RESERVE_DEFAULT,
+        stream: KeyStream | None = None,
     ) -> None:
         if side not in (0, 1):
             raise ValueError("side must be 0 or 1")
+        if stream is not None and preshared:
+            raise ValueError("preshared bytes belong to the shared stream")
         self.link_id = link_id
         self.side = side
         self.auth_reserve = auth_reserve
+        self.stream = KeyStream(preshared) if stream is None else stream
         self.ledger: list[LedgerRecord] = []
-        self._chunks: list[_Chunk] = []          # all chunks, raw-offset order
-        self._chunk_starts: list[int] = []
-        self._pool_chunks: tuple[list[_Chunk], list[_Chunk]] = ([], [])
-        self._appended_raw = 0
-        self._pool_appended = [0, 0]
         self._pool_consumed = [0, 0]
-        self._cursor = [(0, 0), (0, 0)]          # per pool: next (chunk, offset) to reserve
+        self._cursor = [(0, 0), (0, 0)]          # per pool: next (row index, offset) to reserve
         self._consumed = _IntervalSet()
-        self._last_block_id: int | None = None
-        self.initial_bytes = len(preshared)
-        if preshared:
-            self._append(KeyBlock(0, preshared, link_id))
 
     # -- levels -------------------------------------------------------------
 
     @property
+    def initial_bytes(self) -> int:
+        return self.stream.initial_bytes
+
+    @property
     def appended_bytes(self) -> int:
-        return self._appended_raw
+        return self.stream.appended_bytes
 
     @property
     def ledgered_bytes(self) -> int:
@@ -216,54 +307,23 @@ class KeyStore:
 
     @property
     def available_bytes(self) -> int:
-        return self._appended_raw - self.ledgered_bytes
+        return self.stream.appended_bytes - self.ledgered_bytes
 
     def pool_available(self, direction: int) -> int:
-        return self._pool_appended[direction] - self._pool_consumed[direction]
+        return len(self.stream.pools[direction]) - self._pool_consumed[direction]
 
     @property
     def outbound_direction(self) -> int:
         return self.side
 
-    @property
-    def last_block_id(self) -> int | None:
-        return self._last_block_id
-
     # -- intake -------------------------------------------------------------
 
-    def _append(self, block: KeyBlock) -> None:
-        half = (len(block.data) + 1) // 2
-        for direction, part in ((0, block.data[:half]), (1, block.data[half:])):
-            if not part:
-                continue
-            chunk = _Chunk(self._appended_raw, part, direction)
-            self._chunks.append(chunk)
-            self._chunk_starts.append(chunk.raw_start)
-            self._pool_chunks[direction].append(chunk)
-            self._pool_appended[direction] += len(part)
-            self._appended_raw += len(part)
-        self._last_block_id = block.id
-
     def push_block(self, block: KeyBlock) -> int:
-        """Add a freshly produced block; returns the updated level."""
-        if self._last_block_id is not None and block.id <= self._last_block_id:
-            raise OutOfOrderBlock(
-                f"block id {block.id} not above stored id {self._last_block_id}"
-            )
-        self._append(block)
+        """Add a freshly produced block to the stream; returns the updated level."""
+        self.stream.push(block)
         return self.available_bytes
 
     # -- reservation --------------------------------------------------------
-
-    def can_reserve(self, n_bytes: int, purpose: Purpose, direction: int | None = None) -> bool:
-        if n_bytes <= 0:
-            return False
-        d = self.outbound_direction if direction is None else direction
-        if self.pool_available(d) < n_bytes:
-            return False
-        if purpose in _GENERAL_PURPOSES:
-            return self.available_bytes - n_bytes >= self.auth_reserve
-        return self.available_bytes >= n_bytes
 
     def reserve(
         self,
@@ -293,22 +353,8 @@ class KeyStore:
             raise InsufficientKey(
                 f"{self.link_id}/{self.side}: direction pool {d} exhausted"
             )
-        ranges: list[tuple[int, int]] = []
-        parts: list[bytes] = []
-        chunks = self._pool_chunks[d]
-        i, local = self._cursor[d]
-        remaining = n_bytes
-        while remaining:
-            chunk = chunks[i]
-            take = min(len(chunk.data) - local, remaining)
-            ranges.append((chunk.raw_start + local, chunk.raw_start + local + take))
-            parts.append(chunk.data[local : local + take])
-            remaining -= take
-            local += take
-            if local == len(chunk.data):
-                i, local = i + 1, 0
-        self._cursor[d] = (i, local)
-        return self._commit(tuple(ranges), b"".join(parts), d, purpose, now)
+        ranges, key, self._cursor[d] = self.stream.read_pool(d, self._cursor[d], n_bytes)
+        return self._commit(ranges, key, d, purpose, now)
 
     def reserve_exact(
         self,
@@ -317,26 +363,8 @@ class KeyStore:
         now: float = 0.0,
     ) -> Reservation:
         """Claim explicit raw ranges (mirroring the peer's allocation)."""
-        parts: list[bytes] = []
-        direction = None
-        for start, end in ranges:
-            if end > self._appended_raw:
-                raise InsufficientKey(
-                    f"{self.link_id}/{self.side}: range [{start},{end}) beyond stream"
-                )
-            i = bisect_right(self._chunk_starts, start) - 1
-            while start < end:
-                chunk = self._chunks[i]
-                if not (chunk.raw_start <= start < chunk.raw_end):
-                    raise InsufficientKey(f"{self.link_id}/{self.side}: bad range")
-                take = min(end, chunk.raw_end) - start
-                parts.append(chunk.data[start - chunk.raw_start : start - chunk.raw_start + take])
-                direction = chunk.direction
-                start += take
-                i += 1
-        if direction is None:
-            raise ValueError("empty range list")
-        return self._commit(ranges, b"".join(parts), direction, purpose, now)
+        key, direction = self.stream.read_raw(ranges)
+        return self._commit(ranges, key, direction, purpose, now)
 
     def _commit(
         self,
@@ -401,14 +429,30 @@ def _poly_tag(key: bytes, data: bytes) -> bytes:
     ``acc = (acc + block) * r mod p``; the tag is ``acc XOR mask`` truncated
     to 128 bits. Deterministic, and unconditionally secure as long as each
     key is used for a single message.
+
+    Two blocks ``hi, lo`` fold in one step,
+    ``acc = ((acc + hi) * r^2 + lo * r) mod p``: whole 32-byte pairs with
+    their two length bits collected in a constant, then a last pair whose
+    ``lo`` may be short, or a last single block.
     """
     r = int.from_bytes(key[:16], "big") % _POLY_PRIME
     mask = int.from_bytes(key[16:32], "big")
+    r2 = r * r % _POLY_PRIME
+    pad = (r2 + r) << 128
+    n = len(data)
+    paired = n - n % 32
     acc = 0
-    for i in range(0, len(data), 16):
-        chunk = data[i : i + 16]
-        block = int.from_bytes(chunk, "big") + (1 << (8 * len(chunk)))
-        acc = (acc + block) * r % _POLY_PRIME
+    for i in range(0, paired, 32):
+        pair = int.from_bytes(data[i : i + 32], "big")
+        acc = ((acc + (pair >> 128)) * r2 + (pair & _MASK_128) * r + pad) % _POLY_PRIME
+    rest = data[paired:]
+    if len(rest) > 16:
+        lo = rest[16:]
+        hi_block = int.from_bytes(rest[:16], "big") + (1 << 128)
+        lo_block = int.from_bytes(lo, "big") + (1 << (8 * len(lo)))
+        acc = ((acc + hi_block) * r2 + lo_block * r) % _POLY_PRIME
+    elif rest:
+        acc = (acc + int.from_bytes(rest, "big") + (1 << (8 * len(rest)))) * r % _POLY_PRIME
     return ((acc ^ mask) & _MASK_128).to_bytes(TAG_BYTES, "big")
 
 
@@ -520,9 +564,10 @@ class Q3PLink:
     def __init__(self, link_id: str, preshared: bytes,
                  auth_reserve: int = AUTH_RESERVE_DEFAULT) -> None:
         self.link_id = link_id
+        self.stream = KeyStream(preshared)
         self.stores = (
-            KeyStore(link_id, 0, preshared, auth_reserve),
-            KeyStore(link_id, 1, preshared, auth_reserve),
+            KeyStore(link_id, 0, auth_reserve=auth_reserve, stream=self.stream),
+            KeyStore(link_id, 1, auth_reserve=auth_reserve, stream=self.stream),
         )
         self._next_id: dict[tuple[int, Channel], int] = {}
         self._watermark: dict[tuple[int, Channel], int] = {}
@@ -531,9 +576,8 @@ class Q3PLink:
         return self.stores[side]
 
     def push(self, block: KeyBlock) -> None:
-        """Deliver one produced block identically to both endpoint stores."""
-        for store in self.stores:
-            store.push_block(block)
+        """Append one produced block to the stream both endpoint stores read."""
+        self.stream.push(block)
 
     def min_level(self) -> int:
         return min(s.available_bytes for s in self.stores)
@@ -615,12 +659,17 @@ class Q3PLink:
             )
         if msg.authenticated:
             auth_res = store.reserve_exact(msg.auth_ranges, Purpose.AUTHENTICATE, now=now)
-            if not verify(msg.header_bytes() + msg.payload, msg.tag, auth_res, msg.msg_id):
-                raise TagMismatch(f"{self.link_id}: tag mismatch on msg {msg.msg_id}")
-        plaintext = msg.payload
         if msg.encrypted:
+            # burned before the tag check, so a forged or corrupted message
+            # costs the receiver the same bytes it cost the sender
             enc_res = store.reserve_exact(msg.enc_ranges, msg.enc_purpose, now=now)
             enc_res.record.msg_id = msg.msg_id
+        if msg.authenticated and not verify(
+            msg.header_bytes() + msg.payload, msg.tag, auth_res, msg.msg_id
+        ):
+            raise TagMismatch(f"{self.link_id}: tag mismatch on msg {msg.msg_id}")
+        plaintext = msg.payload
+        if msg.encrypted:
             clear = len(msg.payload) - msg.encrypted_len
             plaintext = msg.payload[:clear] + otp_decrypt(enc_res, msg.payload[clear:])
         self._watermark[key] = msg.msg_id

@@ -107,7 +107,8 @@ def test_criterion_4_dos_drain_and_restore():
         assert "SIE-ERD" not in rec.per_link_consumed  # refilled via other links
         a, b = eng.links["SIE-ERD"].q3p.stores
         assert a.available_bytes >= 8192 and b.available_bytes >= 8192
-        assert [c.data for c in a._chunks] == [c.data for c in b._chunks]
+        assert a.stream is b.stream is eng.links["SIE-ERD"].q3p.stream
+        assert a.appended_bytes == b.appended_bytes
 
 
 def test_criterion_5_deployment_gate():

@@ -1,6 +1,7 @@
 """Key layer: stores, ledger discipline, OTP, authentication, framing."""
 
 import struct
+import tracemalloc
 from random import Random
 
 import pytest
@@ -56,6 +57,23 @@ class TestPush:
         with pytest.raises(OutOfOrderBlock):
             s.push_block(KeyBlock(2, RNG.randbytes(8), "L"))
 
+    def test_link_push_holds_each_block_compactly(self):
+        # the stream keeps a block as its bytes plus a few machine words of
+        # index per half, not as Python objects per half and per end
+        link = Q3PLink("L", b"", auth_reserve=0)
+        n_blocks = 20000
+        data = Random(7).randbytes(40 * n_blocks)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n_blocks):
+                link.push(KeyBlock(i + 1, data[40 * i : 40 * i + 40], "L"))
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert link.stores[1].appended_bytes == 40 * n_blocks
+        assert used / n_blocks < 160
+
 
 class TestReserve:
     def test_encrypt_respects_reserve_floor(self):
@@ -90,8 +108,8 @@ class TestReserve:
             assert e1 <= s2
 
     def test_mirror_consumption_is_range_exact(self):
-        a, b = store(1024, side=0), None
-        data = a._chunks[0].data + a._chunks[1].data
+        data = RNG.randbytes(1024)
+        a = KeyStore("L", side=0, preshared=data, auth_reserve=0)
         b = KeyStore("L", side=1, preshared=data, auth_reserve=0)
         res = a.reserve(100, Purpose.ENCRYPT)
         mirror = b.reserve_exact(res.ranges, Purpose.ENCRYPT)
@@ -135,6 +153,20 @@ class TestOtp:
             otp_encrypt(res, bytes(17))
 
 
+def _reference_tag(key, data):
+    """The tag as first written, one 16-byte block per step: the reference
+    the paired folding in ``_poly_tag`` must match bit for bit."""
+    p = (1 << 128) - 159
+    r = int.from_bytes(key[:16], "big") % p
+    mask = int.from_bytes(key[16:32], "big")
+    acc = 0
+    for i in range(0, len(data), 16):
+        chunk = data[i : i + 16]
+        block = int.from_bytes(chunk, "big") + (1 << (8 * len(chunk)))
+        acc = (acc + block) * r % p
+    return ((acc ^ mask) & ((1 << 128) - 1)).to_bytes(16, "big")
+
+
 class TestAuthentication:
     def test_round_trip(self):
         s = store(1024, reserve=0)
@@ -166,6 +198,16 @@ class TestAuthentication:
             authenticate(b"second", res)
         with pytest.raises(KeyReuseError):
             s.reserve_exact(res.ranges, Purpose.AUTHENTICATE)
+
+    def test_paired_folding_matches_one_block_reference(self):
+        p = (1 << 128) - 159
+        points = [bytes(16), p.to_bytes(16, "big"), (p + 1).to_bytes(16, "big"), b"\xff" * 16]
+        keys = [Random(k).randbytes(32) for k in range(3)]
+        keys += [r + Random(9).randbytes(16) for r in points] + [b"\xff" * 32]
+        for n in [*range(200), 293, 1061, 4096]:
+            data = RNG.randbytes(n)
+            for key in keys:
+                assert _poly_tag(key, data) == _reference_tag(key, data), (n, key)
 
     @given(st.binary(min_size=0, max_size=300))
     @settings(max_examples=50)
@@ -217,6 +259,10 @@ class TestSealOpen:
         msg.payload = msg.payload[:-1] + bytes([msg.payload[-1] ^ 1])
         with pytest.raises(TagMismatch):
             link.open(1, msg)
+        # the failed message costs its whole key at both ends
+        a, b = link.stores
+        assert a.ledgered_bytes == b.ledgered_bytes == 40 + AUTH_KEY_BYTES
+        assert sorted(a.consumed_ranges()) == sorted(b.consumed_ranges())
 
     def test_mirror_symmetry_bidirectional(self):
         link = make_link()
@@ -362,6 +408,98 @@ class TestReserveCursor:
             assert res.key == want
             assert stores[1 - d].reserve_exact(res.ranges, Purpose.AUTHENTICATE).key == want
             offset[d] += size
+
+
+_LINK_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(1, 80)),
+        # (seal, side, authenticated?, key spend ends exactly on a half's
+        # end?, half ends to skip when it does, size when it does not, lost?)
+        st.tuples(st.just("seal"), st.integers(0, 1), st.booleans(), st.booleans(),
+                  st.integers(0, 2), st.integers(1, 90), st.booleans()),
+    ),
+    max_size=50,
+)
+
+
+class TestLinkStream:
+    @settings(max_examples=150, deadline=None)
+    @given(preshared=st.integers(0, 120), ops=_LINK_OPS)
+    def test_both_ends_spend_the_one_stream_in_step(self, preshared, ops):
+        # reference model: each pool is its blocks' halves concatenated, a
+        # row (pool start, raw start) per half, and a sender takes the next
+        # bytes of its pool; lost messages are never opened
+        data = Random(preshared).randbytes(preshared)
+        link = Q3PLink("L", data, auth_reserve=0)
+        pools = [bytearray(), bytearray()]
+        rows = [[], []]
+        offset = [0, 0]
+        ledgered = [0, 0]
+        opened = []
+
+        def add(block):
+            half = (len(block) + 1) // 2
+            for d, part in enumerate((block[:half], block[half:])):
+                if part:
+                    rows[d].append((len(pools[d]), len(pools[0]) + len(pools[1])))
+                    pools[d] += part
+
+        def take(d, n):
+            start, end = offset[d], offset[d] + n
+            ranges = []
+            for i, (pool_start, raw_start) in enumerate(rows[d]):
+                pool_end = rows[d][i + 1][0] if i + 1 < len(rows[d]) else len(pools[d])
+                lo, hi = max(start, pool_start), min(end, pool_end)
+                if lo < hi:
+                    ranges.append((raw_start + lo - pool_start, raw_start + hi - pool_start))
+            offset[d] = end
+            return tuple(ranges), bytes(pools[d][start:end])
+
+        add(data)
+        next_id = 1
+        for op in ops:
+            if op[0] == "push":
+                block = Random(next_id).randbytes(op[1])
+                link.push(KeyBlock(next_id, block, "L"))
+                add(block)
+                next_id += 1
+                continue
+            _, side, auth, to_half_end, skip, size, lost = op
+            tag_len = AUTH_KEY_BYTES if auth else 0
+            if to_half_end:
+                ends = [start for start, _ in rows[side][1:]] + [len(pools[side])]
+                ahead = [e for e in ends if e > offset[side] + tag_len]
+                if not ahead:
+                    continue
+                size = ahead[min(skip, len(ahead) - 1)] - offset[side] - tag_len
+            payload = Random(size).randbytes(size)
+            if size + tag_len > len(pools[side]) - offset[side]:
+                with pytest.raises(InsufficientKey):
+                    link.seal(side, Channel.TRANSPORT, payload, auth=auth)
+                continue
+            msg = link.seal(side, Channel.TRANSPORT, payload, auth=auth)
+            enc_ranges, enc_key = take(side, size)
+            assert msg.enc_ranges == enc_ranges
+            assert msg.payload == bytes(x ^ k for x, k in zip(payload, enc_key))
+            if auth:
+                auth_ranges, auth_key = take(side, AUTH_KEY_BYTES)
+                assert msg.auth_ranges == auth_ranges
+                assert msg.tag == _poly_tag(auth_key, msg.header_bytes() + msg.payload)
+            ledgered[side] += size + tag_len
+            if not lost:
+                assert link.open(1 - side, msg) == payload
+                ledgered[1 - side] += size + tag_len
+                opened.append(msg)
+        for s, store in enumerate(link.stores):
+            assert store.appended_bytes == len(pools[0]) + len(pools[1])
+            assert store.ledgered_bytes == ledgered[s]
+            assert store.appended_bytes - store.ledgered_bytes == store.available_bytes
+        for msg in opened:
+            for store in link.stores:
+                for ranges in (msg.enc_ranges, msg.auth_ranges):
+                    if ranges:
+                        with pytest.raises(KeyReuseError):
+                            store.reserve_exact(ranges, Purpose.ENCRYPT)
 
 
 class TestWireFrame:

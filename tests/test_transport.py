@@ -308,10 +308,8 @@ class TestRefill:
             assert store.appended_bytes == (
                 lrt.spec.preshared_bytes + lrt.runtime.produced_bytes_total + 8192
             )
-        # both ends received byte-identical chunks throughout
-        chunks_a = [c.data for c in lrt.q3p.stores[0]._chunks]
-        chunks_b = [c.data for c in lrt.q3p.stores[1]._chunks]
-        assert chunks_a == chunks_b
+        # both ends read the link's one stream
+        assert lrt.q3p.stores[0].stream is lrt.q3p.stores[1].stream is lrt.q3p.stream
         assert ("SIE-ERD" not in rec.per_link_consumed)  # routed around itself
 
     def test_refill_of_leaf_spur_has_no_route(self):
