@@ -1,7 +1,7 @@
 """Command-line front end: run simulations, size networks, validate configs.
 
 Exit codes: 0 success, 1 usage error, 2 config or validation error,
-3 scenario produced a failed delivery under --strict.
+3 a request ended failed or partial under --strict.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--seed", type=int, default=None, help="override scenario seed")
     run.add_argument("--out", default="qkdnet-out", help="output directory")
     run.add_argument("--strict", action="store_true",
-                     help="exit 3 if any delivery fails")
+                     help="exit 3 if any request is not delivered in full")
 
     plan = sub.add_parser("plan", help="cost-per-bit sweep and optimal link length")
     plan.add_argument("--alpha", type=float, default=0.2, help="attenuation dB/km")
@@ -111,7 +111,7 @@ def _cmd_run(args) -> int:
     (out / "metrics.csv").write_text(report.metrics_csv())
     (out / "summary.json").write_text(report.summary_json())
     (out / "audit.log").write_text(report.audit_text())
-    failed = False
+    undelivered = False
     for rec in report.records:
         took = (
             f"{rec.completion_time_s - rec.started_s:.3f}s"
@@ -122,10 +122,11 @@ def _cmd_run(args) -> int:
             f"{rec.status.value} in {took}"
             + (f" ({rec.failure_reason})" if rec.failure_reason else "")
         )
-        if rec.status is DeliveryStatus.FAILED:
-            failed = True
+        # a partial secret differs between the two ends and is unusable
+        if rec.status is not DeliveryStatus.DELIVERED:
+            undelivered = True
     print(f"wrote {out / 'metrics.csv'}, {out / 'summary.json'}, {out / 'audit.log'}")
-    if args.strict and failed:
+    if args.strict and undelivered:
         return EXIT_SCENARIO
     return EXIT_OK
 

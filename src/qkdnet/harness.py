@@ -223,24 +223,34 @@ class _Drain:
 
 
 @dataclass
+class _Request:
+    """One delivery request, held once: what was asked, its outcome record,
+    the fragments received at the destination and failed on the way, and
+    the source's fragments and per-path send windows."""
+
+    request: KeyDeliveryRequest
+    record: DeliveryRecord
+    exclude: frozenset[str]
+    purpose: Purpose
+    refill_target: str | None
+    final: bool = False
+    received: dict[int, bytes] = field(default_factory=dict)   # seq -> fragment
+    failed: set[int] = field(default_factory=set)
+    fragments: list[bytes] = field(default_factory=list)
+    queues: list[deque] = field(default_factory=list)          # per path: seqs to send
+    inflight: list[int] = field(default_factory=list)          # per path
+    frag_path: list[int] = field(default_factory=list)         # seq -> path index
+
+
+@dataclass
 class _HopState:
-    request_id: int
+    req: _Request
     seq: int
-    total: int
     fragment: bytes
     route_nodes: tuple[str, ...]   # starting at this node
     route_links: tuple[str, ...]   # empty while parked: the timer reroutes
     attempts: int = 1
     gen: int = 0
-
-
-@dataclass
-class _SourceState:
-    request: KeyDeliveryRequest
-    paths: list[Path]
-    queues: list[deque]
-    inflight: list[int]
-    frag_path: list[int]
 
 
 class MetricsReport:
@@ -250,7 +260,7 @@ class MetricsReport:
         self.duration_s = engine.scenario.duration_s
         self.seed = engine.seed
         self.samples = engine.samples
-        self.records = [engine.records[i] for i in sorted(engine.records)]
+        self.records = [engine.requests[i].record for i in sorted(engine.requests)]
         self.exposures = engine.exposures
         self.link_events = engine.link_events
         self.msg_counts = dict(sorted(engine.msg_counts.items()))
@@ -333,9 +343,7 @@ class Engine:
             )
             self.links[spec.id].min_level_seen = self.links[spec.id].q3p.min_level()
         self.agents = {name: NodeAgent(self, name) for name in topology.nodes}
-        self.records: dict[int, DeliveryRecord] = {}
-        self._fragments: dict[int, dict[int, bytes]] = {}
-        self._req_meta: dict[int, dict] = {}
+        self.requests: dict[int, _Request] = {}
         self._next_request_id = 0
         self._drains: list[_Drain] = []
         self._advert_usable: dict[str, bool] = {l: True for l in self.links}
@@ -407,18 +415,11 @@ class Engine:
             multipath=req_payload.get("multipath", 1),
             deadline_s=req_payload.get("deadline_s"),
         )
-        self.records[rid] = DeliveryRecord(
+        record = DeliveryRecord(
             request_id=rid, src=request.src, dst=request.dst,
             n_bytes=request.n_bytes, started_s=at,
         )
-        self._fragments[rid] = {}
-        self._req_meta[rid] = {
-            "request": request,
-            "exclude": exclude_links,
-            "purpose": purpose,
-            "refill_target": refill_target,
-            "final": False,
-        }
+        self.requests[rid] = _Request(request, record, exclude_links, purpose, refill_target)
         self._schedule(Event(at, EventKind.KEY_REQUEST, {"request_id": rid}))
         if request.deadline_s is not None:
             self._schedule(Event(at + request.deadline_s, EventKind.DEADLINE, {"request_id": rid}))
@@ -514,9 +515,8 @@ class Engine:
                                        self.now + p["duration_s"]))
             self.link_events.append((self.now, p["link"], "dos_start"))
         elif kind is EventKind.KEY_REQUEST:
-            rid = p["request_id"]
-            meta = self._req_meta[rid]
-            self.agents[meta["request"].src].start_delivery(rid)
+            req = self.requests[p["request_id"]]
+            self.agents[req.request.src].start_delivery(req)
         elif kind is EventKind.DAY_WINDOW:
             for lrt in self.links.values():
                 lrt.runtime.daytime = p["daytime"]
@@ -525,11 +525,11 @@ class Engine:
         elif kind is EventKind.TIMER:
             self.agents[p["node"]].on_timer(p)
         elif kind is EventKind.DEADLINE:
-            self._finalize_record(p["request_id"], reason="deadline")
+            self._finalize_record(self.requests[p["request_id"]], reason="deadline")
         elif kind is EventKind.FINALIZE:
             self._sample()
-            for rid in list(self.records):
-                self._finalize_record(rid, reason="scenario_end")
+            for req in self.requests.values():
+                self._finalize_record(req, reason="scenario_end")
             self._finalized = True
 
     # -- event bodies ----------------------------------------------------------
@@ -619,48 +619,44 @@ class Engine:
 
     # -- delivery bookkeeping --------------------------------------------------
 
-    def fragment_delivered(self, request_id: int, seq: int, fragment: bytes) -> None:
-        meta = self._req_meta[request_id]
-        if meta["final"]:
+    def fragment_delivered(self, req: _Request, seq: int, fragment: bytes) -> None:
+        if req.final or seq in req.received:
             return
-        frags = self._fragments[request_id]
-        if seq in frags:
-            return
-        frags[seq] = fragment
-        rec = self.records[request_id]
-        rec.fragments_delivered = len(frags)
-        if rec.fragments_total and len(frags) == rec.fragments_total:
-            self._finalize_record(request_id, reason=None)
+        req.received[seq] = fragment
+        rec = req.record
+        rec.fragments_delivered = len(req.received)
+        if rec.fragments_total and len(req.received) == rec.fragments_total:
+            self._finalize_record(req, reason=None)
 
-    def fragment_failed(self, request_id: int, seq: int, reason: str) -> None:
-        meta = self._req_meta[request_id]
-        rec = self.records[request_id]
+    def fragment_failed(self, req: _Request, seq: int, reason: str) -> None:
+        rec = req.record
         if rec.failure_reason is None:
             rec.failure_reason = reason
-        meta.setdefault("failed_fragments", set()).add(seq)
-        done = len(self._fragments[request_id]) + len(meta["failed_fragments"])
+        req.failed.add(seq)
+        # a seq another copy delivered counts once
+        done = len(req.failed | req.received.keys())
         if rec.fragments_total and done >= rec.fragments_total:
-            self._finalize_record(request_id, reason=rec.failure_reason)
+            self._finalize_record(req, reason=rec.failure_reason)
 
-    def _finalize_record(self, request_id: int, reason: str | None) -> None:
-        meta = self._req_meta[request_id]
-        if meta["final"]:
+    def _finalize_record(self, req: _Request, reason: str | None) -> None:
+        if req.final:
             return
-        rec = self.records[request_id]
-        frags = self._fragments[request_id]
+        rec = req.record
+        frags = req.received
         if rec.fragments_total and len(frags) == rec.fragments_total:
             rec.status = DeliveryStatus.DELIVERED
             rec.secret_at_dst = b"".join(frags[i] for i in range(rec.fragments_total))
             rec.completion_time_s = self.now
+            rec.failure_reason = None   # set by a copy a relay gave up on
         elif frags:
             rec.status = DeliveryStatus.PARTIAL
             rec.failure_reason = rec.failure_reason or reason
         else:
             rec.status = DeliveryStatus.FAILED
             rec.failure_reason = rec.failure_reason or reason
-        meta["final"] = True
-        if rec.status is DeliveryStatus.DELIVERED and meta["refill_target"]:
-            self._apply_refill(meta["refill_target"], rec.secret_at_dst)
+        req.final = True
+        if rec.status is DeliveryStatus.DELIVERED and req.refill_target:
+            self._apply_refill(req.refill_target, rec.secret_at_dst)
 
     def _apply_refill(self, link_id: str, secret: bytes) -> None:
         lrt = self.links[link_id]
@@ -674,9 +670,6 @@ class Engine:
 
     def record_exposure(self, node: str, request_id: int, n_bytes: int) -> None:
         self.exposures.append((self.now, node, request_id, n_bytes))
-
-    def request_meta(self, request_id: int) -> dict:
-        return self._req_meta[request_id]
 
     def draw_secret(self, n: int) -> bytes:
         return self._rng_secret.randbytes(n)
@@ -721,9 +714,7 @@ class NodeAgent:
         self.incident = engine.topology.links_at(name)
         self._lsa_seq: dict[str, int] = {l.id: 0 for l in self.incident}
         self._advertised: dict[str, tuple[bool, int, float]] = {}
-        self._relays: dict[tuple[int, int], _HopState] = {}
-        self._sources: dict[int, _SourceState] = {}
-        self._store_fragments: dict[int, list[bytes]] = {}
+        self._relays: dict[tuple[int, int], _HopState] = {}   # (request id, seq)
         self._timer_gen = 0
 
     # -- plumbing ---------------------------------------------------------------
@@ -825,51 +816,41 @@ class NodeAgent:
 
     # -- transport: source side -------------------------------------------------------
 
-    def start_delivery(self, request_id: int) -> None:
-        meta = self.engine.request_meta(request_id)
-        request: KeyDeliveryRequest = meta["request"]
-        rec = self.engine.records[request_id]
+    def start_delivery(self, req: _Request) -> None:
+        request, rec = req.request, req.record
         secret = self.engine.draw_secret(request.n_bytes)
         rec.secret_at_src = secret
         fragments = split_fragments(secret, MTU_BYTES)
         rec.fragments_total = len(fragments)
         paths = disjoint_paths(
             self.db, request.src, request.dst, request.multipath,
-            self.engine.cost_params, exclude_links=meta["exclude"],
+            self.engine.cost_params, exclude_links=req.exclude,
         )
         if not paths:
             rec.failure_reason = "no_route"
-            self.engine._finalize_record(request_id, reason="no_route")
+            self.engine._finalize_record(req, reason="no_route")
             return
         rec.paths_used = paths
         weights = [
             min(self.db.min_level(l) for l in p.links) for p in paths
         ]
-        frag_path = assign_fragments(len(fragments), weights)
-        state = _SourceState(
-            request=request,
-            paths=paths,
-            queues=[deque() for _ in paths],
-            inflight=[0] * len(paths),
-            frag_path=frag_path,
-        )
-        for seq, path_idx in enumerate(frag_path):
-            state.queues[path_idx].append(seq)
-        self._sources[request_id] = state
-        self._store_fragments[request_id] = fragments
+        req.fragments = fragments
+        req.frag_path = assign_fragments(len(fragments), weights)
+        req.queues = [deque() for _ in paths]
+        req.inflight = [0] * len(paths)
+        for seq, path_idx in enumerate(req.frag_path):
+            req.queues[path_idx].append(seq)
         for path_idx in range(len(paths)):
-            self._pump(request_id, path_idx)
+            self._pump(req, path_idx)
 
-    def _pump(self, request_id: int, path_idx: int) -> None:
-        state = self._sources.get(request_id)
-        if state is None or self.engine.request_meta(request_id)["final"]:
+    def _pump(self, req: _Request, path_idx: int) -> None:
+        if req.final:
             return
-        fragments = self._store_fragments[request_id]
-        path = state.paths[path_idx]
-        while state.inflight[path_idx] < WINDOW_PER_PATH and state.queues[path_idx]:
-            seq = state.queues[path_idx].popleft()
-            state.inflight[path_idx] += 1
-            self._send_hop(_HopState(request_id, seq, len(fragments), fragments[seq],
+        path = req.record.paths_used[path_idx]
+        while req.inflight[path_idx] < WINDOW_PER_PATH and req.queues[path_idx]:
+            seq = req.queues[path_idx].popleft()
+            req.inflight[path_idx] += 1
+            self._send_hop(_HopState(req, seq, req.fragments[seq],
                                      route_nodes=path.nodes, route_links=path.links))
 
     # -- transport: hop machinery ---------------------------------------------------------
@@ -883,15 +864,15 @@ class NodeAgent:
             return False
         return lrt.q3p.can_seal(self.side_on(link_id), payload_len, True, True)
 
-    def _reroute(self, request_id: int, dst: str, frag_len: int) -> Path | None:
+    def _reroute(self, hop: _HopState) -> Path | None:
         """Recompute a route from here, skipping first hops this node locally
         knows it cannot feed (the flooded database may not know yet)."""
-        exclude = set(self.engine.request_meta(request_id)["exclude"])
+        exclude = set(hop.req.exclude)
         for link in self.incident:
-            if not self._eligible(link.id, frag_len):
+            if not self._eligible(link.id, len(hop.fragment)):
                 exclude.add(link.id)
         try:
-            return shortest_path(self.db, self.name, dst, self.engine.cost_params,
+            return shortest_path(self.db, self.name, hop.req.request.dst, self.engine.cost_params,
                                  exclude_links=frozenset(exclude))
         except NoRoute:
             return None
@@ -902,25 +883,26 @@ class NodeAgent:
         assert hop.route_nodes[0] == self.name
         out_link = hop.route_links[0] if hop.route_links else None
         if out_link is None or not self._eligible(out_link, len(hop.fragment)):
-            new_path = self._reroute(hop.request_id, hop.route_nodes[-1], len(hop.fragment))
+            new_path = self._reroute(hop)
             if new_path is None or not new_path.links:
                 self._park(hop)
                 return
             hop.route_nodes, hop.route_links = new_path.nodes, new_path.links
             out_link = hop.route_links[0]
         lrt = self.engine.links[out_link]
-        payload = encode_segment(hop.request_id, hop.seq, hop.total, hop.fragment)
+        req = hop.req
+        payload = encode_segment(req.request.request_id, hop.seq, req.record.fragments_total,
+                                 hop.fragment)
         try:
             msg = lrt.q3p.seal(
                 self.side_on(out_link), Channel.TRANSPORT, payload,
-                encrypt=True, auth=True,
-                purpose=self.engine.request_meta(hop.request_id)["purpose"],
+                encrypt=True, auth=True, purpose=req.purpose,
                 now=self.engine.now, clear_len=SEGMENT_CLEAR_LEN,
             )
         except InsufficientKey:
             self._park(hop)
             return
-        consumed = self.engine.records[hop.request_id].per_link_consumed
+        consumed = req.record.per_link_consumed
         consumed[out_link] = consumed.get(out_link, 0) + msg.key_cost_bytes
         self.engine.msg_counts["transport_sent"] += 1
         self.engine.send_message(
@@ -939,9 +921,10 @@ class NodeAgent:
         newer timer supersedes any older one for the same fragment."""
         self._timer_gen += 1
         hop.gen = self._timer_gen
-        self._relays[(hop.request_id, hop.seq)] = hop
+        rid = hop.req.request.request_id
+        self._relays[(rid, hop.seq)] = hop
         self.engine._schedule(Event(self.engine.now + RETRY_TIMEOUT_S, EventKind.TIMER, {
-            "node": self.name, "request_id": hop.request_id, "seq": hop.seq, "gen": hop.gen,
+            "node": self.name, "request_id": rid, "seq": hop.seq, "gen": hop.gen,
         }))
 
     def on_timer(self, p: dict) -> None:
@@ -949,19 +932,18 @@ class NodeAgent:
         hop = self._relays.get(key)
         if hop is None or hop.gen != p["gen"]:
             return
-        if self.engine.request_meta(hop.request_id)["final"]:
+        if hop.req.final:
             del self._relays[key]
             return
         if hop.attempts > MAX_RETRIES:
             del self._relays[key]
             self.engine.msg_counts["retry_limit_exceeded"] += 1
-            self.engine.fragment_failed(hop.request_id, hop.seq, "retry_limit_exceeded")
-            self._free_window(hop.request_id, hop.seq)
+            self.engine.fragment_failed(hop.req, hop.seq, "retry_limit_exceeded")
+            self._free_window(hop)
             return
         hop.attempts += 1
         if not hop.route_links:
-            dst = self.engine.records[hop.request_id].dst
-            path = self._reroute(hop.request_id, dst, len(hop.fragment))
+            path = self._reroute(hop)
             if path is None:
                 self._arm_retry(hop)
                 return
@@ -973,18 +955,19 @@ class NodeAgent:
         hop = self._relays.pop((request_id, seq), None)
         if hop is None:
             return
-        self._free_window(request_id, seq)
+        self._free_window(hop)
 
-    def _free_window(self, request_id: int, seq: int) -> None:
-        state = self._sources.get(request_id)
-        if state is None:
+    def _free_window(self, hop: _HopState) -> None:
+        """At the source, let the next fragment onto the path this one took."""
+        req = hop.req
+        if req.request.src != self.name:
             return
-        path_idx = state.frag_path[seq]
-        state.inflight[path_idx] = max(0, state.inflight[path_idx] - 1)
-        self._pump(request_id, path_idx)
+        path_idx = req.frag_path[hop.seq]
+        req.inflight[path_idx] = max(0, req.inflight[path_idx] - 1)
+        self._pump(req, path_idx)
 
     def _on_segment(self, link_id: str, payload: bytes, meta: dict) -> None:
-        request_id, seq, total, fragment = decode_segment(payload)
+        request_id, seq, _, fragment = decode_segment(payload)
         self.engine.transport_arrivals.append((self.engine.now, link_id, request_id, seq))
         # ack unconditionally so the upstream sender stops retransmitting;
         # acks ride the control channel without key spend
@@ -996,11 +979,12 @@ class NodeAgent:
         self.engine.send_message(link_id, self.name, ack)
         route_nodes = tuple(meta.get("route_nodes", ()))
         route_links = tuple(meta.get("route_links", ()))
+        req = self.engine.requests[request_id]
         if not route_links:
-            self.engine.fragment_delivered(request_id, seq, fragment)
+            self.engine.fragment_delivered(req, seq, fragment)
             return
         # trusted-node relay: the fragment exists in plaintext here between
         # open and re-seal; make that observable
         self.engine.record_exposure(self.name, request_id, len(fragment))
-        self._send_hop(_HopState(request_id, seq, total, fragment,
+        self._send_hop(_HopState(req, seq, fragment,
                                  route_nodes=route_nodes, route_links=route_links))

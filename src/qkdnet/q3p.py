@@ -15,6 +15,8 @@ from endpoint ``a`` to ``b``, the second half the reverse direction. The
 sender allocates sequentially from its outbound half; the receiver burns the
 exact same ranges when it opens the message (they ride along in-memory,
 standing in for the key-synchronization dialogue of a real deployment).
+Messages may arrive in any order; the receiver's ledger rejects replays,
+because each keyed message spends its own one-time key.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ class TagMismatch(Q3PError):
 
 
 class ReplayDetected(Q3PError):
-    """Message id did not strictly increase on its channel."""
+    """The message's key is already consumed at the receiver: it was opened
+    before. The ledger is the replay check; arrival order is free."""
 
 
 class KeyReuseError(Q3PError):
@@ -147,14 +150,17 @@ class _IntervalSet:
         self._starts: list[int] = []
         self._ends: list[int] = []
 
+    def overlaps(self, start: int, end: int) -> bool:
+        """Whether ``[start, end)`` shares a byte with an interval in the set."""
+        i = bisect_right(self._ends, start)
+        return i < len(self._starts) and self._starts[i] < end
+
     def add(self, start: int, end: int) -> None:
         if end <= start:
             raise ValueError("empty interval")
-        i = bisect_right(self._starts, start)
-        if i > 0 and self._ends[i - 1] > start:
+        if self.overlaps(start, end):
             raise KeyReuseError(f"byte range [{start},{end}) overlaps consumed key")
-        if i < len(self._starts) and self._starts[i] < end:
-            raise KeyReuseError(f"byte range [{start},{end}) overlaps consumed key")
+        i = bisect_right(self._ends, start)
         self._starts.insert(i, start)
         self._ends.insert(i, end)
 
@@ -556,9 +562,11 @@ def decode_frame(data: bytes) -> tuple[Channel, int, int, bytes, bytes | None]:
 class Q3PLink:
     """The mirrored pair of key stores at the two ends of one link.
 
-    Owns per-channel message-id counters and replay watermarks. ``seal``
-    runs at the sending store, ``open`` at the receiving store; both burn
-    identical byte ranges, so levels stay equal under loss-free histories.
+    Owns per-channel message-id counters. ``seal`` runs at the sending
+    store, ``open`` at the receiving store; both burn identical byte ranges,
+    so levels stay equal under loss-free histories. Messages may be opened
+    in any order: the receiving ledger rejects replays of keyed messages;
+    unkeyed ones (acks) carry no authenticated id and are not checked.
     """
 
     def __init__(self, link_id: str, preshared: bytes,
@@ -570,7 +578,6 @@ class Q3PLink:
             KeyStore(link_id, 1, auth_reserve=auth_reserve, stream=self.stream),
         )
         self._next_id: dict[tuple[int, Channel], int] = {}
-        self._watermark: dict[tuple[int, Channel], int] = {}
 
     def store(self, side: int) -> KeyStore:
         return self.stores[side]
@@ -647,16 +654,14 @@ class Q3PLink:
         return msg
 
     def open(self, side: int, msg: Q3PMessage, now: float = 0.0) -> bytes:
-        """Verify, mirror-consume, and decrypt a message at the receiving end."""
+        """Verify, mirror-consume, and decrypt a message at the receiving end;
+        a replay (key already spent here) reserves nothing."""
         if side == msg.sender_side:
             raise ValueError("open must run at the opposite end from seal")
         store = self.stores[side]
-        key = (msg.sender_side, msg.channel)
-        if msg.msg_id <= self._watermark.get(key, 0):
-            raise ReplayDetected(
-                f"{self.link_id}: msg id {msg.msg_id} not above "
-                f"{self._watermark.get(key, 0)} on channel {msg.channel.name}"
-            )
+        for start, end in (msg.auth_ranges or ()) + (msg.enc_ranges or ()):
+            if store._consumed.overlaps(start, end):
+                raise ReplayDetected(f"{self.link_id}: msg {msg.msg_id} spends consumed key")
         if msg.authenticated:
             auth_res = store.reserve_exact(msg.auth_ranges, Purpose.AUTHENTICATE, now=now)
         if msg.encrypted:
@@ -672,5 +677,4 @@ class Q3PLink:
         if msg.encrypted:
             clear = len(msg.payload) - msg.encrypted_len
             plaintext = msg.payload[:clear] + otp_decrypt(enc_res, msg.payload[clear:])
-        self._watermark[key] = msg.msg_id
         return plaintext

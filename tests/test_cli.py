@@ -66,6 +66,23 @@ def test_failed_delivery_with_strict_exits_3(tmp_path):
                  "--out", str(out), "--strict"]) == 3
 
 
+def test_partial_delivery_with_strict_exits_3(tmp_path, capsys):
+    # bob's only access link is cut while the secret is on its way
+    scn = tmp_path / "partial.scn"
+    scn.write_text(
+        "[scenario] duration=3 seed=1\n"
+        "[event] t=1.0 kind=request src=SIE dst=bob bytes=65536 k=1\n"
+        "[event] t=1.02 kind=fail link=ERD-bob\n"
+    )
+    out = tmp_path / "o"
+    assert main(["run", "--preset", "vienna", "--scenario", str(scn),
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "summary.json").read_text())
+    assert [r["status"] for r in doc["requests"]] == ["partial"]
+    assert main(["run", "--preset", "vienna", "--scenario", str(scn),
+                 "--out", str(out), "--strict"]) == 3
+
+
 def test_validate_preset_output(capsys):
     assert main(["validate", "--preset", "vienna"]) == 0
     assert "7 QBB links, 2 QAN links, connected: yes" in capsys.readouterr().out

@@ -18,6 +18,14 @@ LOSSY = """\
 [event] t=2.0 kind=request src=SIE dst=GUD bytes=8192 k=2
 """
 
+# jitter reorders same-instant segments on every hop; pins the outcome of
+# opening messages out of order
+JITTERED = "[scenario] duration=30 seed=3 jitter_ms=0.5\n" + "".join(
+    f"[event] t={t} kind=request src=SIE dst=GUD bytes=16384 k=2\n" for t in range(1, 18, 2)
+)
+
+WRITTEN = {"lossy": LOSSY, "jittered": JITTERED}
+
 GOLDEN = {
     "baseline": {
         "metrics.csv": "a9d11d6e7bcd6aa800070f41e4926c9c5b65baff43c58343af61117ec7ed5344",
@@ -39,6 +47,11 @@ GOLDEN = {
         "summary.json": "35afb8603780c80cc5ce27d5e4dfe6faffdc1a0e5d7b86d4f7d8838291026143",
         "audit.log": "67c40bb200413d0e49e42de190da9d12baab74234f6ccd442b35468c7d899ea5",
     },
+    "jittered": {
+        "metrics.csv": "cccc9d96065e72677dfb15b909d6b034dbc6c4720d94e4d7375d658fc11cfe63",
+        "summary.json": "d93e5a79cd0158fdb2338702919c15f3c8e5df8ee45aa547c7af1a981905ab33",
+        "audit.log": "b7f03b672dd6e1ce23ee0503176c9740d3aa8a342d03fd07abc67beb68171867",
+    },
     "lossy": {
         "metrics.csv": "f886acc406db0c938ac1eed6302b4e79b7ebd46671964cc9451d1748a35a8152",
         "summary.json": "edeed9b2e8f41f0267e98927c711fe9022949c1a74ed15b2a5508277341bc6cd",
@@ -50,9 +63,9 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_outputs_match_pinned_digests(name, tmp_path, capsys):
     scenario = name
-    if name == "lossy":
-        scenario = tmp_path / "lossy.txt"
-        scenario.write_text(LOSSY)
+    if name in WRITTEN:
+        scenario = tmp_path / f"{name}.txt"
+        scenario.write_text(WRITTEN[name])
     out = tmp_path / "out"
     assert main(["run", "--preset", "vienna", "--scenario", str(scenario),
                  "--out", str(out)]) == 0

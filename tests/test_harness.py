@@ -1,7 +1,10 @@
 """Event engine: scenario parsing, determinism, conservation, drains,
 flooding convergence, event ordering."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkdnet.harness import (
     Engine,
@@ -13,8 +16,9 @@ from qkdnet.harness import (
     sub_seed,
 )
 from qkdnet.links import key_rate
-from qkdnet.model import load_topology, vienna_preset
+from qkdnet.model import PRESETS, load_topology, preset, vienna_preset
 from qkdnet.scenarios import BASELINE, DOS_RECOVERY
+from qkdnet.transport import DeliveryStatus
 
 RING4 = """
 [profile] id=p r0_bps=10000 alpha=0.2 max_km=60 restart_s=30
@@ -299,3 +303,44 @@ class TestReportShape:
         assert doc["requests"][0]["status"] == "delivered"
         assert doc["requests"][0]["ends_match"] is True
         assert "SIE-ERD" in doc["link_stats"]
+
+
+class TestReordering:
+    @given(
+        name=st.sampled_from(sorted(PRESETS)),
+        jitter_ms=st.floats(0.0, 20.0),
+        seed=st.integers(0, 2**32),
+        requests=st.lists(
+            st.tuples(st.integers(1, 30), st.integers(0, 6), st.integers(1, 6),
+                      st.integers(1, 8192), st.integers(1, 3)),
+            min_size=1, max_size=5,
+        ),
+        dos=st.none() | st.tuples(st.integers(0, 8), st.integers(1, 30)),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_jitter_keeps_both_ends_in_step(self, name, jitter_ms, seed, requests, dos):
+        topo = preset(name)
+        nodes = sorted(topo.nodes)
+        lines = [f"[scenario] duration=4 seed={seed} jitter_ms={jitter_ms!r}"]
+        for tenth, i, step, n_bytes, k in requests:
+            src, dst = nodes[i % len(nodes)], nodes[(i + step) % len(nodes)]
+            if src != dst:
+                lines.append(f"[event] t={tenth / 10} kind=request src={src} dst={dst} "
+                             f"bytes={n_bytes} k={k}")
+        if dos is not None:
+            link, tenth = dos
+            lines.append(f"[event] t={tenth / 10} kind=dos "
+                         f"link={topo.links[link % len(topo.links)].id} rate=60000 duration=1")
+        eng = Engine(topo, parse_scenario("\n".join(lines) + "\n"))
+        rep = eng.run()
+        assert "replay_drops" not in rep.msg_counts
+        for rec in rep.records:
+            if rec.status is DeliveryStatus.DELIVERED:
+                assert rec.secret_at_dst == rec.secret_at_src
+        # the two ends differ only by the key of messages still on the wire
+        in_flight = Counter()
+        for _, _, ev in eng._queue:
+            if ev.kind is EventKind.MSG_ARRIVE:
+                in_flight[ev.payload["link"]] += ev.payload["msg"].key_cost_bytes
+        for link_id, stats in rep.link_stats.items():
+            assert abs(stats["ledgered_a"] - stats["ledgered_b"]) <= in_flight[link_id], link_id

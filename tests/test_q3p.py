@@ -253,6 +253,20 @@ class TestSealOpen:
         with pytest.raises(ReplayDetected):
             link.open(1, msg)
 
+    def test_reordered_messages_open_and_replays_spend_nothing(self):
+        link = make_link()
+        m1 = link.seal(0, Channel.TRANSPORT, b"first" * 8)
+        m2 = link.seal(0, Channel.TRANSPORT, b"second" * 8)
+        assert link.open(1, m2) == b"second" * 8
+        assert link.open(1, m1) == b"first" * 8
+        receiver = link.stores[1]
+        ledgered, ranges = receiver.ledgered_bytes, receiver.consumed_ranges()
+        for msg in (m1, m2):
+            with pytest.raises(ReplayDetected):
+                link.open(1, msg)
+        assert receiver.ledgered_bytes == ledgered == link.stores[0].ledgered_bytes
+        assert receiver.consumed_ranges() == ranges
+
     def test_tampered_payload_fails_tag(self):
         link = make_link()
         msg = link.seal(0, Channel.TRANSPORT, b"y" * 40)

@@ -247,6 +247,43 @@ class TestRetransmission:
         # exactly six sends were attempted before giving up
         assert rec.per_link_consumed["LA"] == 6 * 1032
 
+    def test_copy_given_up_after_delivery_counts_once(self):
+        # every ack for seq 0 on LA is lost, so alice gives up on a fragment
+        # bob already holds; seq 1 is delayed and still in flight by then
+        topo = building_block_preset()
+        drops = {("LA", Channel.CONTROL, 0): 99, ("LA", Channel.TRANSPORT, 1): 5,
+                 ("L5", Channel.TRANSPORT, 1): 1}
+
+        def prep(eng):
+            original = eng.send_message
+
+            def lossy(link_id, from_node, msg, meta=None):
+                if msg.channel == Channel.CONTROL:
+                    seq = decode_ack(msg.payload)[1]
+                elif msg.channel == Channel.TRANSPORT:
+                    seq = decode_segment(msg.payload)[1]
+                else:
+                    return original(link_id, from_node, msg, meta)
+                key = (link_id, msg.channel, seq)
+                if drops.get(key, 0) > 0:
+                    drops[key] -= 1
+                    return False
+                return original(link_id, from_node, msg, meta)
+
+            eng.send_message = lossy
+
+        eng, rep = run_scenario(
+            topo,
+            "[scenario] duration=4 seed=3\n"
+            "[event] t=1.0 kind=request src=alice dst=bob bytes=2048 k=1\n",
+            prep=prep,
+        )
+        rec = rep.records[0]
+        assert rep.msg_counts["retry_limit_exceeded"] == 1
+        assert rec.status is DeliveryStatus.DELIVERED
+        assert rec.secret_at_dst == rec.secret_at_src
+        assert rec.failure_reason is None
+
     def test_deadline_yields_partial(self):
         topo = building_block_preset()
 
