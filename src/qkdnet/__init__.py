@@ -2,7 +2,7 @@
 quantum-key-distribution networks.
 
 Layers, bottom up: per-link key production (:mod:`qkdnet.links`), mirrored
-key stores with one-time-pad discipline and authenticated framing
+key stores with one-time-pad discipline and message authentication
 (:mod:`qkdnet.q3p`), key-aware link-state routing (:mod:`qkdnet.routing`),
 hop-by-hop end-to-end secret transport (:mod:`qkdnet.transport`), a
 discrete-event engine (:mod:`qkdnet.harness`), and a cost planner
@@ -42,8 +42,6 @@ from .q3p import (
     ReservationConsumed,
     TagMismatch,
     authenticate,
-    decode_frame,
-    encode_frame,
     otp_decrypt,
     otp_encrypt,
     verify,

@@ -575,9 +575,9 @@ class Engine:
                 n = min(n, sender.pool_available(direction), sender.available_bytes)
                 if n <= 0:
                     continue
-                res = sender.reserve(n, Purpose.AUTHENTICATE, direction=direction, now=self.now)
+                res = sender.reserve(n, Purpose.AUTHENTICATE)
                 res.consume()
-                mirror = peer.reserve_exact(res.ranges, Purpose.AUTHENTICATE, now=self.now)
+                mirror = peer.reserve_exact(res.ranges, Purpose.AUTHENTICATE)
                 mirror.consume()
                 drain.drained += n
 
@@ -760,8 +760,7 @@ class NodeAgent:
                 continue
             side = self.side_on(link.id)
             try:
-                msg = lrt.q3p.seal(side, Channel.ROUTING, payload,
-                                   encrypt=False, auth=True, now=self.engine.now)
+                msg = lrt.q3p.seal(side, Channel.ROUTING, payload, encrypt=False, auth=True)
             except InsufficientKey:
                 self.engine.msg_counts["flood_skipped_no_key"] += 1
                 continue
@@ -795,7 +794,7 @@ class NodeAgent:
         lrt = self.engine.links[link_id]
         side = self.side_on(link_id)
         try:
-            payload = lrt.q3p.open(side, msg, now=self.engine.now)
+            payload = lrt.q3p.open(side, msg)
         except TagMismatch:
             self.engine.msg_counts["tag_failures"] += 1
             return
@@ -897,7 +896,7 @@ class NodeAgent:
             msg = lrt.q3p.seal(
                 self.side_on(out_link), Channel.TRANSPORT, payload,
                 encrypt=True, auth=True, purpose=req.purpose,
-                now=self.engine.now, clear_len=SEGMENT_CLEAR_LEN,
+                clear_len=SEGMENT_CLEAR_LEN,
             )
         except InsufficientKey:
             self._park(hop)
@@ -974,7 +973,7 @@ class NodeAgent:
         lrt = self.engine.links[link_id]
         side = self.side_on(link_id)
         ack = lrt.q3p.seal(side, Channel.CONTROL, encode_ack(request_id, seq),
-                           encrypt=False, auth=False, now=self.engine.now)
+                           encrypt=False, auth=False)
         self.engine.msg_counts["acks_sent"] += 1
         self.engine.send_message(link_id, self.name, ack)
         route_nodes = tuple(meta.get("route_nodes", ()))

@@ -1,20 +1,22 @@
 """Point-to-point key layer: per-link key stores, one-time-pad encryption,
-information-theoretic message authentication, and authenticated framing.
+information-theoretic message authentication, and the authenticated header.
 
 Every QKD link feeds an identical stream of secret bytes to a key store at
 each endpoint. The stream is held once per link (``KeyStream``) and both
 stores read it; a store holds only its consumption state. Consumption is
-tracked in an append-only ledger whose byte ranges never overlap: that
+tracked in an append-only ledger whose key spans never overlap: that
 ledger IS the one-time-pad discipline. Because both ends read the same
 stream, the two stores stay level-equal as long as they see the same message
 history.
 
 To let both endpoints send concurrently without ever assigning the same key
-bytes twice, each key block is split in half: the first half fuels messages
-from endpoint ``a`` to ``b``, the second half the reverse direction. The
-sender allocates sequentially from its outbound half; the receiver burns the
-exact same ranges when it opens the message (they ride along in-memory,
-standing in for the key-synchronization dialogue of a real deployment).
+bytes twice, each key block is split in half: the first half is appended to
+pool 0, which fuels messages from endpoint ``a`` to ``b``, the second half to
+pool 1, the reverse direction. Key is addressed by a span ``(pool, start,
+end)`` in pool offsets. The sender allocates sequentially from its own pool,
+so every reservation is one span; the receiver burns the exact same span when
+it opens the message (spans ride along in-memory, standing in for the
+key-synchronization dialogue of a real deployment).
 Messages may arrive in any order; the receiver's ledger rejects replays,
 because each keyed message spends its own one-time key.
 """
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import hmac
 import struct
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -76,10 +77,6 @@ class KeyReuseError(Q3PError):
     """A byte range was consumed twice; the ledger invariant was violated."""
 
 
-class FrameError(Q3PError):
-    """Malformed wire frame."""
-
-
 class Channel(IntEnum):
     DISTILL = 0
     ROUTING = 1
@@ -110,23 +107,28 @@ class KeyBlock:
             raise ValueError("key block must be non-empty")
 
 
+# A span ``(pool, start, end)``: bytes ``[start, end)`` of one direction
+# pool. A plain tuple, so it hashes and compares equal at both ends.
+Span = tuple[int, int, int]
+
+
 @dataclass
 class LedgerRecord:
-    """One consumption event: disjoint raw byte ranges plus bookkeeping."""
+    """One consumption event: the span it spent and on what."""
 
-    ranges: tuple[tuple[int, int], ...]
-    n_bytes: int
+    ranges: Span
     purpose: Purpose
-    timestamp: float
-    msg_id: int | None = None
+
+    @property
+    def n_bytes(self) -> int:
+        return self.ranges[2] - self.ranges[1]
 
 
 @dataclass
 class Reservation:
     """A claim on specific key bytes, usable exactly once."""
 
-    store: "KeyStore"
-    ranges: tuple[tuple[int, int], ...]
+    ranges: Span
     key: bytes
     purpose: Purpose
     record: LedgerRecord
@@ -136,11 +138,10 @@ class Reservation:
     def n_bytes(self) -> int:
         return len(self.key)
 
-    def consume(self, msg_id: int | None = None) -> None:
+    def consume(self) -> None:
         if self.consumed:
             raise ReservationConsumed(f"reservation {self.ranges} already used")
         self.consumed = True
-        self.record.msg_id = msg_id
 
 
 class _IntervalSet:
@@ -173,19 +174,13 @@ class KeyStream:
 
     Each block splits in half: the first half is appended to pool 0 (a to b),
     the second to pool 1 (b to a), so each pool is one contiguous
-    ``bytearray``. Raw offsets number the stream's bytes in arrival order,
-    halves interleaved. A columnar index keeps one row per appended half:
-    its raw start, its pool and its offset inside that pool, plus each
-    pool's rows in order. No ``memoryview`` of a pool may outlive a read,
-    because a ``bytearray`` with a live export cannot grow.
+    ``bytearray`` and a span ``(pool, start, end)`` addresses its bytes.
+    No ``memoryview`` of a pool may outlive a read, because a ``bytearray``
+    with a live export cannot grow.
     """
 
     def __init__(self, preshared: bytes = b"") -> None:
         self.pools = (bytearray(), bytearray())
-        self.raw_starts = array("q")                 # per row, ascending
-        self.row_pool = bytearray()                  # per row: 0 or 1
-        self.pool_offsets = array("q")               # per row: start in its pool
-        self.pool_rows = (array("q"), array("q"))    # per pool: its rows in order
         self.last_block_id: int | None = None
         self.initial_bytes = len(preshared)
         if preshared:
@@ -207,59 +202,15 @@ class KeyStream:
 
     def _append(self, data: bytes) -> None:
         half = (len(data) + 1) // 2
-        for direction, part in ((0, data[:half]), (1, data[half:])):
-            if not part:
-                continue
-            pool = self.pools[direction]
-            self.pool_rows[direction].append(len(self.raw_starts))
-            self.raw_starts.append(self.appended_bytes)
-            self.row_pool.append(direction)
-            self.pool_offsets.append(len(pool))
-            pool += part
+        self.pools[0].extend(data[:half])
+        self.pools[1].extend(data[half:])
 
-    def read_pool(
-        self, direction: int, cursor: tuple[int, int], n_bytes: int
-    ) -> tuple[tuple[tuple[int, int], ...], bytes, tuple[int, int]]:
-        """The ``n_bytes`` of a pool from ``cursor`` (index into the pool's
-        rows, offset inside the pool): raw ranges, one per row touched; the
-        key; and the cursor just past them."""
-        pool = self.pools[direction]
-        rows = self.pool_rows[direction]
-        i, pos = cursor
-        end = pos + n_bytes
-        key = bytes(pool[pos:end])
-        ranges: list[tuple[int, int]] = []
-        while pos < end:
-            row = rows[i]
-            row_end = self.pool_offsets[rows[i + 1]] if i + 1 < len(rows) else len(pool)
-            raw = self.raw_starts[row] + pos - self.pool_offsets[row]
-            take = min(row_end, end) - pos
-            ranges.append((raw, raw + take))
-            pos += take
-            if pos == row_end:
-                i += 1
-        return tuple(ranges), key, (i, pos)
-
-    def read_raw(self, ranges: tuple[tuple[int, int], ...]) -> tuple[bytes, int]:
-        """The key bytes at explicit raw ranges, and the pool of the last one."""
-        parts: list[bytes] = []
-        direction = None
-        appended = self.appended_bytes
-        for start, end in ranges:
-            if start < 0 or end > appended:
-                raise InsufficientKey(f"range [{start},{end}) beyond stream")
-            row = bisect_right(self.raw_starts, start) - 1
-            while start < end:
-                direction = self.row_pool[row]
-                raw_end = self.raw_starts[row + 1] if row + 1 < len(self.raw_starts) else appended
-                take = min(end, raw_end) - start
-                pos = self.pool_offsets[row] + start - self.raw_starts[row]
-                parts.append(self.pools[direction][pos : pos + take])
-                start += take
-                row += 1
-        if direction is None:
-            raise ValueError("empty range list")
-        return b"".join(parts), direction
+    def read(self, span: Span) -> bytes:
+        """The key bytes of ``span``; spans come from the peer, so checked."""
+        pool, start, end = span
+        if pool not in (0, 1) or start < 0 or end > len(self.pools[pool]):
+            raise InsufficientKey(f"span {span} beyond stream")
+        return bytes(self.pools[pool][start:end])
 
 
 class KeyStore:
@@ -267,13 +218,13 @@ class KeyStore:
 
     The stream itself is held once per link (``KeyStream``) and read by
     both ends; a store keeps only what differs per end: its reservation
-    cursors, its consumed ranges, its ledger and its consumed counters.
-    A store built without a stream gets one of its own, seeded with
-    ``preshared``.
+    cursor, one consumed-span set per pool, its ledger and its consumed
+    counters. A store built without a stream gets one of its own, seeded
+    with ``preshared``.
 
-    ``side`` 0 sits at the link's ``a`` endpoint and allocates from direction
-    pool 0 (a to b); side 1 allocates from pool 1. Levels and the ledger span
-    both pools.
+    ``side`` 0 sits at the link's ``a`` endpoint and reserves from pool 0
+    (a to b); side 1 reserves from pool 1. It mirrors the peer's spans in
+    the other pool, so levels and the ledger span both pools.
     """
 
     def __init__(
@@ -294,8 +245,8 @@ class KeyStore:
         self.stream = KeyStream(preshared) if stream is None else stream
         self.ledger: list[LedgerRecord] = []
         self._pool_consumed = [0, 0]
-        self._cursor = [(0, 0), (0, 0)]          # per pool: next (row index, offset) to reserve
-        self._consumed = _IntervalSet()
+        self._cursor = 0                         # next offset to reserve in pool ``side``
+        self._consumed = (_IntervalSet(), _IntervalSet())   # per pool
 
     # -- levels -------------------------------------------------------------
 
@@ -315,12 +266,8 @@ class KeyStore:
     def available_bytes(self) -> int:
         return self.stream.appended_bytes - self.ledgered_bytes
 
-    def pool_available(self, direction: int) -> int:
-        return len(self.stream.pools[direction]) - self._pool_consumed[direction]
-
-    @property
-    def outbound_direction(self) -> int:
-        return self.side
+    def pool_available(self, pool: int) -> int:
+        return len(self.stream.pools[pool]) - self._pool_consumed[pool]
 
     # -- intake -------------------------------------------------------------
 
@@ -331,14 +278,8 @@ class KeyStore:
 
     # -- reservation --------------------------------------------------------
 
-    def reserve(
-        self,
-        n_bytes: int,
-        purpose: Purpose,
-        direction: int | None = None,
-        now: float = 0.0,
-    ) -> Reservation:
-        """Claim the next ``n_bytes`` from a direction pool.
+    def reserve(self, n_bytes: int, purpose: Purpose) -> Reservation:
+        """Claim the next ``n_bytes`` of this store's own pool as one span.
 
         General-purpose reservations (encryption, refill) fail rather than
         dip the level below the authentication reserve; authentication
@@ -346,7 +287,6 @@ class KeyStore:
         """
         if n_bytes <= 0:
             raise ValueError("n_bytes must be positive")
-        d = self.outbound_direction if direction is None else direction
         if purpose in _GENERAL_PURPOSES:
             if self.available_bytes - n_bytes < self.auth_reserve:
                 raise InsufficientKey(
@@ -355,40 +295,33 @@ class KeyStore:
                 )
         elif self.available_bytes < n_bytes:
             raise InsufficientKey(f"{self.link_id}/{self.side}: store exhausted")
-        if self.pool_available(d) < n_bytes:
+        if self.pool_available(self.side) < n_bytes:
             raise InsufficientKey(
-                f"{self.link_id}/{self.side}: direction pool {d} exhausted"
+                f"{self.link_id}/{self.side}: direction pool {self.side} exhausted"
             )
-        ranges, key, self._cursor[d] = self.stream.read_pool(d, self._cursor[d], n_bytes)
-        return self._commit(ranges, key, d, purpose, now)
+        span = (self.side, self._cursor, self._cursor + n_bytes)
+        self._cursor += n_bytes
+        return self._commit(span, self.stream.read(span), purpose)
 
-    def reserve_exact(
-        self,
-        ranges: tuple[tuple[int, int], ...],
-        purpose: Purpose,
-        now: float = 0.0,
-    ) -> Reservation:
-        """Claim explicit raw ranges (mirroring the peer's allocation)."""
-        key, direction = self.stream.read_raw(ranges)
-        return self._commit(ranges, key, direction, purpose, now)
+    def reserve_exact(self, span: Span, purpose: Purpose) -> Reservation:
+        """Claim an explicit span (mirroring the peer's allocation)."""
+        return self._commit(span, self.stream.read(span), purpose)
 
-    def _commit(
-        self,
-        ranges: tuple[tuple[int, int], ...],
-        key: bytes,
-        direction: int,
-        purpose: Purpose,
-        now: float,
-    ) -> Reservation:
-        for start, end in ranges:
-            self._consumed.add(start, end)
-        self._pool_consumed[direction] += len(key)
-        record = LedgerRecord(ranges=ranges, n_bytes=len(key), purpose=purpose, timestamp=now)
+    def _commit(self, span: Span, key: bytes, purpose: Purpose) -> Reservation:
+        pool, start, end = span
+        self._consumed[pool].add(start, end)
+        self._pool_consumed[pool] += len(key)
+        record = LedgerRecord(ranges=span, purpose=purpose)
         self.ledger.append(record)
-        return Reservation(store=self, ranges=ranges, key=key, purpose=purpose, record=record)
+        return Reservation(ranges=span, key=key, purpose=purpose, record=record)
 
-    def consumed_ranges(self) -> list[tuple[int, int]]:
-        return list(self._consumed)
+    def spent(self, span: Span) -> bool:
+        """Whether any byte of ``span`` is already consumed at this end."""
+        pool, start, end = span
+        return self._consumed[pool].overlaps(start, end)
+
+    def consumed_ranges(self) -> list[Span]:
+        return [(pool, start, end) for pool in (0, 1) for start, end in self._consumed[pool]]
 
 
 # --- one-time pad and authentication ---------------------------------------
@@ -462,31 +395,35 @@ def _poly_tag(key: bytes, data: bytes) -> bytes:
     return ((acc ^ mask) & _MASK_128).to_bytes(TAG_BYTES, "big")
 
 
-def authenticate(data: bytes, reservation: Reservation, msg_id: int | None = None) -> bytes:
+def authenticate(data: bytes, reservation: Reservation) -> bytes:
     """Produce a 16-byte tag, consuming a 32-byte authentication reservation."""
     if reservation.purpose is not Purpose.AUTHENTICATE:
         raise ValueError("reservation purpose must be authenticate")
     if reservation.n_bytes != AUTH_KEY_BYTES:
         raise LengthMismatch(f"authentication needs {AUTH_KEY_BYTES} key bytes")
-    reservation.consume(msg_id)
+    reservation.consume()
     return _poly_tag(reservation.key, data)
 
 
-def verify(data: bytes, tag: bytes, reservation: Reservation, msg_id: int | None = None) -> bool:
+def verify(data: bytes, tag: bytes, reservation: Reservation) -> bool:
     """Recompute the tag with mirrored key bytes; consumes the reservation."""
     if reservation.purpose is not Purpose.AUTHENTICATE:
         raise ValueError("reservation purpose must be authenticate")
     if reservation.n_bytes != AUTH_KEY_BYTES:
         raise LengthMismatch(f"authentication needs {AUTH_KEY_BYTES} key bytes")
-    reservation.consume(msg_id)
+    reservation.consume()
     return hmac.compare_digest(_poly_tag(reservation.key, data), tag)
 
 
-# --- framing ----------------------------------------------------------------
+# --- messages -----------------------------------------------------------------
 
 @dataclass
 class Q3PMessage:
-    """A sealed frame plus the key ranges its opener must mirror-consume."""
+    """A sealed message plus the key spans its opener must mirror-consume.
+
+    The tag covers ``header_bytes()`` (magic, version, channel, flags, msg
+    id, payload length) followed by the payload.
+    """
 
     link_id: str
     sender_side: int
@@ -495,8 +432,8 @@ class Q3PMessage:
     msg_id: int
     payload: bytes                                   # ciphertext when encrypted
     tag: bytes | None
-    enc_ranges: tuple[tuple[int, int], ...] | None = None
-    auth_ranges: tuple[tuple[int, int], ...] | None = None
+    enc_ranges: Span | None = None
+    auth_ranges: Span | None = None
     enc_purpose: Purpose = Purpose.ENCRYPT
 
     @property
@@ -509,9 +446,9 @@ class Q3PMessage:
 
     @property
     def encrypted_len(self) -> int:
-        if not self.enc_ranges:
+        if self.enc_ranges is None:
             return 0
-        return sum(end - start for start, end in self.enc_ranges)
+        return self.enc_ranges[2] - self.enc_ranges[1]
 
     @property
     def key_cost_bytes(self) -> int:
@@ -523,47 +460,12 @@ class Q3PMessage:
             self.msg_id, len(self.payload),
         )
 
-    def wire_bytes(self) -> bytes:
-        out = self.header_bytes() + self.payload
-        if self.authenticated:
-            out += self.tag
-        return out
-
-
-def encode_frame(channel: Channel, flags: int, msg_id: int, payload: bytes,
-                 tag: bytes | None = None) -> bytes:
-    """Big-endian wire frame: magic, version, channel, flags, msg id, length,
-    payload, and a 16-byte tag when the authenticated flag is set."""
-    out = _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, int(channel), flags, msg_id, len(payload))
-    out += payload
-    if flags & FLAG_AUTHENTICATED:
-        if tag is None or len(tag) != TAG_BYTES:
-            raise FrameError("authenticated frame requires a 16-byte tag")
-        out += tag
-    return out
-
-
-def decode_frame(data: bytes) -> tuple[Channel, int, int, bytes, bytes | None]:
-    if len(data) < _HEADER.size:
-        raise FrameError("frame shorter than header")
-    magic, version, channel, flags, msg_id, plen = _HEADER.unpack_from(data)
-    if magic != FRAME_MAGIC:
-        raise FrameError(f"bad magic 0x{magic:08x}")
-    if version != FRAME_VERSION:
-        raise FrameError(f"unsupported version {version}")
-    want = _HEADER.size + plen + (TAG_BYTES if flags & FLAG_AUTHENTICATED else 0)
-    if len(data) != want:
-        raise FrameError(f"frame length {len(data)} != expected {want}")
-    payload = data[_HEADER.size : _HEADER.size + plen]
-    tag = data[_HEADER.size + plen :] if flags & FLAG_AUTHENTICATED else None
-    return Channel(channel), flags, msg_id, payload, tag
-
 
 class Q3PLink:
     """The mirrored pair of key stores at the two ends of one link.
 
     Owns per-channel message-id counters. ``seal`` runs at the sending
-    store, ``open`` at the receiving store; both burn identical byte ranges,
+    store, ``open`` at the receiving store; both burn identical spans,
     so levels stay equal under loss-free histories. Messages may be opened
     in any order: the receiving ledger rejects replays of keyed messages;
     unkeyed ones (acks) carry no authenticated id and are not checked.
@@ -595,7 +497,7 @@ class Q3PLink:
         need = n_enc + (AUTH_KEY_BYTES if auth else 0)
         if need == 0:
             return True
-        if store.pool_available(store.outbound_direction) < need:
+        if store.pool_available(side) < need:
             return False
         if n_enc > 0 and store.available_bytes - n_enc < store.auth_reserve:
             return False
@@ -609,7 +511,6 @@ class Q3PLink:
         encrypt: bool = True,
         auth: bool = True,
         purpose: Purpose = Purpose.ENCRYPT,
-        now: float = 0.0,
         clear_len: int = 0,
     ) -> Q3PMessage:
         """Reserve key, encrypt and tag the payload, and emit the message.
@@ -630,16 +531,15 @@ class Q3PLink:
         auth_res = None
         if encrypt and n_enc > 0:
             flags |= FLAG_ENCRYPTED
-            enc_res = store.reserve(n_enc, purpose, now=now)
+            enc_res = store.reserve(n_enc, purpose)
         if auth:
             flags |= FLAG_AUTHENTICATED
-            auth_res = store.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE, now=now)
+            auth_res = store.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
         key = (side, channel)
         msg_id = self._next_id.get(key, 0) + 1
         self._next_id[key] = msg_id
         if enc_res is not None:
             body = payload[:clear_len] + otp_encrypt(enc_res, payload[clear_len:])
-            enc_res.record.msg_id = msg_id
         else:
             body = payload
         msg = Q3PMessage(
@@ -650,28 +550,25 @@ class Q3PLink:
             enc_purpose=purpose,
         )
         if auth_res:
-            msg.tag = authenticate(msg.header_bytes() + body, auth_res, msg_id)
+            msg.tag = authenticate(msg.header_bytes() + body, auth_res)
         return msg
 
-    def open(self, side: int, msg: Q3PMessage, now: float = 0.0) -> bytes:
+    def open(self, side: int, msg: Q3PMessage) -> bytes:
         """Verify, mirror-consume, and decrypt a message at the receiving end;
         a replay (key already spent here) reserves nothing."""
         if side == msg.sender_side:
             raise ValueError("open must run at the opposite end from seal")
         store = self.stores[side]
-        for start, end in (msg.auth_ranges or ()) + (msg.enc_ranges or ()):
-            if store._consumed.overlaps(start, end):
+        for span in (msg.auth_ranges, msg.enc_ranges):
+            if span is not None and store.spent(span):
                 raise ReplayDetected(f"{self.link_id}: msg {msg.msg_id} spends consumed key")
         if msg.authenticated:
-            auth_res = store.reserve_exact(msg.auth_ranges, Purpose.AUTHENTICATE, now=now)
+            auth_res = store.reserve_exact(msg.auth_ranges, Purpose.AUTHENTICATE)
         if msg.encrypted:
             # burned before the tag check, so a forged or corrupted message
             # costs the receiver the same bytes it cost the sender
-            enc_res = store.reserve_exact(msg.enc_ranges, msg.enc_purpose, now=now)
-            enc_res.record.msg_id = msg.msg_id
-        if msg.authenticated and not verify(
-            msg.header_bytes() + msg.payload, msg.tag, auth_res, msg.msg_id
-        ):
+            enc_res = store.reserve_exact(msg.enc_ranges, msg.enc_purpose)
+        if msg.authenticated and not verify(msg.header_bytes() + msg.payload, msg.tag, auth_res):
             raise TagMismatch(f"{self.link_id}: tag mismatch on msg {msg.msg_id}")
         plaintext = msg.payload
         if msg.encrypted:

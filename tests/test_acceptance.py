@@ -22,7 +22,7 @@ from qkdnet.planner import (
     relaxed_optimum_km,
     scaling_table,
 )
-from qkdnet.q3p import AUTH_RESERVE_DEFAULT, Channel, Q3PLink, TagMismatch, _poly_tag, encode_frame
+from qkdnet.q3p import AUTH_RESERVE_DEFAULT, Channel, Q3PLink, Q3PMessage, TagMismatch, _poly_tag
 from qkdnet.routing import LinkStateAd, LinkStateDB, disjoint_paths
 from qkdnet.scenarios import DOS_RECOVERY, FAILOVER
 from qkdnet.transport import DeliveryStatus, aggregate_rate
@@ -173,10 +173,10 @@ def test_criterion_7_otp_discipline_randomized():
             rep = eng.run()
             for link_id, lrt in eng.links.items():
                 for store in lrt.q3p.stores:
-                    # ledger exclusivity, re-derived from the raw records
-                    ranges = sorted(r for rec in store.ledger for r in rec.ranges)
-                    for (s1, e1), (s2, e2) in zip(ranges, ranges[1:]):
-                        assert e1 <= s2, f"run {i}: overlapping key use on {link_id}"
+                    # ledger exclusivity per pool, re-derived from the spans
+                    spans = sorted(rec.ranges for rec in store.ledger)
+                    for (p1, s1, e1), (p2, s2, e2) in zip(spans, spans[1:]):
+                        assert p1 != p2 or e1 <= s2, f"run {i}: overlapping key use on {link_id}"
                     # accounting exactness
                     assert store.appended_bytes == (
                         lrt.spec.preshared_bytes
@@ -213,8 +213,8 @@ def test_criterion_9_authentication_soundness():
         for trial in range(10_000):
             key = rng.randbytes(32)
             payload = rng.randbytes(rng.randrange(1, 200))
-            frame = encode_frame(Channel.TRANSPORT, 0x03, trial + 1, payload,
-                                 tag=bytes(16))[:-16]
+            frame = Q3PMessage("L", 0, Channel.TRANSPORT, 0x03, trial + 1, payload,
+                               None).header_bytes() + payload
             tag = _poly_tag(key, frame)
             blob = bytearray(frame + tag)
             bit = rng.randrange(len(blob) * 8)

@@ -1,4 +1,4 @@
-"""Key layer: stores, ledger discipline, OTP, authentication, framing."""
+"""Key layer: stores, ledger discipline, OTP, authentication, the header."""
 
 import struct
 import tracemalloc
@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from qkdnet.q3p import (
     AUTH_KEY_BYTES,
     Channel,
-    FrameError,
     InsufficientKey,
     KeyBlock,
     KeyReuseError,
@@ -19,14 +18,13 @@ from qkdnet.q3p import (
     OutOfOrderBlock,
     Purpose,
     Q3PLink,
+    Q3PMessage,
     ReplayDetected,
     Reservation,
     ReservationConsumed,
     TagMismatch,
     _poly_tag,
     authenticate,
-    decode_frame,
-    encode_frame,
     otp_decrypt,
     otp_encrypt,
     verify,
@@ -58,8 +56,8 @@ class TestPush:
             s.push_block(KeyBlock(2, RNG.randbytes(8), "L"))
 
     def test_link_push_holds_each_block_compactly(self):
-        # the stream keeps a block as its bytes plus a few machine words of
-        # index per half, not as Python objects per half and per end
+        # the stream keeps a block as its bytes in the two pools, with no
+        # index per half and no Python object per half or per end
         link = Q3PLink("L", b"", auth_reserve=0)
         n_blocks = 20000
         data = Random(7).randbytes(40 * n_blocks)
@@ -72,7 +70,7 @@ class TestPush:
         finally:
             tracemalloc.stop()
         assert link.stores[1].appended_bytes == 40 * n_blocks
-        assert used / n_blocks < 160
+        assert used / n_blocks < 64
 
 
 class TestReserve:
@@ -103,9 +101,10 @@ class TestReserve:
         s = store(4096, reserve=0)
         for n in (64, 32, 640, 1, 17):
             s.reserve(n, Purpose.ENCRYPT)
-        ranges = sorted(r for rec in s.ledger for r in rec.ranges)
-        for (s1, e1), (s2, e2) in zip(ranges, ranges[1:]):
-            assert e1 <= s2
+        spans = sorted(rec.ranges for rec in s.ledger)
+        assert all(start < end for _, start, end in spans)
+        for (p1, s1, e1), (p2, s2, e2) in zip(spans, spans[1:]):
+            assert p1 != p2 or e1 <= s2
 
     def test_mirror_consumption_is_range_exact(self):
         data = RNG.randbytes(1024)
@@ -122,6 +121,46 @@ class TestReserve:
         with pytest.raises(KeyReuseError):
             s.reserve_exact(res.ranges, Purpose.AUTHENTICATE)
 
+    def test_reservation_is_one_span_of_its_own_pool(self):
+        data = RNG.randbytes(1000)
+        for side in (0, 1):
+            s = KeyStore("L", side=side, preshared=data, auth_reserve=0)
+            s.push_block(KeyBlock(1, RNG.randbytes(301), "L"))
+            first = s.reserve(100, Purpose.ENCRYPT)
+            second = s.reserve(500, Purpose.AUTHENTICATE)   # crosses into block 1's half
+            assert (first.ranges, second.ranges) == ((side, 0, 100), (side, 100, 600))
+            assert first.key + second.key == bytes(s.stream.pools[side][:600])
+            assert [rec.n_bytes for rec in s.ledger] == [100, 500]
+
+    def test_overlap_in_either_pool_raises_key_reuse(self):
+        # both ends spend their own pool from offset 0: only the pool tells
+        # the two spans apart
+        data = RNG.randbytes(1024)
+        a = KeyStore("L", side=0, preshared=data, auth_reserve=0)
+        b = KeyStore("L", side=1, preshared=data, auth_reserve=0)
+        for sender, receiver in ((a, b), (b, a)):
+            res = sender.reserve(64, Purpose.ENCRYPT)
+            pool, start, end = res.ranges
+            assert not receiver.spent(res.ranges)
+            receiver.reserve_exact(res.ranges, Purpose.ENCRYPT)
+            for store in (sender, receiver):
+                assert store.spent((pool, end - 1, end + 8))
+                assert not store.spent((pool, end, end + 8))
+                with pytest.raises(KeyReuseError):
+                    store.reserve_exact((pool, end - 1, end + 8), Purpose.ENCRYPT)
+        assert a.ledgered_bytes == b.ledgered_bytes == 128
+
+    def test_span_beyond_stream_or_empty_is_refused(self):
+        s = store(100)
+        for span in ((0, 40, 51), (1, -1, 4), (2, 0, 4)):
+            with pytest.raises(InsufficientKey):
+                s.reserve_exact(span, Purpose.ENCRYPT)
+        with pytest.raises(ValueError):
+            s.reserve_exact((0, 8, 8), Purpose.ENCRYPT)
+        with pytest.raises(ValueError):
+            s.reserve(0, Purpose.ENCRYPT)
+        assert s.ledgered_bytes == 0 and s.ledger == []
+
 
 class TestOtp:
     def test_zero_plaintext_reveals_key(self):
@@ -134,9 +173,8 @@ class TestOtp:
         plaintext = RNG.randbytes(500)
         res = s.reserve(500, Purpose.ENCRYPT)
         ct = otp_encrypt(res, plaintext)
-        peer = KeyStore("L", 1, b"", 0)
-        mirror = Reservation(peer, res.ranges, res.key, Purpose.ENCRYPT, res.record.__class__(
-            ranges=res.ranges, n_bytes=500, purpose=Purpose.ENCRYPT, timestamp=0.0))
+        mirror = Reservation(res.ranges, res.key, Purpose.ENCRYPT, res.record.__class__(
+            ranges=res.ranges, purpose=Purpose.ENCRYPT))
         assert otp_decrypt(mirror, ct) == plaintext
 
     def test_single_use(self):
@@ -151,6 +189,22 @@ class TestOtp:
         res = s.reserve(16, Purpose.ENCRYPT)
         with pytest.raises(LengthMismatch):
             otp_encrypt(res, bytes(17))
+
+    def test_purpose_and_length_are_checked_before_use(self):
+        s = store(1024, reserve=0)
+        auth_res = s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
+        enc_res = s.reserve(AUTH_KEY_BYTES, Purpose.ENCRYPT)
+        short = s.reserve(16, Purpose.AUTHENTICATE)
+        for use in (lambda: otp_encrypt(auth_res, bytes(32)),
+                    lambda: otp_decrypt(auth_res, bytes(32)),
+                    lambda: authenticate(b"m", enc_res),
+                    lambda: verify(b"m", bytes(16), enc_res)):
+            with pytest.raises(ValueError):
+                use()
+        for use in (lambda: authenticate(b"m", short), lambda: verify(b"m", bytes(16), short)):
+            with pytest.raises(LengthMismatch):
+                use()
+        assert not (auth_res.consumed or enc_res.consumed or short.consumed)
 
 
 def _reference_tag(key, data):
@@ -173,7 +227,7 @@ class TestAuthentication:
         msg = b"link state: all good"
         res = s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
         tag = authenticate(msg, res)
-        checker = Reservation(s, res.ranges, res.key, Purpose.AUTHENTICATE, res.record)
+        checker = Reservation(res.ranges, res.key, Purpose.AUTHENTICATE, res.record)
         checker.consumed = False
         assert verify(msg, tag, checker)
 
@@ -361,9 +415,9 @@ class TestRandomOperationSequences:
                 for store in link.stores:
                     assert store.appended_bytes == 16384 + pushed
                     assert store.appended_bytes - store.ledgered_bytes == store.available_bytes
-                    ranges = sorted(r for rec in store.ledger for r in rec.ranges)
-                    for (s1, e1), (s2, e2) in zip(ranges, ranges[1:]):
-                        assert e1 <= s2
+                    spans = sorted(rec.ranges for rec in store.ledger)
+                    for (p1, s1, e1), (p2, s2, e2) in zip(spans, spans[1:]):
+                        assert p1 != p2 or e1 <= s2
             a, b = link.stores
             assert a.available_bytes == b.available_bytes
 
@@ -418,7 +472,8 @@ class TestReserveCursor:
             if size > len(pools[d]) - offset[d]:
                 continue
             want = bytes(pools[d][offset[d] : offset[d] + size])
-            res = stores[d].reserve(size, Purpose.AUTHENTICATE, direction=d)
+            res = stores[d].reserve(size, Purpose.AUTHENTICATE)
+            assert res.ranges == (d, offset[d], offset[d] + size)
             assert res.key == want
             assert stores[1 - d].reserve_exact(res.ranges, Purpose.AUTHENTICATE).key == want
             offset[d] += size
@@ -427,10 +482,9 @@ class TestReserveCursor:
 _LINK_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), st.integers(1, 80)),
-        # (seal, side, authenticated?, key spend ends exactly on a half's
-        # end?, half ends to skip when it does, size when it does not, lost?)
-        st.tuples(st.just("seal"), st.integers(0, 1), st.booleans(), st.booleans(),
-                  st.integers(0, 2), st.integers(1, 90), st.booleans()),
+        # (seal, side, authenticated?, size, lost?)
+        st.tuples(st.just("seal"), st.integers(0, 1), st.booleans(),
+                  st.integers(1, 90), st.booleans()),
     ),
     max_size=50,
 )
@@ -440,34 +494,25 @@ class TestLinkStream:
     @settings(max_examples=150, deadline=None)
     @given(preshared=st.integers(0, 120), ops=_LINK_OPS)
     def test_both_ends_spend_the_one_stream_in_step(self, preshared, ops):
-        # reference model: each pool is its blocks' halves concatenated, a
-        # row (pool start, raw start) per half, and a sender takes the next
-        # bytes of its pool; lost messages are never opened
+        # reference model: each pool is its blocks' halves concatenated, and
+        # a sender takes the next bytes of its pool as one span; lost
+        # messages are never opened
         data = Random(preshared).randbytes(preshared)
         link = Q3PLink("L", data, auth_reserve=0)
         pools = [bytearray(), bytearray()]
-        rows = [[], []]
         offset = [0, 0]
         ledgered = [0, 0]
         opened = []
 
         def add(block):
             half = (len(block) + 1) // 2
-            for d, part in enumerate((block[:half], block[half:])):
-                if part:
-                    rows[d].append((len(pools[d]), len(pools[0]) + len(pools[1])))
-                    pools[d] += part
+            pools[0] += block[:half]
+            pools[1] += block[half:]
 
         def take(d, n):
             start, end = offset[d], offset[d] + n
-            ranges = []
-            for i, (pool_start, raw_start) in enumerate(rows[d]):
-                pool_end = rows[d][i + 1][0] if i + 1 < len(rows[d]) else len(pools[d])
-                lo, hi = max(start, pool_start), min(end, pool_end)
-                if lo < hi:
-                    ranges.append((raw_start + lo - pool_start, raw_start + hi - pool_start))
             offset[d] = end
-            return tuple(ranges), bytes(pools[d][start:end])
+            return (d, start, end), bytes(pools[d][start:end])
 
         add(data)
         next_id = 1
@@ -478,26 +523,20 @@ class TestLinkStream:
                 add(block)
                 next_id += 1
                 continue
-            _, side, auth, to_half_end, skip, size, lost = op
+            _, side, auth, size, lost = op
             tag_len = AUTH_KEY_BYTES if auth else 0
-            if to_half_end:
-                ends = [start for start, _ in rows[side][1:]] + [len(pools[side])]
-                ahead = [e for e in ends if e > offset[side] + tag_len]
-                if not ahead:
-                    continue
-                size = ahead[min(skip, len(ahead) - 1)] - offset[side] - tag_len
             payload = Random(size).randbytes(size)
             if size + tag_len > len(pools[side]) - offset[side]:
                 with pytest.raises(InsufficientKey):
                     link.seal(side, Channel.TRANSPORT, payload, auth=auth)
                 continue
             msg = link.seal(side, Channel.TRANSPORT, payload, auth=auth)
-            enc_ranges, enc_key = take(side, size)
-            assert msg.enc_ranges == enc_ranges
+            enc_span, enc_key = take(side, size)
+            assert msg.enc_ranges == enc_span
             assert msg.payload == bytes(x ^ k for x, k in zip(payload, enc_key))
             if auth:
-                auth_ranges, auth_key = take(side, AUTH_KEY_BYTES)
-                assert msg.auth_ranges == auth_ranges
+                auth_span, auth_key = take(side, AUTH_KEY_BYTES)
+                assert msg.auth_ranges == auth_span
                 assert msg.tag == _poly_tag(auth_key, msg.header_bytes() + msg.payload)
             ledgered[side] += size + tag_len
             if not lost:
@@ -510,48 +549,59 @@ class TestLinkStream:
             assert store.appended_bytes - store.ledgered_bytes == store.available_bytes
         for msg in opened:
             for store in link.stores:
-                for ranges in (msg.enc_ranges, msg.auth_ranges):
-                    if ranges:
+                for span in (msg.enc_ranges, msg.auth_ranges):
+                    if span:
                         with pytest.raises(KeyReuseError):
-                            store.reserve_exact(ranges, Purpose.ENCRYPT)
+                            store.reserve_exact(span, Purpose.ENCRYPT)
+
+
+class TestKeyAccounting:
+    def test_distinct_spans_of_both_ends_are_the_senders_reservations(self):
+        # bench/child.py's sending_key_bytes counts a link's sending-side key
+        # as the distinct ledger spans over both of its stores. Both ends
+        # seal equal sizes, so the two pools are spent at equal offsets and
+        # only a span's pool keeps a's spend apart from b's.
+        link = make_link()
+        for i in range(12):
+            for side in (0, 1):
+                msg = link.seal(side, Channel.TRANSPORT, Random(i).randbytes(40 + i),
+                                encrypt=i % 3 != 2)
+                link.open(1 - side, msg)
+        a, b = link.stores
+        own = sorted((rec.ranges, rec.purpose) for s in (a, b) for rec in s.ledger
+                     if rec.ranges[0] == s.side)
+        assert [span[1:] for span, _ in own if span[0] == 0] == \
+            [span[1:] for span, _ in own if span[0] == 1]
+        seen, distinct = set(), []
+        for store in (a, b):
+            for rec in store.ledger:
+                if rec.ranges not in seen:
+                    seen.add(rec.ranges)
+                    distinct.append((rec.ranges, rec.purpose))
+        assert sorted(distinct) == own
+        assert sum(span[2] - span[1] for span, _ in distinct) == a.ledgered_bytes
 
 
 class TestWireFrame:
     def test_golden_layout(self):
-        tag = bytes(range(16))
-        frame = encode_frame(Channel.TRANSPORT, 0x03, 7, b"ab", tag)
-        expected = struct.pack(">IBBBQI", 0x51335021, 1, 2, 3, 7, 2) + b"ab" + tag
-        assert frame == expected
-        assert frame[:4] == b"Q3P!"
-
-    def test_decode_round_trip(self):
-        tag = RNG.randbytes(16)
-        frame = encode_frame(Channel.ROUTING, 0x02, 99, b"payload", tag)
-        channel, flags, msg_id, payload, got_tag = decode_frame(frame)
-        assert (channel, flags, msg_id, payload, got_tag) == (
-            Channel.ROUTING, 0x02, 99, b"payload", tag)
+        msg = Q3PMessage("L", 0, Channel.TRANSPORT, 0x03, 7, b"ab", bytes(range(16)))
+        header = msg.header_bytes()
+        assert header == struct.pack(">IBBBQI", 0x51335021, 1, 2, 3, 7, 2)
+        assert header[:4] == b"Q3P!"
 
     def test_unauthenticated_frame_has_no_tag(self):
-        frame = encode_frame(Channel.CONTROL, 0x00, 1, b"ack")
-        assert len(frame) == 19 + 3
-        _, _, _, payload, tag = decode_frame(frame)
-        assert payload == b"ack" and tag is None
-
-    def test_bad_magic_rejected(self):
-        frame = bytearray(encode_frame(Channel.CONTROL, 0, 1, b""))
-        frame[0] ^= 0xFF
-        with pytest.raises(FrameError):
-            decode_frame(bytes(frame))
-
-    def test_truncated_frame_rejected(self):
-        frame = encode_frame(Channel.CONTROL, 0, 1, b"abc")
-        with pytest.raises(FrameError):
-            decode_frame(frame[:-1])
-
-    def test_sealed_message_wire_bytes_decode(self):
         link = make_link()
-        msg = link.seal(0, Channel.TRANSPORT, b"z" * 33)
-        channel, flags, msg_id, payload, tag = decode_frame(msg.wire_bytes())
-        assert channel is Channel.TRANSPORT
-        assert flags == msg.flags and msg_id == msg.msg_id
-        assert payload == msg.payload and tag == msg.tag
+        before = link.stores[0].ledgered_bytes
+        msg = link.seal(0, Channel.CONTROL, b"ack", encrypt=False, auth=False)
+        assert msg.tag is None and msg.flags == 0 and msg.key_cost_bytes == 0
+        assert len(msg.header_bytes()) == 19
+        assert link.open(1, msg) == b"ack"
+        assert link.stores[0].ledgered_bytes == before == link.stores[1].ledgered_bytes
+
+    def test_tag_covers_the_header(self):
+        link = make_link()
+        for field, value in (("msg_id", 99), ("channel", Channel.ROUTING)):
+            msg = link.seal(0, Channel.TRANSPORT, b"h" * 20, encrypt=False)
+            setattr(msg, field, value)
+            with pytest.raises(TagMismatch):
+                link.open(1, msg)
