@@ -36,7 +36,9 @@ from .routing import (
     Path,
     RouteCostParams,
     decode_lsa,
+    decode_summary,
     encode_lsa,
+    encode_summary,
     lsa_instances,
     shortest_path,
 )
@@ -60,7 +62,7 @@ from .transport import (
 
 PRODUCE_TICK_S = 0.1
 HOP_LATENCY_S = 0.005
-KEEPALIVE_S = 10.0
+SUMMARY_S = 10.0
 SAMPLE_PERIOD_S = 1.0
 SEGMENT_CLEAR_LEN = 18  # request id + seq + total + length travel unencrypted
 
@@ -264,7 +266,6 @@ class MetricsReport:
         self.exposures = engine.exposures
         self.link_events = engine.link_events
         self.msg_counts = dict(sorted(engine.msg_counts.items()))
-        self.transport_arrivals = engine.transport_arrivals
         self.link_stats = {}
         for link_id in sorted(engine.links):
             lrt = engine.links[link_id]
@@ -349,7 +350,6 @@ class Engine:
         self._advert_usable: dict[str, bool] = {l: True for l in self.links}
         self.samples: list[tuple[float, str, int, float]] = []
         self.exposures: list[tuple[float, str, int, int]] = []
-        self.transport_arrivals: list[tuple[float, str, int, int]] = []
         self.link_events: list[tuple[float, str, str]] = []
         self.msg_counts: Counter = Counter()
         self._tick_count = 0
@@ -363,25 +363,40 @@ class Engine:
         self._validate_scenario()
 
     def _validate_scenario(self) -> None:
-        """Reject references to nodes or links the topology does not have."""
+        """Reject references to nodes or links the topology does not have,
+        and values no run can honour."""
+        sc = self.scenario
         link_ids = set(self.links)
         node_ids = set(self.topology.nodes)
-        for link_id in self.scenario.loss_per_link:
+        # written so that NaN, which fails every comparison, is refused too
+        if not 0.0 <= sc.loss_default <= 1.0:
+            raise ScenarioError(f"scenario loss {sc.loss_default} outside [0, 1]")
+        if not sc.jitter_ms >= 0.0:
+            raise ScenarioError(f"scenario jitter_ms {sc.jitter_ms} is negative")
+        for link_id, loss in sc.loss_per_link.items():
             if link_id not in link_ids:
                 raise ScenarioError(f"loss entry for unknown link {link_id!r}")
-        for ev in self.scenario.events:
+            if not 0.0 <= loss <= 1.0:
+                raise ScenarioError(f"loss p={loss} for link {link_id!r} outside [0, 1]")
+        request, refill, dos = EventKind.KEY_REQUEST, EventKind.REFILL, EventKind.DOS_DRAIN
+        for ev in sc.events:
             p = ev.payload
+            kind = ev.kind
             if "link" in p and p["link"] not in link_ids:
                 raise ScenarioError(f"event at t={ev.time_s} names unknown link {p['link']!r}")
-            if ev.kind is EventKind.KEY_REQUEST:
+            if kind is request:
                 for end in (p["src"], p["dst"]):
                     if end not in node_ids:
                         raise ScenarioError(
                             f"request at t={ev.time_s} names unknown node {end!r}")
                 if p["src"] == p["dst"]:
                     raise ScenarioError(f"request at t={ev.time_s} has src == dst")
-                if p["n_bytes"] <= 0 or p["multipath"] < 1:
-                    raise ScenarioError(f"request at t={ev.time_s} has invalid size or k")
+            if (kind is request or kind is refill) and (p["n_bytes"] <= 0 or p["multipath"] < 1):
+                raise ScenarioError(f"event at t={ev.time_s} has invalid size or k")
+            if kind is dos and not (
+                    0 <= p["rate_bytes_per_s"] < float("inf") and p["duration_s"] > 0):
+                raise ScenarioError(f"dos at t={ev.time_s} needs a finite rate >= 0 "
+                                    "and a duration > 0")
 
     def _preshared_bytes(self, spec: LinkSpec) -> bytes:
         rng = Random(sub_seed(self.seed, f"preshared:{spec.id}"))
@@ -557,6 +572,9 @@ class Engine:
                 lrt.min_level_seen = level
         for name in self.topology.nodes:
             self.agents[name].on_tick()
+        if self._tick_count % round(SUMMARY_S / PRODUCE_TICK_S) == 0:
+            for name in self.topology.nodes:
+                self.agents[name].send_summary()
         self._track_usability()
         if self._tick_count % round(SAMPLE_PERIOD_S / PRODUCE_TICK_S) == 0:
             self._sample()
@@ -595,6 +613,9 @@ class Engine:
         self.link_events.append((self.now, link_id, "restore"))
         for end in (lrt.spec.a, lrt.spec.b):
             self.agents[end].originate(link_id)
+        # the two sides may have diverged while cut: exchange summaries
+        for end in (lrt.spec.a, lrt.spec.b):
+            self.agents[end].send_summary((lrt.spec,))
         self._track_usability()
 
     def _arrive(self, p: dict) -> None:
@@ -713,7 +734,7 @@ class NodeAgent:
         self.flood = FloodingState()
         self.incident = engine.topology.links_at(name)
         self._lsa_seq: dict[str, int] = {l.id: 0 for l in self.incident}
-        self._advertised: dict[str, tuple[bool, int, float]] = {}
+        self._advertised: dict[str, tuple[bool, int]] = {}
         self._relays: dict[tuple[int, int], _HopState] = {}   # (request id, seq)
         self._timer_gen = 0
 
@@ -747,44 +768,57 @@ class NodeAgent:
         )
         self.flood.accept(lsa)
         self.db.update(lsa)
-        self._advertised[link_id] = (lsa.up, lsa.level_bytes, self.engine.now)
+        self._advertised[link_id] = (lsa.up, lsa.level_bytes)
         self._flood_out(lsa, arrived_on=None)
 
     def _flood_out(self, lsa: LinkStateAd, arrived_on: str | None) -> None:
         payload = encode_lsa(lsa)
         for link in self.incident:
-            if link.id == arrived_on:
-                continue
-            lrt = self.engine.links[link.id]
-            if lrt.runtime.status.state is LinkState.DOWN:
-                continue
-            side = self.side_on(link.id)
-            try:
-                msg = lrt.q3p.seal(side, Channel.ROUTING, payload, encrypt=False, auth=True)
-            except InsufficientKey:
-                self.engine.msg_counts["flood_skipped_no_key"] += 1
-                continue
-            self.engine.msg_counts["routing_sent"] += 1
-            self.engine.send_message(link.id, self.name, msg)
+            if link.id != arrived_on:
+                self._send_routing(link.id, Channel.ROUTING, payload)
+
+    def send_summary(self, links: tuple[LinkSpec, ...] = ()) -> None:
+        """Send each neighbour (over ``links``, default all incident links)
+        one authenticated frame listing every LSA this node holds."""
+        payload = encode_summary(self.db.lsas())
+        for link in links or self.incident:
+            self._send_routing(link.id, Channel.LSDB_SUMMARY, payload)
+
+    def _on_summary(self, link_id: str, held: dict[tuple[str, str], int]) -> None:
+        """Send the neighbour every LSA its summary lacks or holds older."""
+        for lsa in self.db.lsas():
+            if held.get((lsa.link_id, lsa.origin), 0) < lsa.seq:
+                self._send_routing(link_id, Channel.ROUTING, encode_lsa(lsa))
+
+    def _send_routing(self, link_id: str, channel: Channel, payload: bytes) -> None:
+        """Authenticate one routing frame onto a link that is not down; a
+        frame the link's key cannot tag is skipped (the next summary
+        repairs what it would have carried)."""
+        lrt = self.engine.links[link_id]
+        if lrt.runtime.status.state is LinkState.DOWN:
+            return
+        counts = self.engine.msg_counts
+        try:
+            msg = lrt.q3p.seal(self.side_on(link_id), channel, payload, encrypt=False, auth=True)
+        except InsufficientKey:
+            counts["flood_skipped_no_key"] += 1
+            return
+        counts["routing_sent" if channel is Channel.ROUTING else "lsdb_summaries_sent"] += 1
+        self.engine.send_message(link_id, self.name, msg)
 
     def on_tick(self) -> None:
-        """Event-driven re-advertisement with hysteresis, plus keepalive."""
+        """Originate on change only: up/down, a crossing of the
+        authentication floor, or a level move past the hysteresis."""
+        floor = self.engine.auth_reserve
         for link in self.incident:
             link_id = link.id
-            lrt = self.engine.links[link_id]
-            up = lrt.runtime.status.state is LinkState.UP
+            up = self.engine.links[link_id].runtime.status.state is LinkState.UP
             level = self.store_on(link_id).available_bytes
-            last = self._advertised.get(link_id)
-            if last is None:
-                self.originate(link_id)
-                continue
-            last_up, last_level, last_t = last
-            floor = self.engine.auth_reserve
+            last_up, last_level = self._advertised[link_id]
             if (
                 up != last_up
                 or (level <= floor) != (last_level <= floor)
                 or abs(level - last_level) >= max(2048, last_level // 4)
-                or self.engine.now - last_t >= KEEPALIVE_S
             ):
                 self.originate(link_id)
 
@@ -806,6 +840,8 @@ class NodeAgent:
             if self.flood.accept(lsa):
                 self.db.update(lsa)
                 self._flood_out(lsa, arrived_on=link_id)
+        elif msg.channel == Channel.LSDB_SUMMARY:
+            self._on_summary(link_id, decode_summary(payload, self.engine.instances))
         elif msg.channel == Channel.TRANSPORT:
             self._on_segment(link_id, payload, meta)
         elif msg.channel == Channel.CONTROL:
@@ -967,7 +1003,6 @@ class NodeAgent:
 
     def _on_segment(self, link_id: str, payload: bytes, meta: dict) -> None:
         request_id, seq, _, fragment = decode_segment(payload)
-        self.engine.transport_arrivals.append((self.engine.now, link_id, request_id, seq))
         # ack unconditionally so the upstream sender stops retransmitting;
         # acks ride the control channel without key spend
         lrt = self.engine.links[link_id]

@@ -82,6 +82,7 @@ class Channel(IntEnum):
     ROUTING = 1
     TRANSPORT = 2
     CONTROL = 3
+    LSDB_SUMMARY = 4
 
 
 class Purpose(str, Enum):

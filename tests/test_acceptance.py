@@ -83,14 +83,21 @@ def test_criterion_3_failover_mid_delivery():
     with criterion(3, "delivery survives a mid-flight link cut", 10.0):
         topo = vienna_preset()
         eng = Engine(topo, parse_scenario(FAILOVER))
+        on_cut = []   # arrival times of segments that crossed SIE-ERD
+        for agent in eng.agents.values():
+            def watch(link_id, payload, meta, _original=agent._on_segment):
+                if link_id == "SIE-ERD":
+                    on_cut.append(eng.now)
+                _original(link_id, payload, meta)
+
+            agent._on_segment = watch
         rep = eng.run()
         (rec,) = rep.records
         assert rec.status is DeliveryStatus.DELIVERED
         assert rec.secret_at_dst == rec.secret_at_src  # bit-exact end to end
         (fail_t,) = [t for t, l, e in rep.link_events if e == "fail" and l == "SIE-ERD"]
-        on_cut = [(t, l) for t, l, _, _ in rep.transport_arrivals if l == "SIE-ERD"]
-        assert any(t <= fail_t for t, _ in on_cut), "cut happened before delivery began"
-        assert all(t <= fail_t for t, _ in on_cut), "segment crossed the failed link"
+        assert any(t <= fail_t for t in on_cut), "cut happened before delivery began"
+        assert all(t <= fail_t for t in on_cut), "segment crossed the failed link"
 
 
 def test_criterion_4_dos_drain_and_restore():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qkdnet.cli import main
 
 GOOD_TOPO = """
@@ -50,6 +52,28 @@ def test_invalid_topology_exits_2(tmp_path):
     bad = tmp_path / "bad.topo"
     bad.write_text(DISCONNECTED)
     assert main(["validate", "--topology", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("scenario", [
+    "[scenario] duration=3 seed=1\n[event] t=1 kind=refill link=SIE-ERD bytes=0\n",
+    "[scenario] duration=3 seed=1\n[event] t=1 kind=refill link=SIE-ERD bytes=-5\n",
+    "[scenario] duration=3 seed=1\n[event] t=1 kind=refill link=SIE-ERD bytes=4096 k=0\n",
+    "[scenario] duration=3 seed=1 loss=1.5\n",
+    "[scenario] duration=3 seed=1 loss=-0.1\n",
+    "[scenario] duration=3 seed=1\n[loss] link=SIE-ERD p=2\n",
+    "[scenario] duration=3 seed=1 jitter_ms=-1\n",
+    "[scenario] duration=3 seed=1\n[event] t=1 kind=dos link=SIE-ERD rate=-100 duration=1\n",
+    "[scenario] duration=3 seed=1\n[event] t=1 kind=dos link=SIE-ERD rate=100 duration=0\n",
+    "[scenario] duration=3 seed=1\n[event] t=1 kind=dos link=SIE-ERD rate=100 duration=-1\n",
+], ids=["refill-bytes-0", "refill-bytes-negative", "refill-k-0", "loss-above-1",
+        "loss-negative", "link-loss-above-1", "jitter-negative", "dos-rate-negative",
+        "dos-duration-0", "dos-duration-negative"])
+def test_out_of_range_scenario_value_exits_2(scenario, tmp_path, capsys):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(scenario)
+    assert main(["run", "--preset", "vienna", "--scenario", str(scn),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_failed_delivery_with_strict_exits_3(tmp_path):

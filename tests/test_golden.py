@@ -28,18 +28,18 @@ WRITTEN = {"lossy": LOSSY, "jittered": JITTERED}
 
 GOLDEN = {
     "baseline": {
-        "metrics.csv": "a9d11d6e7bcd6aa800070f41e4926c9c5b65baff43c58343af61117ec7ed5344",
-        "summary.json": "e667bdf5cf4289ed7a135428f45f37a5cb6f6b3f0ddac236fdbeb13bdd8cd7cf",
+        "metrics.csv": "b8cb3816a05e8ea26b919c9f5ae24487d3aeb5f364eed14c86a91a82336df890",
+        "summary.json": "84e449196242cdf5a0aa232a3d0ddc2c7a6ad20a04d7b7ed3692035e612c869e",
         "audit.log": "6f67237a049a1964260f478e49f4911a41cfc11ce0ba855073bdff7af5fc2ed1",
     },
     "failover": {
-        "metrics.csv": "e05da4a66886c6dba4f01ab63201147cba5b5810a6fe397d2a5a1ca5b28e459b",
-        "summary.json": "42fa2bb499e637c095daa9f3f3fe277d03e16cfc96fe3b38d297c6d7ccb01a09",
+        "metrics.csv": "49be7c67ba94203dddf6f11f8bd368d6725e3b4dc0bfff1ab4c3f7cfc3ab806b",
+        "summary.json": "50040a56e37e42c2fb4f79a22ccad705a16c9f529721838796797b489b9c8340",
         "audit.log": "d4b792523b56667d38ac249c06839f5a9217a22c42590d1cd92de827204fd797",
     },
     "dos-recovery": {
-        "metrics.csv": "30215b24270f71018fd84aeb6d4adcef1afea053794685b4d46e7c9e5f188bb5",
-        "summary.json": "babcc48510b53cebda37c45f4eb08093a76ccfd683ec4e199fd7dc159f7d1193",
+        "metrics.csv": "e02a5830af1d0066496c84bd0046b2d32b7ccaec56ed09c9a0613a686dfbe23e",
+        "summary.json": "1a2462d4d752dd7ec30ae315cc5acc4020f7533040c42ee9c824da554c2d068a",
         "audit.log": "1cf09643dc7e5c7e5d0312d42a0732f1dd27d6b182cae37ffe41c2a251533379",
     },
     "multipath": {
@@ -48,13 +48,13 @@ GOLDEN = {
         "audit.log": "67c40bb200413d0e49e42de190da9d12baab74234f6ccd442b35468c7d899ea5",
     },
     "jittered": {
-        "metrics.csv": "cccc9d96065e72677dfb15b909d6b034dbc6c4720d94e4d7375d658fc11cfe63",
-        "summary.json": "d93e5a79cd0158fdb2338702919c15f3c8e5df8ee45aa547c7af1a981905ab33",
-        "audit.log": "b7f03b672dd6e1ce23ee0503176c9740d3aa8a342d03fd07abc67beb68171867",
+        "metrics.csv": "c4d1397d3380a578161d4ebe3a2e694ff4112eb55a6ee2aa97b5976dfbf2440a",
+        "summary.json": "970028d4606ec45312f47d0a2e0b71f5aa6c10d6d9b3267875f7f08f0fbcf49a",
+        "audit.log": "f340d50b5a79c0b156ddea42f556c5146485cee302810185baa54e3c18dee0b6",
     },
     "lossy": {
-        "metrics.csv": "f886acc406db0c938ac1eed6302b4e79b7ebd46671964cc9451d1748a35a8152",
-        "summary.json": "edeed9b2e8f41f0267e98927c711fe9022949c1a74ed15b2a5508277341bc6cd",
+        "metrics.csv": "4f64f192e167ca499b94684c5332dc1531865a73418e4e03116d1306cd697809",
+        "summary.json": "824631e4806c100fad7eba3f1ba12ab465a453e3a1eea00532556ca72aded863",
         "audit.log": "584a751f86f2f991b688f9722b6d624ffb96b92b0c9173a14b38ea4c11074185",
     },
 }

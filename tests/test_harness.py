@@ -2,11 +2,13 @@
 flooding convergence, event ordering."""
 
 from collections import Counter
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qkdnet.harness import (
+    SUMMARY_S,
     Engine,
     Event,
     EventKind,
@@ -17,6 +19,7 @@ from qkdnet.harness import (
 )
 from qkdnet.links import key_rate
 from qkdnet.model import PRESETS, load_topology, preset, vienna_preset
+from qkdnet.q3p import AUTH_KEY_BYTES
 from qkdnet.scenarios import BASELINE, DOS_RECOVERY
 from qkdnet.transport import DeliveryStatus
 
@@ -117,7 +120,7 @@ class TestDeterminism:
 
 class TestConservation:
     def test_empty_scenario_growth_matches_rate(self):
-        # 10.5 s: the t=10 keepalive flood settles before the end, so the
+        # 10.5 s: the t=10 database summaries settle before the end, so the
         # run finishes with nothing in flight and mirrored levels equal
         topo = vienna_preset()
         eng = Engine(topo, parse_scenario("[scenario] duration=10.5 seed=1\n"))
@@ -243,6 +246,22 @@ class TestEventOrdering:
         assert rates[(2.0, "BREIT-STP")] == 0.0
 
 
+def _idle_grid(n: int) -> str:
+    """n x n backbone grid of 10 kbit/s-class links, 12-25 km long, with
+    node names that stay distinct at any size."""
+    rng = Random(f"grid:{n}")
+    lines = ["[profile] id=p r0_bps=10000 alpha=0.2 max_km=60 restart_s=30"]
+    lines += [f"[node] name=N{r}_{c} kind=qbb" for r in range(n) for c in range(n)]
+    for r in range(n):
+        for c in range(n):
+            for rr, cc in ((r, c + 1), (r + 1, c)):
+                if rr < n and cc < n:
+                    lines.append(f"[link] id=N{r}_{c}-N{rr}_{cc} a=N{r}_{c} b=N{rr}_{cc} "
+                                 f"km={rng.uniform(12, 25):.1f} profile=p class=qbb "
+                                 f"preshared=131072")
+    return "\n".join(lines) + "\n"
+
+
 class TestFloodingIntegration:
     def test_ring_databases_converge(self):
         topo = load_topology(RING4)
@@ -276,14 +295,90 @@ class TestFloodingIntegration:
         # restart latency is 30 s; still down at scenario end
         assert not eng.agents["N3"].db.usable("R12")
 
-    def test_keepalive_refreshes_quiet_links(self):
+    def test_restore_heals_a_cut_before_the_next_summary_period(self):
+        # R12 and R34 cut the ring in two; a drain of R23 is then advertised
+        # on one side only. Restoring R12 exchanges summaries, so each half
+        # learns what the other advertised while cut, long before t=10
         topo = load_topology(RING4)
-        eng = Engine(topo, parse_scenario("[scenario] duration=12 seed=1\n"))
+        eng = Engine(topo, parse_scenario(
+            "[scenario] duration=3.5 seed=1\n"
+            "[event] t=1 kind=fail link=R12\n"
+            "[event] t=1 kind=fail link=R34\n"
+            "[event] t=1.5 kind=dos link=R23 rate=60000 duration=1\n"
+            "[event] t=3 kind=restore link=R12\n"
+        ))
         eng.run()
-        # every origin advertised at least twice: startup plus keepalive
-        for name in ("N1", "N2", "N3", "N4"):
-            for link in eng.agents[name].incident:
-                assert eng.agents[name]._lsa_seq[link.id] >= 2
+        snaps = [eng.agents[n].db.snapshot() for n in ("N1", "N2", "N3", "N4")]
+        assert all(snap == snaps[0] for snap in snaps)
+        assert snaps[0][("R23", "N3")][0] == 2     # the drain's advertisement
+        assert snaps[0][("R34", "N3")][1] is False
+
+    @given(
+        name=st.sampled_from(sorted(PRESETS)),
+        loss=st.floats(0.0, 0.05),
+        seed=st.integers(0, 2**32),
+        outages=st.lists(
+            st.tuples(st.integers(0, 20), st.integers(5, 80), st.integers(1, 60)),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_databases_converge_after_loss_and_churn(self, name, loss, seed, outages):
+        # random fail/restore schedule over [0.5, 8] s that ends with every
+        # link restored; then losses stop and two summary periods run
+        topo = preset(name)
+        links = [link.id for link in topo.links]
+        schedule = []
+        for i, fail_tenth, outage_tenths in outages:
+            fail_t = fail_tenth / 10
+            schedule.append((fail_t, "fail", links[i % len(links)]))
+            schedule.append((min(8.0, fail_t + outage_tenths / 10), "restore",
+                             links[i % len(links)]))
+        schedule.sort(key=lambda e: e[0])
+        down = set()
+        for _, kind, link_id in schedule:
+            (down.add if kind == "fail" else down.discard)(link_id)
+        schedule += [(8.0, "restore", link_id) for link_id in sorted(down)]
+        end = 8.0 + 2 * SUMMARY_S + 0.5
+        lines = [f"[scenario] duration={end} seed={seed} loss={loss!r}"]
+        lines += [f"[event] t={t} kind={kind} link={link_id}" for t, kind, link_id in schedule]
+        eng = Engine(topo, parse_scenario("\n".join(lines) + "\n"))
+        lossy = eng._lost
+        eng._lost = lambda link_id: eng.now <= 8.0 and lossy(link_id)
+        eng.run()
+        recent_ms = (end - 0.5) * 1000
+        for origin, agent in eng.agents.items():
+            for link in agent.incident:
+                latest = agent.db.ads[link.id][origin]
+                assert latest.seq == agent._lsa_seq[link.id]
+                if latest.timestamp_ms >= recent_ms:
+                    continue   # may still be on its way
+                for other in eng.agents.values():
+                    held = other.db.ads[link.id][origin]
+                    assert held.seq == latest.seq, (other.name, link.id, origin)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_idle_routing_cost_per_link_does_not_grow_with_grid(self, n):
+        eng = Engine(load_topology(_idle_grid(n)), parse_scenario("[scenario] duration=30 seed=1\n"))
+        marks = {}
+        tick = eng._tick
+
+        def watched_tick():
+            tick()
+            if eng.now in (5.0, 25.0):
+                marks[eng.now] = (eng.msg_counts["routing_sent"],
+                                  sum(s.ledgered_bytes for l in eng.links.values()
+                                      for s in l.q3p.stores))
+
+        eng._tick = watched_tick
+        rep = eng.run()
+        # the startup flood is over by t=5; from then on no LSA is sent
+        assert marks[5.0][0] == rep.msg_counts["routing_sent"]
+        assert "flood_skipped_no_key" not in rep.msg_counts
+        # over (5, 25] each link direction sends one tagged summary per period;
+        # every tag's key is ledgered at both ends
+        per_link_s = (marks[25.0][1] - marks[5.0][1]) / 2 / len(eng.links) / 20.0
+        assert per_link_s == 2 * AUTH_KEY_BYTES / SUMMARY_S
 
 
 class TestReportShape:

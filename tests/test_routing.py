@@ -17,8 +17,10 @@ from qkdnet.routing import (
     Path,
     RouteCostParams,
     decode_lsa,
+    decode_summary,
     disjoint_paths,
     encode_lsa,
+    encode_summary,
     lsa_instances,
     shortest_path,
 )
@@ -57,6 +59,24 @@ class TestLsaCodec:
         assert back.link_id == "L2" and back.origin == "QC"
         assert back.seq == 3 and back.up is False and back.level_bytes == 500
         assert back.rate_bps == pytest.approx(3162.277, abs=1e-3)
+
+
+class TestSummaryCodec:
+    def test_golden_layout(self):
+        lsas = [LinkStateAd("L5", "QA", 9, True, 131072, 8000.0, 1234),
+                LinkStateAd("L2", "QC", 2**40, False, 0, 0.0, 0)]
+        data = encode_summary(lsas)
+        assert data == (struct.pack(">IQ", zlib.crc32(b"L5/QA"), 9)
+                        + struct.pack(">IQ", zlib.crc32(b"L2/QC"), 2**40))
+        assert encode_summary([]) == b""
+
+    def test_round_trip_of_a_whole_database(self):
+        topo = building_block_preset()
+        db = saturated_db(topo)
+        set_level(db, "L2", 500, seq=7)
+        held = decode_summary(encode_summary(db.lsas()), lsa_instances(topo))
+        assert held == {key: seq for key, (seq, _, _) in db.snapshot().items()}
+        assert held[("L2", "QC")] == 7 and len(held) == 2 * len(topo.links)
 
 
 class TestLinkCost:

@@ -24,6 +24,20 @@ def run_scenario(topo, text, seed=None, prep=None):
     return eng, eng.run()
 
 
+def segment_arrivals(eng):
+    """Wrap every node's ``_on_segment``; returns the list it fills with one
+    (time, link, request id, seq) entry per segment that arrives."""
+    arrivals = []
+    for agent in eng.agents.values():
+        def watch(link_id, payload, meta, _original=agent._on_segment):
+            request_id, seq, _, _ = decode_segment(payload)
+            arrivals.append((eng.now, link_id, request_id, seq))
+            _original(link_id, payload, meta)
+
+        agent._on_segment = watch
+    return arrivals
+
+
 def saturated_db(topo, level=131072):
     db = LinkStateDB(topo, usable_floor=4096)
     for link in topo.links:
@@ -325,7 +339,7 @@ class TestExhaustionReroute:
             "[scenario] duration=14 seed=8\n"
             "[event] t=0.5 kind=dos link=SIE-ERD rate=125000 duration=1.5\n",
         )
-        # keepalives at t=10 find the drained link without auth key
+        # the t=10 database summaries find the drained link without auth key
         assert rep.msg_counts.get("flood_skipped_no_key", 0) >= 1
         assert rep.link_stats["SIE-ERD"]["min_level_seen"] == 0
 
@@ -381,18 +395,19 @@ class TestFailover:
         # fragments split over all three routes; the direct route dies
         # mid-flight and its share finishes over the survivors
         topo = building_block_preset()
-        eng, rep = run_scenario(
-            topo,
+        eng = Engine(topo, parse_scenario(
             "[scenario] duration=8 seed=6\n"
             "[event] t=1.0 kind=request src=alice dst=bob bytes=30720 k=3\n"
-            "[event] t=1.008 kind=fail link=L5\n",
-        )
+            "[event] t=1.008 kind=fail link=L5\n"
+        ))
+        arrivals = segment_arrivals(eng)
+        rep = eng.run()
         rec = rep.records[0]
         assert rec.status is DeliveryStatus.DELIVERED
         assert rec.secret_at_dst == rec.secret_at_src
         assert len(rec.paths_used) == 3
         fail_t = [t for t, l, e in rep.link_events if e == "fail"][0]
-        assert not [a for a in rep.transport_arrivals if a[1] == "L5" and a[0] > fail_t]
+        assert not [a for a in arrivals if a[1] == "L5" and a[0] > fail_t]
         assert rec.per_link_consumed.get("L5", 0) >= 1056  # it was in use
         assert rep.msg_counts["retransmissions"] >= 1
         # the direct route's share finished over the surviving detours
@@ -401,17 +416,18 @@ class TestFailover:
 
     def test_mid_delivery_cut_reroutes_and_completes(self):
         topo = building_block_preset()
-        eng, rep = run_scenario(
-            topo,
+        eng = Engine(topo, parse_scenario(
             "[scenario] duration=8 seed=4\n"
             "[event] t=1.0 kind=request src=alice dst=bob bytes=24576 k=1\n"
-            "[event] t=1.02 kind=fail link=L5\n",
-        )
+            "[event] t=1.02 kind=fail link=L5\n"
+        ))
+        arrivals = segment_arrivals(eng)
+        rep = eng.run()
         rec = rep.records[0]
         assert rec.status is DeliveryStatus.DELIVERED
         assert rec.secret_at_dst == rec.secret_at_src
         fail_t = [t for t, l, e in rep.link_events if e == "fail"][0]
-        used_before = [a for a in rep.transport_arrivals if a[1] == "L5" and a[0] <= fail_t]
-        used_after = [a for a in rep.transport_arrivals if a[1] == "L5" and a[0] > fail_t]
+        used_before = [a for a in arrivals if a[1] == "L5" and a[0] <= fail_t]
+        used_after = [a for a in arrivals if a[1] == "L5" and a[0] > fail_t]
         assert used_before, "the direct link should have carried early fragments"
         assert not used_after
