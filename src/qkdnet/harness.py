@@ -356,10 +356,6 @@ class Engine:
         self._started = False
         self._finalized = False
         self._last_sample_time = None
-        # test/chaos instrumentation: drop or corrupt the next N transport
-        # messages sent on a link
-        self.drop_next: Counter = Counter()
-        self.corrupt_next: Counter = Counter()
         self._validate_scenario()
 
     def _validate_scenario(self) -> None:
@@ -449,17 +445,6 @@ class Engine:
         if lrt.runtime.status.state is LinkState.DOWN:
             self.msg_counts["dropped_link_down"] += 1
             return False
-        is_transport = getattr(msg, "channel", None) == Channel.TRANSPORT
-        if is_transport and self.drop_next.get(link_id, 0) > 0:
-            self.drop_next[link_id] -= 1
-            self.msg_counts["lost"] += 1
-            return False
-        if is_transport and self.corrupt_next.get(link_id, 0) > 0:
-            self.corrupt_next[link_id] -= 1
-            flipped = bytearray(msg.payload)
-            flipped[-1] ^= 0x01
-            msg.payload = bytes(flipped)
-            self.msg_counts["corrupted_in_transit"] += 1
         if self._lost(link_id):
             return False
         latency = HOP_LATENCY_S
@@ -593,10 +578,8 @@ class Engine:
                 n = min(n, sender.pool_available(direction), sender.available_bytes)
                 if n <= 0:
                     continue
-                res = sender.reserve(n, Purpose.AUTHENTICATE)
-                res.consume()
-                mirror = peer.reserve_exact(res.ranges, Purpose.AUTHENTICATE)
-                mirror.consume()
+                peer.reserve_exact(sender.reserve(n, Purpose.AUTHENTICATE).ranges,
+                                   Purpose.AUTHENTICATE)
                 drain.drained += n
 
     def _fail_link(self, link_id: str) -> None:
@@ -731,7 +714,7 @@ class NodeAgent:
         self.name = name
         self.topology = engine.topology
         self.db = LinkStateDB(engine.topology, usable_floor=engine.auth_reserve)
-        self.flood = FloodingState()
+        self.flood = FloodingState(self.db)
         self.incident = engine.topology.links_at(name)
         self._lsa_seq: dict[str, int] = {l.id: 0 for l in self.incident}
         self._advertised: dict[str, tuple[bool, int]] = {}
@@ -767,7 +750,6 @@ class NodeAgent:
             timestamp_ms=int(self.engine.now * 1000),
         )
         self.flood.accept(lsa)
-        self.db.update(lsa)
         self._advertised[link_id] = (lsa.up, lsa.level_bytes)
         self._flood_out(lsa, arrived_on=None)
 
@@ -838,7 +820,6 @@ class NodeAgent:
         if msg.channel == Channel.ROUTING:
             lsa = decode_lsa(payload, self.engine.instances)
             if self.flood.accept(lsa):
-                self.db.update(lsa)
                 self._flood_out(lsa, arrived_on=link_id)
         elif msg.channel == Channel.LSDB_SUMMARY:
             self._on_summary(link_id, decode_summary(payload, self.engine.instances))

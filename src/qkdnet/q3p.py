@@ -3,22 +3,20 @@ information-theoretic message authentication, and the authenticated header.
 
 Every QKD link feeds an identical stream of secret bytes to a key store at
 each endpoint. The stream is held once per link (``KeyStream``) and both
-stores read it; a store holds only its consumption state. Consumption is
-tracked in an append-only ledger whose key spans never overlap: that
-ledger IS the one-time-pad discipline. Because both ends read the same
-stream, the two stores stay level-equal as long as they see the same message
-history.
+stores read it; a store holds only its consumption state. Because both ends
+read the same stream, the two stores stay level-equal as long as they see
+the same message history.
 
 To let both endpoints send concurrently without ever assigning the same key
 bytes twice, each key block is split in half: the first half is appended to
 pool 0, which fuels messages from endpoint ``a`` to ``b``, the second half to
 pool 1, the reverse direction. Key is addressed by a span ``(pool, start,
 end)`` in pool offsets. The sender allocates sequentially from its own pool,
-so every reservation is one span; the receiver burns the exact same span when
-it opens the message (spans ride along in-memory, standing in for the
-key-synchronization dialogue of a real deployment).
-Messages may arrive in any order; the receiver's ledger rejects replays,
-because each keyed message spends its own one-time key.
+so every reservation is one span, ledgered by the sender alone; the receiver
+burns the exact same span when it opens the message (spans ride along
+in-memory, standing in for the key-synchronization dialogue of a real
+deployment). Messages may arrive in any order; the receiver's opened spans
+reject replays, because each keyed message spends its own one-time key.
 """
 
 from __future__ import annotations
@@ -70,11 +68,11 @@ class TagMismatch(Q3PError):
 
 class ReplayDetected(Q3PError):
     """The message's key is already consumed at the receiver: it was opened
-    before. The ledger is the replay check; arrival order is free."""
+    before. The opened-span set is the replay check; arrival order is free."""
 
 
 class KeyReuseError(Q3PError):
-    """A byte range was consumed twice; the ledger invariant was violated."""
+    """A byte range was consumed twice; the one-time-pad invariant was violated."""
 
 
 class Channel(IntEnum):
@@ -115,7 +113,7 @@ Span = tuple[int, int, int]
 
 @dataclass
 class LedgerRecord:
-    """One consumption event: the span it spent and on what."""
+    """One reservation from a store's own pool: the span it spent and on what."""
 
     ranges: Span
     purpose: Purpose
@@ -132,7 +130,6 @@ class Reservation:
     ranges: Span
     key: bytes
     purpose: Purpose
-    record: LedgerRecord
     consumed: bool = False
 
     @property
@@ -146,7 +143,8 @@ class Reservation:
 
 
 class _IntervalSet:
-    """Sorted disjoint half-open intervals with overlap rejection."""
+    """Sorted disjoint half-open intervals with overlap rejection; adjacent
+    intervals merge, so spans added in order stay one interval."""
 
     def __init__(self) -> None:
         self._starts: list[int] = []
@@ -160,11 +158,21 @@ class _IntervalSet:
     def add(self, start: int, end: int) -> None:
         if end <= start:
             raise ValueError("empty interval")
-        if self.overlaps(start, end):
+        starts, ends = self._starts, self._ends
+        i = bisect_right(ends, start)
+        if i < len(starts) and starts[i] < end:
             raise KeyReuseError(f"byte range [{start},{end}) overlaps consumed key")
-        i = bisect_right(self._ends, start)
-        self._starts.insert(i, start)
-        self._ends.insert(i, end)
+        if i > 0 and ends[i - 1] == start:
+            if i < len(starts) and starts[i] == end:     # fills the gap between two
+                ends[i - 1] = ends.pop(i)
+                del starts[i]
+            else:
+                ends[i - 1] = end
+        elif i < len(starts) and starts[i] == end:
+            starts[i] = start
+        else:
+            starts.insert(i, start)
+            ends.insert(i, end)
 
     def __iter__(self):
         return iter(zip(self._starts, self._ends))
@@ -217,15 +225,13 @@ class KeyStream:
 class KeyStore:
     """One endpoint's consumption state over its link's shared key stream.
 
-    The stream itself is held once per link (``KeyStream``) and read by
-    both ends; a store keeps only what differs per end: its reservation
-    cursor, one consumed-span set per pool, its ledger and its consumed
-    counters. A store built without a stream gets one of its own, seeded
-    with ``preshared``.
-
-    ``side`` 0 sits at the link's ``a`` endpoint and reserves from pool 0
-    (a to b); side 1 reserves from pool 1. It mirrors the peer's spans in
-    the other pool, so levels and the ledger span both pools.
+    The stream is held once per link (``KeyStream``) and read by both ends.
+    ``side`` 0 sits at the link's ``a`` endpoint and spends pool 0 (a to b);
+    side 1 spends pool 1. A store holds each spent span once: its own pool
+    is consumed below its cursor and its ledger records each reservation;
+    the peer's pool is consumed where the store opened the peer's messages,
+    one merged span set plus its byte count. A store built without a stream
+    gets one of its own, seeded with ``preshared``.
     """
 
     def __init__(
@@ -245,9 +251,9 @@ class KeyStore:
         self.auth_reserve = auth_reserve
         self.stream = KeyStream(preshared) if stream is None else stream
         self.ledger: list[LedgerRecord] = []
-        self._pool_consumed = [0, 0]
         self._cursor = 0                         # next offset to reserve in pool ``side``
-        self._consumed = (_IntervalSet(), _IntervalSet())   # per pool
+        self._opened = _IntervalSet()            # spans of the peer's pool opened here
+        self._opened_bytes = 0
 
     # -- levels -------------------------------------------------------------
 
@@ -261,14 +267,16 @@ class KeyStore:
 
     @property
     def ledgered_bytes(self) -> int:
-        return self._pool_consumed[0] + self._pool_consumed[1]
+        """Bytes consumed at this end, over both pools."""
+        return self._cursor + self._opened_bytes
 
     @property
     def available_bytes(self) -> int:
         return self.stream.appended_bytes - self.ledgered_bytes
 
     def pool_available(self, pool: int) -> int:
-        return len(self.stream.pools[pool]) - self._pool_consumed[pool]
+        spent = self._cursor if pool == self.side else self._opened_bytes
+        return len(self.stream.pools[pool]) - spent
 
     # -- intake -------------------------------------------------------------
 
@@ -280,7 +288,7 @@ class KeyStore:
     # -- reservation --------------------------------------------------------
 
     def reserve(self, n_bytes: int, purpose: Purpose) -> Reservation:
-        """Claim the next ``n_bytes`` of this store's own pool as one span.
+        """Claim and ledger the next ``n_bytes`` of this store's own pool.
 
         General-purpose reservations (encryption, refill) fail rather than
         dip the level below the authentication reserve; authentication
@@ -302,27 +310,35 @@ class KeyStore:
             )
         span = (self.side, self._cursor, self._cursor + n_bytes)
         self._cursor += n_bytes
-        return self._commit(span, self.stream.read(span), purpose)
+        self.ledger.append(LedgerRecord(ranges=span, purpose=purpose))
+        return Reservation(ranges=span, key=self.stream.read(span), purpose=purpose)
 
     def reserve_exact(self, span: Span, purpose: Purpose) -> Reservation:
-        """Claim an explicit span (mirroring the peer's allocation)."""
-        return self._commit(span, self.stream.read(span), purpose)
-
-    def _commit(self, span: Span, key: bytes, purpose: Purpose) -> Reservation:
+        """Claim an explicit span of the peer's pool, mirroring the peer's
+        allocation. A span of this store's own pool is spent already below
+        the cursor, and the peer never allocates at or beyond it."""
+        key = self.stream.read(span)
         pool, start, end = span
-        self._consumed[pool].add(start, end)
-        self._pool_consumed[pool] += len(key)
-        record = LedgerRecord(ranges=span, purpose=purpose)
-        self.ledger.append(record)
-        return Reservation(ranges=span, key=key, purpose=purpose, record=record)
+        if pool == self.side:
+            if start < self._cursor:
+                raise KeyReuseError(f"byte range [{start},{end}) overlaps consumed key")
+            raise ValueError(f"span {span} lies in this store's own pool")
+        self._opened.add(start, end)
+        self._opened_bytes += end - start
+        return Reservation(ranges=span, key=key, purpose=purpose)
 
     def spent(self, span: Span) -> bool:
         """Whether any byte of ``span`` is already consumed at this end."""
         pool, start, end = span
-        return self._consumed[pool].overlaps(start, end)
+        if pool == self.side:
+            return start < self._cursor
+        return self._opened.overlaps(start, end)
 
     def consumed_ranges(self) -> list[Span]:
-        return [(pool, start, end) for pool in (0, 1) for start, end in self._consumed[pool]]
+        """The own pool's consumed prefix and the peer's opened spans, by pool."""
+        own = [(self.side, 0, self._cursor)] if self._cursor else []
+        opened = [(1 - self.side, start, end) for start, end in self._opened]
+        return sorted(own + opened)
 
 
 # --- one-time pad and authentication ---------------------------------------
@@ -332,32 +348,24 @@ def _xor(data: bytes, key: bytes) -> bytes:
     return (int.from_bytes(data, "big") ^ int.from_bytes(key, "big")).to_bytes(n, "big")
 
 
-def otp_encrypt(reservation: Reservation, plaintext: bytes) -> bytes:
-    """XOR the plaintext with reserved key bytes; single use enforced."""
+def _pad(reservation: Reservation, data: bytes) -> bytes:
+    """XOR ``data`` with an encryption reservation's key, spending it."""
     if reservation.purpose not in _GENERAL_PURPOSES:
         raise ValueError("reservation purpose does not permit encryption")
-    if reservation.consumed:
-        raise ReservationConsumed("encryption key already used")
-    if reservation.n_bytes != len(plaintext):
-        raise LengthMismatch(
-            f"reservation holds {reservation.n_bytes} B, plaintext is {len(plaintext)} B"
-        )
+    if reservation.n_bytes != len(data):
+        raise LengthMismatch(f"reservation holds {reservation.n_bytes} B, data is {len(data)} B")
     reservation.consume()
-    return _xor(plaintext, reservation.key)
+    return _xor(data, reservation.key)
+
+
+def otp_encrypt(reservation: Reservation, plaintext: bytes) -> bytes:
+    """XOR the plaintext with reserved key bytes; single use enforced."""
+    return _pad(reservation, plaintext)
 
 
 def otp_decrypt(reservation: Reservation, ciphertext: bytes) -> bytes:
     """Inverse of otp_encrypt (XOR is an involution)."""
-    if reservation.purpose not in _GENERAL_PURPOSES:
-        raise ValueError("reservation purpose does not permit decryption")
-    if reservation.consumed:
-        raise ReservationConsumed("decryption key already used")
-    if reservation.n_bytes != len(ciphertext):
-        raise LengthMismatch(
-            f"reservation holds {reservation.n_bytes} B, ciphertext is {len(ciphertext)} B"
-        )
-    reservation.consume()
-    return _xor(ciphertext, reservation.key)
+    return _pad(reservation, ciphertext)
 
 
 def _poly_tag(key: bytes, data: bytes) -> bytes:
@@ -396,8 +404,8 @@ def _poly_tag(key: bytes, data: bytes) -> bytes:
     return ((acc ^ mask) & _MASK_128).to_bytes(TAG_BYTES, "big")
 
 
-def authenticate(data: bytes, reservation: Reservation) -> bytes:
-    """Produce a 16-byte tag, consuming a 32-byte authentication reservation."""
+def _tag(reservation: Reservation, data: bytes) -> bytes:
+    """The tag of ``data`` under a 32-byte authentication reservation, spending it."""
     if reservation.purpose is not Purpose.AUTHENTICATE:
         raise ValueError("reservation purpose must be authenticate")
     if reservation.n_bytes != AUTH_KEY_BYTES:
@@ -406,14 +414,14 @@ def authenticate(data: bytes, reservation: Reservation) -> bytes:
     return _poly_tag(reservation.key, data)
 
 
+def authenticate(data: bytes, reservation: Reservation) -> bytes:
+    """Produce a 16-byte tag, consuming a 32-byte authentication reservation."""
+    return _tag(reservation, data)
+
+
 def verify(data: bytes, tag: bytes, reservation: Reservation) -> bool:
     """Recompute the tag with mirrored key bytes; consumes the reservation."""
-    if reservation.purpose is not Purpose.AUTHENTICATE:
-        raise ValueError("reservation purpose must be authenticate")
-    if reservation.n_bytes != AUTH_KEY_BYTES:
-        raise LengthMismatch(f"authentication needs {AUTH_KEY_BYTES} key bytes")
-    reservation.consume()
-    return hmac.compare_digest(_poly_tag(reservation.key, data), tag)
+    return hmac.compare_digest(_tag(reservation, data), tag)
 
 
 # --- messages -----------------------------------------------------------------
@@ -468,7 +476,7 @@ class Q3PLink:
     Owns per-channel message-id counters. ``seal`` runs at the sending
     store, ``open`` at the receiving store; both burn identical spans,
     so levels stay equal under loss-free histories. Messages may be opened
-    in any order: the receiving ledger rejects replays of keyed messages;
+    in any order: the receiver's opened spans reject replays of keyed messages;
     unkeyed ones (acks) carry no authenticated id and are not checked.
     """
 

@@ -313,15 +313,12 @@ def disjoint_paths(
 
 
 class FloodingState:
-    """Per-node duplicate suppression for OSPF-style flooding."""
+    """Per-node duplicate suppression for OSPF-style flooding: an LSA floods
+    on only if it is newer than the instance the node's database holds."""
 
-    def __init__(self) -> None:
-        self._seen: dict[tuple[str, str], int] = {}
+    def __init__(self, db: LinkStateDB) -> None:
+        self.db = db
 
     def accept(self, lsa: LinkStateAd) -> bool:
-        """True (and record) if this advertisement is newer than any seen."""
-        key = (lsa.origin, lsa.link_id)
-        if lsa.seq <= self._seen.get(key, 0):
-            return False
-        self._seen[key] = lsa.seq
-        return True
+        """True (and install) if this advertisement is newer than any held."""
+        return self.db.update(lsa)

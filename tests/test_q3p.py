@@ -150,6 +150,20 @@ class TestReserve:
                     store.reserve_exact((pool, end - 1, end + 8), Purpose.ENCRYPT)
         assert a.ledgered_bytes == b.ledgered_bytes == 128
 
+    def test_own_pool_span_beyond_the_cursor_is_refused(self):
+        # a peer never allocates in this store's own pool, so a span there
+        # at or past the cursor is refused without moving or ledgering anything
+        s = store(100)
+        first = s.reserve(10, Purpose.ENCRYPT)
+        for span in ((0, 10, 20), (0, 30, 40)):
+            with pytest.raises(ValueError):
+                s.reserve_exact(span, Purpose.ENCRYPT)
+        assert s.ledgered_bytes == 10 and [r.ranges for r in s.ledger] == [first.ranges]
+        res = s.reserve(30, Purpose.ENCRYPT)
+        assert res.ranges == (0, 10, 40)
+        assert res.key == bytes(s.stream.pools[0][10:40])
+        assert s.consumed_ranges() == [(0, 0, 40)]
+
     def test_span_beyond_stream_or_empty_is_refused(self):
         s = store(100)
         for span in ((0, 40, 51), (1, -1, 4), (2, 0, 4)):
@@ -173,8 +187,7 @@ class TestOtp:
         plaintext = RNG.randbytes(500)
         res = s.reserve(500, Purpose.ENCRYPT)
         ct = otp_encrypt(res, plaintext)
-        mirror = Reservation(res.ranges, res.key, Purpose.ENCRYPT, res.record.__class__(
-            ranges=res.ranges, purpose=Purpose.ENCRYPT))
+        mirror = Reservation(res.ranges, res.key, Purpose.ENCRYPT)
         assert otp_decrypt(mirror, ct) == plaintext
 
     def test_single_use(self):
@@ -227,8 +240,7 @@ class TestAuthentication:
         msg = b"link state: all good"
         res = s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
         tag = authenticate(msg, res)
-        checker = Reservation(res.ranges, res.key, Purpose.AUTHENTICATE, res.record)
-        checker.consumed = False
+        checker = Reservation(res.ranges, res.key, Purpose.AUTHENTICATE)
         assert verify(msg, tag, checker)
 
     def test_bit_flips_rejected(self):
@@ -341,6 +353,19 @@ class TestSealOpen:
         a, b = link.stores
         assert a.available_bytes == b.available_bytes
         assert sorted(a.consumed_ranges()) == sorted(b.consumed_ranges())
+
+    def test_lossless_link_holds_one_span_per_pool_at_each_end(self):
+        # the own pool is a prefix, and in-order opened spans merge into one
+        link = make_link()
+        for i in range(100):
+            side = i % 2
+            msg = link.seal(side, Channel.TRANSPORT, RNG.randbytes(20 + i),
+                            encrypt=i % 3 != 0)
+            link.open(1 - side, msg)
+        a, b = link.stores
+        assert len(a.consumed_ranges()) == len(b.consumed_ranges()) == 2
+        assert a.consumed_ranges() == b.consumed_ranges()
+        assert [span[:2] for span in a.consumed_ranges()] == [(0, 0), (1, 0)]
 
     def test_insufficient_key_signals_backoff(self):
         link = Q3PLink("L", Random(6).randbytes(8192), auth_reserve=4096)
@@ -502,6 +527,7 @@ class TestLinkStream:
         pools = [bytearray(), bytearray()]
         offset = [0, 0]
         ledgered = [0, 0]
+        lost_from = [0, 0]
         opened = []
 
         def add(block):
@@ -543,10 +569,15 @@ class TestLinkStream:
                 assert link.open(1 - side, msg) == payload
                 ledgered[1 - side] += size + tag_len
                 opened.append(msg)
+            else:
+                lost_from[side] += 1
         for s, store in enumerate(link.stores):
             assert store.appended_bytes == len(pools[0]) + len(pools[1])
             assert store.ledgered_bytes == ledgered[s]
             assert store.appended_bytes - store.ledgered_bytes == store.available_bytes
+            # the opened spans merge: each lost message leaves at most one hole
+            opened_spans = [span for span in store.consumed_ranges() if span[0] != s]
+            assert len(opened_spans) <= 1 + lost_from[1 - s]
         for msg in opened:
             for store in link.stores:
                 for span in (msg.enc_ranges, msg.auth_ranges):

@@ -235,7 +235,7 @@ class TestDisjointPaths:
 
 class TestFlooding:
     def test_duplicate_sequence_suppressed(self):
-        fs = FloodingState()
+        fs = FloodingState(LinkStateDB(building_block_preset()))
         lsa = LinkStateAd("L1", "QA", 5, True, 100, 1.0, 0)
         assert fs.accept(lsa)
         assert not fs.accept(lsa)

@@ -38,6 +38,25 @@ def segment_arrivals(eng):
     return arrivals
 
 
+def fault_next(eng, link_id, n, corrupt=False):
+    """Wrap ``eng.send_message`` so that the next ``n`` transport frames sent
+    on ``link_id`` are lost before the seeded loss draw or, with ``corrupt``,
+    go on with the last payload bit flipped."""
+    original = eng.send_message
+    left = [n]
+
+    def faulty(link, from_node, msg, meta=None):
+        if link == link_id and msg.channel == Channel.TRANSPORT and left[0] > 0:
+            left[0] -= 1
+            if not corrupt:
+                eng.msg_counts["lost"] += 1
+                return False
+            msg.payload = msg.payload[:-1] + bytes([msg.payload[-1] ^ 1])
+        return original(link, from_node, msg, meta)
+
+    eng.send_message = faulty
+
+
 def saturated_db(topo, level=131072):
     db = LinkStateDB(topo, usable_floor=4096)
     for link in topo.links:
@@ -147,8 +166,8 @@ class TestDeliveryAccounting:
                 r.n_bytes for s in (store_a, store_b) for r in s.ledger
                 if r.purpose.value in ("encrypt", "preshared_refill")
             )
-            # encryption ledgered on both ends; tags counted via record math
-            assert transport_ledgered == 2 * (spent - 32 * rec.fragments_total)
+            # encryption ledgered once, at the sender; tags counted via record math
+            assert transport_ledgered == spent - 32 * rec.fragments_total
 
 
 class TestMultipath:
@@ -197,7 +216,7 @@ class TestRetransmission:
         sent_ciphertexts = []
 
         def prep(eng):
-            eng.drop_next["L5"] = 1
+            fault_next(eng, "L5", 1)
             original = eng.send_message
 
             def spy(link_id, from_node, msg, meta=None):
@@ -228,7 +247,7 @@ class TestRetransmission:
         topo = building_block_preset()
 
         def prep(eng):
-            eng.corrupt_next["L5"] = 1
+            fault_next(eng, "L5", 1, corrupt=True)
 
         eng, rep = run_scenario(
             topo,
@@ -246,7 +265,7 @@ class TestRetransmission:
         topo = building_block_preset()
 
         def prep(eng):
-            eng.drop_next["LA"] = 10  # the only way out of alice
+            fault_next(eng, "LA", 10)  # the only way out of alice
 
         eng, rep = run_scenario(
             topo,
@@ -302,7 +321,7 @@ class TestRetransmission:
         topo = building_block_preset()
 
         def prep(eng):
-            eng.drop_next["L5"] = 8
+            fault_next(eng, "L5", 8)
 
         eng, rep = run_scenario(
             topo,
