@@ -23,6 +23,7 @@ from .q3p import (
     Channel,
     InsufficientKey,
     KeyBlock,
+    KeyStore,
     Purpose,
     Q3PLink,
     ReplayDetected,
@@ -64,6 +65,7 @@ PRODUCE_TICK_S = 0.1
 HOP_LATENCY_S = 0.005
 SUMMARY_S = 10.0
 SAMPLE_PERIOD_S = 1.0
+_UP, _DOWN = LinkState.UP, LinkState.DOWN  # enum member lookups are slow on CPython 3.11
 SEGMENT_CLEAR_LEN = 18  # request id + seq + total + length travel unencrypted
 
 
@@ -175,8 +177,9 @@ def parse_scenario(text: str) -> Scenario:
                     }))
                 elif kind == "daywindow":
                     start, end = float(fields["start"]), float(fields["end"])
-                    if end < start:
-                        raise ScenarioError(f"line {lineno}: daywindow ends before it starts")
+                    # written so that NaN, which fails every comparison, is refused too
+                    if not 0.0 <= start <= end:
+                        raise ScenarioError(f"line {lineno}: daywindow needs 0 <= start <= end")
                     events.append(Event(t, EventKind.DAY_WINDOW, {"start": start, "end": end}))
                 elif kind == "refill":
                     events.append(Event(t, EventKind.REFILL, {
@@ -188,8 +191,8 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"line {lineno}: unknown section [{section}]")
         except (KeyError, ValueError) as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
-    if duration is None or duration <= 0:
-        raise ScenarioError("scenario needs a positive duration")
+    if duration is None or not 0.0 < duration < float("inf"):
+        raise ScenarioError("scenario needs a positive finite duration")
     for ev in events:
         if not 0.0 <= ev.time_s <= duration:
             raise ScenarioError(f"event at t={ev.time_s} outside [0, {duration}]")
@@ -211,6 +214,7 @@ class _LinkRT:
     runtime: LinkRuntime
     q3p: Q3PLink
     rng: Random
+    loss: float
     min_level_seen: int = 0
     refilled_bytes: int = 0
 
@@ -221,7 +225,6 @@ class _Drain:
     rate_bytes_per_s: float
     end_s: float
     carry: list[float] = field(default_factory=lambda: [0.0, 0.0])
-    drained: int = 0
 
 
 @dataclass
@@ -341,6 +344,7 @@ class Engine:
                 runtime=LinkRuntime(spec, profile),
                 q3p=Q3PLink(spec.id, self._preshared_bytes(spec), auth_reserve),
                 rng=Random(sub_seed(self.seed, f"link:{spec.id}")),
+                loss=scenario.loss_for(spec.id),
             )
             self.links[spec.id].min_level_seen = self.links[spec.id].q3p.min_level()
         self.agents = {name: NodeAgent(self, name) for name in topology.nodes}
@@ -442,7 +446,7 @@ class Engine:
         """Transmit over a link's classical channel: fixed latency, seeded
         loss and jitter. Returns False if the message was dropped at send."""
         lrt = self.links[link_id]
-        if lrt.runtime.status.state is LinkState.DOWN:
+        if lrt.runtime.status.state is _DOWN:
             self.msg_counts["dropped_link_down"] += 1
             return False
         if self._lost(link_id):
@@ -458,7 +462,7 @@ class Engine:
 
     def _lost(self, link_id: str) -> bool:
         """One seeded loss draw for a frame on a link; counts the frame if lost."""
-        loss = self.scenario.loss_for(link_id)
+        loss = self.links[link_id].loss
         if loss > 0 and self._rng_loss.random() < loss:
             self.msg_counts["lost"] += 1
             return True
@@ -470,11 +474,7 @@ class Engine:
         if self._started:
             raise ScenarioError("engine instances are single-use")
         self._started = True
-        # ticks first: a production tick at time t covers the interval ending
-        # at t, so state changes scheduled at t apply to later intervals
-        n_ticks = round(self.scenario.duration_s / PRODUCE_TICK_S)
-        for i in range(1, n_ticks + 1):
-            self._schedule(Event(round(i * PRODUCE_TICK_S, 6), EventKind.PRODUCE_TICK, {}))
+        self._queue_tick(1)
         for ev in self.scenario.events:
             if ev.kind is EventKind.KEY_REQUEST:
                 self.submit_request(ev.payload, ev.time_s)
@@ -534,13 +534,22 @@ class Engine:
 
     # -- event bodies ----------------------------------------------------------
 
+    def _queue_tick(self, i: int) -> None:
+        """Queue the run's production tick ``i``, if it has one. Order 0 puts
+        it first at its time: a tick at time t covers the interval ending at
+        t, so state changes scheduled at t apply to later intervals."""
+        if i <= round(self.scenario.duration_s / PRODUCE_TICK_S):
+            self._schedule(Event(round(i * PRODUCE_TICK_S, 6), EventKind.PRODUCE_TICK, {}),
+                           order=0)
+
     def _tick(self) -> None:
         self._tick_count += 1
-        for link_id in self.links:
-            lrt = self.links[link_id]
-            was_up = lrt.runtime.status.state is LinkState.UP
-            block = lrt.runtime.produce(PRODUCE_TICK_S, lrt.rng)
-            if not was_up and lrt.runtime.status.state is LinkState.UP:
+        self._queue_tick(self._tick_count + 1)
+        for link_id, lrt in self.links.items():
+            runtime = lrt.runtime
+            was_up = runtime.status.state is _UP
+            block = runtime.produce(PRODUCE_TICK_S, lrt.rng)
+            if not was_up and runtime.status.state is _UP:
                 self.link_events.append((self.now, link_id, "up"))
             if block is not None:
                 lrt.q3p.push(block)
@@ -548,26 +557,26 @@ class Engine:
                 # net of its key cost; its two frames per block (one each way)
                 # are only counted, each with its own loss draw
                 self.msg_counts["distill"] += 2
-                self._lost(link_id)
-                self._lost(link_id)
-        self._apply_drains()
-        for link_id, lrt in self.links.items():
+                if lrt.loss > 0:
+                    self._lost(link_id)
+                    self._lost(link_id)
+            # a drain lowers its link's level further and notes that itself
             level = lrt.q3p.min_level()
             if level < lrt.min_level_seen:
                 lrt.min_level_seen = level
-        for name in self.topology.nodes:
-            self.agents[name].on_tick()
+        self._apply_drains()
+        for agent in self.agents.values():
+            agent.on_tick()
         if self._tick_count % round(SUMMARY_S / PRODUCE_TICK_S) == 0:
-            for name in self.topology.nodes:
-                self.agents[name].send_summary()
+            for agent in self.agents.values():
+                agent.send_summary()
         self._track_usability()
         if self._tick_count % round(SAMPLE_PERIOD_S / PRODUCE_TICK_S) == 0:
             self._sample()
 
     def _apply_drains(self) -> None:
+        self._drains = [drain for drain in self._drains if self.now <= drain.end_s]
         for drain in self._drains:
-            if self.now > drain.end_s:
-                continue
             lrt = self.links[drain.link_id]
             for direction in (0, 1):
                 want = drain.rate_bytes_per_s * PRODUCE_TICK_S / 2 + drain.carry[direction]
@@ -580,7 +589,7 @@ class Engine:
                     continue
                 peer.reserve_exact(sender.reserve(n, Purpose.AUTHENTICATE).ranges,
                                    Purpose.AUTHENTICATE)
-                drain.drained += n
+            lrt.min_level_seen = min(lrt.min_level_seen, lrt.q3p.min_level())
 
     def _fail_link(self, link_id: str) -> None:
         lrt = self.links[link_id]
@@ -604,7 +613,7 @@ class Engine:
     def _arrive(self, p: dict) -> None:
         link_id = p["link"]
         lrt = self.links[link_id]
-        if lrt.runtime.status.state is LinkState.DOWN:
+        if lrt.runtime.status.state is _DOWN:
             self.msg_counts["dropped_link_down"] += 1
             return
         self.agents[p["to"]].on_message(link_id, p["msg"], p["meta"])
@@ -680,15 +689,10 @@ class Engine:
 
     # -- observation -------------------------------------------------------------
 
-    def _truth_usable(self, link_id: str) -> bool:
-        lrt = self.links[link_id]
-        if lrt.runtime.status.state is not LinkState.UP:
-            return False
-        return all(s.available_bytes > self.auth_reserve for s in lrt.q3p.stores)
-
     def _track_usability(self) -> None:
-        for link_id in self.links:
-            usable = self._truth_usable(link_id)
+        floor = self.auth_reserve
+        for link_id, lrt in self.links.items():
+            usable = lrt.runtime.status.state is _UP and lrt.q3p.min_level() > floor
             if usable != self._advert_usable[link_id]:
                 self._advert_usable[link_id] = usable
                 self.link_events.append(
@@ -707,7 +711,12 @@ class Engine:
 
 
 class NodeAgent:
-    """One node module: floods link state, relays secrets hop by hop."""
+    """One node module: floods link state, relays secrets hop by hop.
+
+    ``_ends`` is built once: for each incident link, in ``incident`` order,
+    the engine's link record, this node's side of the link and its key store
+    there. The tick and the per-message paths read it, not the engine's maps.
+    """
 
     def __init__(self, engine: Engine, name: str) -> None:
         self.engine = engine
@@ -716,19 +725,14 @@ class NodeAgent:
         self.db = LinkStateDB(engine.topology, usable_floor=engine.auth_reserve)
         self.flood = FloodingState(self.db)
         self.incident = engine.topology.links_at(name)
+        self._ends: dict[str, tuple[_LinkRT, int, KeyStore]] = {}
+        for link in self.incident:
+            lrt, side = engine.links[link.id], 0 if name == link.a else 1
+            self._ends[link.id] = (lrt, side, lrt.q3p.stores[side])
         self._lsa_seq: dict[str, int] = {l.id: 0 for l in self.incident}
         self._advertised: dict[str, tuple[bool, int]] = {}
         self._relays: dict[tuple[int, int], _HopState] = {}   # (request id, seq)
         self._timer_gen = 0
-
-    # -- plumbing ---------------------------------------------------------------
-
-    def side_on(self, link_id: str) -> int:
-        spec = self.engine.links[link_id].spec
-        return 0 if self.name == spec.a else 1
-
-    def store_on(self, link_id: str):
-        return self.engine.links[link_id].q3p.store(self.side_on(link_id))
 
     # -- link-state flooding ------------------------------------------------------
 
@@ -738,14 +742,14 @@ class NodeAgent:
 
     def originate(self, link_id: str) -> None:
         """Advertise our end's current view of one incident link."""
-        lrt = self.engine.links[link_id]
+        lrt, _, store = self._ends[link_id]
         self._lsa_seq[link_id] += 1
         lsa = LinkStateAd(
             link_id=link_id,
             origin=self.name,
             seq=self._lsa_seq[link_id],
-            up=lrt.runtime.status.state is LinkState.UP,
-            level_bytes=self.store_on(link_id).available_bytes,
+            up=lrt.runtime.status.state is _UP,
+            level_bytes=store.available_bytes,
             rate_bps=lrt.runtime.rate_bps,
             timestamp_ms=int(self.engine.now * 1000),
         )
@@ -776,12 +780,12 @@ class NodeAgent:
         """Authenticate one routing frame onto a link that is not down; a
         frame the link's key cannot tag is skipped (the next summary
         repairs what it would have carried)."""
-        lrt = self.engine.links[link_id]
-        if lrt.runtime.status.state is LinkState.DOWN:
+        lrt, side, _ = self._ends[link_id]
+        if lrt.runtime.status.state is _DOWN:
             return
         counts = self.engine.msg_counts
         try:
-            msg = lrt.q3p.seal(self.side_on(link_id), channel, payload, encrypt=False, auth=True)
+            msg = lrt.q3p.seal(side, channel, payload, encrypt=False, auth=True)
         except InsufficientKey:
             counts["flood_skipped_no_key"] += 1
             return
@@ -792,10 +796,9 @@ class NodeAgent:
         """Originate on change only: up/down, a crossing of the
         authentication floor, or a level move past the hysteresis."""
         floor = self.engine.auth_reserve
-        for link in self.incident:
-            link_id = link.id
-            up = self.engine.links[link_id].runtime.status.state is LinkState.UP
-            level = self.store_on(link_id).available_bytes
+        for link_id, (lrt, _, store) in self._ends.items():
+            up = lrt.runtime.status.state is _UP
+            level = store.available_bytes
             last_up, last_level = self._advertised[link_id]
             if (
                 up != last_up
@@ -807,8 +810,7 @@ class NodeAgent:
     # -- message handling -----------------------------------------------------------
 
     def on_message(self, link_id: str, msg, meta: dict) -> None:
-        lrt = self.engine.links[link_id]
-        side = self.side_on(link_id)
+        lrt, side, _ = self._ends[link_id]
         try:
             payload = lrt.q3p.open(side, msg)
         except TagMismatch:
@@ -872,13 +874,12 @@ class NodeAgent:
     # -- transport: hop machinery ---------------------------------------------------------
 
     def _eligible(self, link_id: str, payload_len: int) -> bool:
-        lrt = self.engine.links[link_id]
-        if lrt.runtime.status.state is not LinkState.UP:
+        lrt, side, store = self._ends[link_id]
+        if lrt.runtime.status.state is not _UP:
             return False
-        store = self.store_on(link_id)
         if store.available_bytes < LOW_WATER_FACTOR * self.engine.auth_reserve:
             return False
-        return lrt.q3p.can_seal(self.side_on(link_id), payload_len, True, True)
+        return lrt.q3p.can_seal(side, payload_len, True, True)
 
     def _reroute(self, hop: _HopState) -> Path | None:
         """Recompute a route from here, skipping first hops this node locally
@@ -905,13 +906,13 @@ class NodeAgent:
                 return
             hop.route_nodes, hop.route_links = new_path.nodes, new_path.links
             out_link = hop.route_links[0]
-        lrt = self.engine.links[out_link]
+        lrt, side, _ = self._ends[out_link]
         req = hop.req
         payload = encode_segment(req.request.request_id, hop.seq, req.record.fragments_total,
                                  hop.fragment)
         try:
             msg = lrt.q3p.seal(
-                self.side_on(out_link), Channel.TRANSPORT, payload,
+                side, Channel.TRANSPORT, payload,
                 encrypt=True, auth=True, purpose=req.purpose,
                 clear_len=SEGMENT_CLEAR_LEN,
             )
@@ -986,8 +987,7 @@ class NodeAgent:
         request_id, seq, _, fragment = decode_segment(payload)
         # ack unconditionally so the upstream sender stops retransmitting;
         # acks ride the control channel without key spend
-        lrt = self.engine.links[link_id]
-        side = self.side_on(link_id)
+        lrt, side, _ = self._ends[link_id]
         ack = lrt.q3p.seal(side, Channel.CONTROL, encode_ack(request_id, seq),
                            encrypt=False, auth=False)
         self.engine.msg_counts["acks_sent"] += 1

@@ -3,7 +3,6 @@ bit-exact key production with a fractional-carry accumulator."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
@@ -55,7 +54,9 @@ class LinkRuntime:
 
     Production accumulates fractional bits (< 1) and sub-byte whole bits
     (< 8) across timesteps so that total output over any partition of an
-    interval stays within one bit of rate * T.
+    interval stays within one bit of rate * T. The rate law is evaluated
+    once, into ``key_rate_bps``; ``rate_bps`` and ``produce`` apply the status
+    and the daytime blackout on top of it.
     """
 
     def __init__(self, spec: LinkSpec, profile: DeviceProfile) -> None:
@@ -67,15 +68,14 @@ class LinkRuntime:
         self.daytime = False
         self.produced_bytes_total = 0
         self._next_block_id = 0
+        self.key_rate_bps = key_rate(profile, spec.length_km)
 
     @property
     def rate_bps(self) -> float:
         """Current production rate; zero when not up or blacked out."""
-        if self.status.state is not LinkState.UP:
+        if self.status.state is not LinkState.UP or (self.daytime and self.profile.night_only):
             return 0.0
-        if self.profile.night_only and self.daytime:
-            return 0.0
-        return key_rate(self.profile, self.spec.length_km)
+        return self.key_rate_bps
 
     @property
     def produced_bits_total(self) -> int:
@@ -104,22 +104,24 @@ class LinkRuntime:
         """
         if dt_s <= 0:
             raise ValueError("dt_s must be positive")
-        if self.status.state is LinkState.RESTARTING:
-            if dt_s < self.status.remaining_s - 1e-12:
-                self.status.remaining_s -= dt_s
+        status = self.status
+        if status.state is not LinkState.UP:
+            if status.state is LinkState.DOWN:
                 return None
-            dt_s -= self.status.remaining_s
+            if dt_s < status.remaining_s - 1e-12:
+                status.remaining_s -= dt_s
+                return None
+            dt_s -= status.remaining_s
             self.status = LinkStatus(LinkState.UP)
             if dt_s <= 0:
                 return None
-        rate = self.rate_bps
-        if rate <= 0.0 or self.status.state is not LinkState.UP:
+        rate = self.key_rate_bps
+        if rate <= 0.0 or (self.daytime and self.profile.night_only):
             return None
         total = rate * dt_s + self.fractional_bits
-        whole = math.floor(total)
+        whole = int(total)                           # the floor, as total >= 0
         self.fractional_bits = total - whole
-        self.pending_bits += whole
-        n_bytes, self.pending_bits = divmod(self.pending_bits, 8)
+        n_bytes, self.pending_bits = divmod(self.pending_bits + whole, 8)
         if n_bytes == 0:
             return None
         self.produced_bytes_total += n_bytes

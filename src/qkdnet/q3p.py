@@ -185,20 +185,17 @@ class KeyStream:
     the second to pool 1 (b to a), so each pool is one contiguous
     ``bytearray`` and a span ``(pool, start, end)`` addresses its bytes.
     No ``memoryview`` of a pool may outlive a read, because a ``bytearray``
-    with a live export cannot grow.
+    with a live export cannot grow. ``appended_bytes`` counts the bytes of
+    both pools, kept as a counter because every level reads it.
     """
 
     def __init__(self, preshared: bytes = b"") -> None:
         self.pools = (bytearray(), bytearray())
+        self.appended_bytes = 0
         self.last_block_id: int | None = None
         self.initial_bytes = len(preshared)
         if preshared:
-            self._append(preshared)
-            self.last_block_id = 0                   # the preshared secret is block 0
-
-    @property
-    def appended_bytes(self) -> int:
-        return len(self.pools[0]) + len(self.pools[1])
+            self.push(KeyBlock(0, preshared, "preshared"))   # the preshared secret is block 0
 
     def push(self, block: KeyBlock) -> None:
         """Append a freshly produced block; ids must strictly increase."""
@@ -206,13 +203,12 @@ class KeyStream:
             raise OutOfOrderBlock(
                 f"block id {block.id} not above stored id {self.last_block_id}"
             )
-        self._append(block.data)
-        self.last_block_id = block.id
-
-    def _append(self, data: bytes) -> None:
+        data = block.data
         half = (len(data) + 1) // 2
         self.pools[0].extend(data[:half])
         self.pools[1].extend(data[half:])
+        self.appended_bytes += len(data)
+        self.last_block_id = block.id
 
     def read(self, span: Span) -> bytes:
         """The key bytes of ``span``; spans come from the peer, so checked."""
@@ -272,7 +268,7 @@ class KeyStore:
 
     @property
     def available_bytes(self) -> int:
-        return self.stream.appended_bytes - self.ledgered_bytes
+        return self.stream.appended_bytes - self._cursor - self._opened_bytes
 
     def pool_available(self, pool: int) -> int:
         spent = self._cursor if pool == self.side else self._opened_bytes
@@ -490,15 +486,13 @@ class Q3PLink:
         )
         self._next_id: dict[tuple[int, Channel], int] = {}
 
-    def store(self, side: int) -> KeyStore:
-        return self.stores[side]
-
     def push(self, block: KeyBlock) -> None:
         """Append one produced block to the stream both endpoint stores read."""
         self.stream.push(block)
 
     def min_level(self) -> int:
-        return min(s.available_bytes for s in self.stores)
+        a, b = self.stores
+        return min(a.available_bytes, b.available_bytes)
 
     def can_seal(self, side: int, encrypt_len: int, encrypt: bool, auth: bool) -> bool:
         store = self.stores[side]

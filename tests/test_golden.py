@@ -24,7 +24,19 @@ JITTERED = "[scenario] duration=30 seed=3 jitter_ms=0.5\n" + "".join(
     f"[event] t={t} kind=request src=SIE dst=GUD bytes=16384 k=2\n" for t in range(1, 18, 2)
 )
 
-WRITTEN = {"lossy": LOSSY, "jittered": JITTERED}
+# a daytime blackout of the night-only SIE-alice, and a fail/restore of
+# ERD-bob whose 5 s restart ends mid-run (RESTARTING -> UP)
+DAYLIGHT_RESTART = """\
+[scenario] duration=20 seed=4
+[event] t=1 kind=request src=alice dst=bob bytes=4096 k=1
+[event] t=2 kind=daywindow start=3.05 end=9.5
+[event] t=4 kind=request src=alice dst=GUD bytes=4096 k=1
+[event] t=5 kind=fail link=ERD-bob
+[event] t=7.05 kind=restore link=ERD-bob
+[event] t=14 kind=request src=bob dst=alice bytes=4096 k=1
+"""
+
+WRITTEN = {"lossy": LOSSY, "jittered": JITTERED, "daylight-restart": DAYLIGHT_RESTART}
 
 GOLDEN = {
     "baseline": {
@@ -36,6 +48,11 @@ GOLDEN = {
         "metrics.csv": "49be7c67ba94203dddf6f11f8bd368d6725e3b4dc0bfff1ab4c3f7cfc3ab806b",
         "summary.json": "50040a56e37e42c2fb4f79a22ccad705a16c9f529721838796797b489b9c8340",
         "audit.log": "d4b792523b56667d38ac249c06839f5a9217a22c42590d1cd92de827204fd797",
+    },
+    "daylight-restart": {
+        "metrics.csv": "8b8eef34ae2b1c8cb25bbdf5d8e212f24ebe08661bab4665ef94322c8a895dcf",
+        "summary.json": "89f99e5bd6d33495cb0a76a6c6733a4d60015dd86f662a1b1b2d31d7cef1093f",
+        "audit.log": "b553eff446e5d3b2b7504a418ebefec1167b443b454c6cc8a91a9a51fbe520e7",
     },
     "dos-recovery": {
         "metrics.csv": "e02a5830af1d0066496c84bd0046b2d32b7ccaec56ed09c9a0613a686dfbe23e",

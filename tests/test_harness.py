@@ -235,6 +235,40 @@ class TestEventOrdering:
         eng.run()
         assert times == sorted(times)
 
+    def test_tick_runs_before_other_events_at_its_time(self):
+        eng = Engine(vienna_preset(), parse_scenario(
+            "[scenario] duration=2 seed=1\n[event] t=1 kind=fail link=SIE-ERD\n"
+        ))
+        kinds = []
+        original = eng._dispatch
+
+        def watch(event):
+            if eng.now == 1.0:
+                kinds.append(event.kind)
+            original(event)
+
+        eng._dispatch = watch
+        eng.run()
+        assert kinds == [EventKind.PRODUCE_TICK, EventKind.LINK_FAIL]
+
+    def test_queue_at_start_does_not_grow_with_duration(self):
+        # one production tick is queued at a time, not all of them up front
+        class Started(Exception):
+            pass
+
+        def queued_at_start(duration):
+            eng = Engine(vienna_preset(), parse_scenario(f"[scenario] duration={duration} seed=1\n"))
+
+            def first(event):
+                raise Started(len(eng._queue))
+
+            eng._dispatch = first
+            with pytest.raises(Started) as started:
+                eng.run()
+            return started.value.args[0]
+
+        assert queued_at_start(60) == queued_at_start(600)
+
     def test_injected_fail_takes_effect_at_exact_time(self):
         topo = vienna_preset()
         eng = Engine(topo, parse_scenario(
