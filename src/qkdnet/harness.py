@@ -121,6 +121,13 @@ _EVENT_KEYS = {
 }
 
 
+def _check_duration(duration: float | None) -> None:
+    """Refuse a missing, NaN, infinite, zero or negative scenario duration."""
+    # written so that NaN, which fails every comparison, is refused too
+    if duration is None or not 0.0 < duration < float("inf"):
+        raise ScenarioError("scenario needs a positive finite duration")
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse the sectioned key-value scenario format.
 
@@ -191,8 +198,7 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"line {lineno}: unknown section [{section}]")
         except (KeyError, ValueError) as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
-    if duration is None or not 0.0 < duration < float("inf"):
-        raise ScenarioError("scenario needs a positive finite duration")
+    _check_duration(duration)
     for ev in events:
         if not 0.0 <= ev.time_s <= duration:
             raise ScenarioError(f"event at t={ev.time_s} outside [0, {duration}]")
@@ -368,6 +374,7 @@ class Engine:
         sc = self.scenario
         link_ids = set(self.links)
         node_ids = set(self.topology.nodes)
+        _check_duration(sc.duration_s)
         # written so that NaN, which fails every comparison, is refused too
         if not 0.0 <= sc.loss_default <= 1.0:
             raise ScenarioError(f"scenario loss {sc.loss_default} outside [0, 1]")
@@ -474,6 +481,22 @@ class Engine:
         if self._started:
             raise ScenarioError("engine instances are single-use")
         self._started = True
+        # built here, not in __init__, so it binds methods replaced on the
+        # instance after construction
+        tick = self._tick
+        self._handlers = {
+            EventKind.PRODUCE_TICK: lambda p: tick(),
+            EventKind.MSG_ARRIVE: self._arrive,
+            EventKind.LINK_FAIL: self._fail_link,
+            EventKind.LINK_RESTORE: self._restore_link,
+            EventKind.DOS_DRAIN: self._start_drain,
+            EventKind.KEY_REQUEST: self._start_request,
+            EventKind.DAY_WINDOW: self._set_daytime,
+            EventKind.REFILL: self._start_refill,
+            EventKind.TIMER: self._on_timer,
+            EventKind.DEADLINE: self._on_deadline,
+            EventKind.FINALIZE: self._finalize,
+        }
         self._queue_tick(1)
         for ev in self.scenario.events:
             if ev.kind is EventKind.KEY_REQUEST:
@@ -500,37 +523,7 @@ class Engine:
         return MetricsReport(self)
 
     def _dispatch(self, event: Event) -> None:
-        kind = event.kind
-        p = event.payload
-        if kind is EventKind.PRODUCE_TICK:
-            self._tick()
-        elif kind is EventKind.MSG_ARRIVE:
-            self._arrive(p)
-        elif kind is EventKind.LINK_FAIL:
-            self._fail_link(p["link"])
-        elif kind is EventKind.LINK_RESTORE:
-            self._restore_link(p["link"])
-        elif kind is EventKind.DOS_DRAIN:
-            self._drains.append(_Drain(p["link"], p["rate_bytes_per_s"],
-                                       self.now + p["duration_s"]))
-            self.link_events.append((self.now, p["link"], "dos_start"))
-        elif kind is EventKind.KEY_REQUEST:
-            req = self.requests[p["request_id"]]
-            self.agents[req.request.src].start_delivery(req)
-        elif kind is EventKind.DAY_WINDOW:
-            for lrt in self.links.values():
-                lrt.runtime.daytime = p["daytime"]
-        elif kind is EventKind.REFILL:
-            self._start_refill(p)
-        elif kind is EventKind.TIMER:
-            self.agents[p["node"]].on_timer(p)
-        elif kind is EventKind.DEADLINE:
-            self._finalize_record(self.requests[p["request_id"]], reason="deadline")
-        elif kind is EventKind.FINALIZE:
-            self._sample()
-            for req in self.requests.values():
-                self._finalize_record(req, reason="scenario_end")
-            self._finalized = True
+        self._handlers[event.kind](event.payload)
 
     # -- event bodies ----------------------------------------------------------
 
@@ -591,7 +584,8 @@ class Engine:
                                    Purpose.AUTHENTICATE)
             lrt.min_level_seen = min(lrt.min_level_seen, lrt.q3p.min_level())
 
-    def _fail_link(self, link_id: str) -> None:
+    def _fail_link(self, p: dict) -> None:
+        link_id = p["link"]
         lrt = self.links[link_id]
         lrt.runtime.fail()
         self.link_events.append((self.now, link_id, "fail"))
@@ -599,7 +593,8 @@ class Engine:
             self.agents[end].originate(link_id)
         self._track_usability()
 
-    def _restore_link(self, link_id: str) -> None:
+    def _restore_link(self, p: dict) -> None:
+        link_id = p["link"]
         lrt = self.links[link_id]
         lrt.runtime.restore()
         self.link_events.append((self.now, link_id, "restore"))
@@ -609,6 +604,30 @@ class Engine:
         for end in (lrt.spec.a, lrt.spec.b):
             self.agents[end].send_summary((lrt.spec,))
         self._track_usability()
+
+    def _start_drain(self, p: dict) -> None:
+        self._drains.append(_Drain(p["link"], p["rate_bytes_per_s"], self.now + p["duration_s"]))
+        self.link_events.append((self.now, p["link"], "dos_start"))
+
+    def _start_request(self, p: dict) -> None:
+        req = self.requests[p["request_id"]]
+        self.agents[req.request.src].start_delivery(req)
+
+    def _set_daytime(self, p: dict) -> None:
+        for lrt in self.links.values():
+            lrt.runtime.daytime = p["daytime"]
+
+    def _on_timer(self, p: dict) -> None:
+        self.agents[p["node"]].on_timer(p)
+
+    def _on_deadline(self, p: dict) -> None:
+        self._finalize_record(self.requests[p["request_id"]], reason="deadline")
+
+    def _finalize(self, p: dict) -> None:
+        self._sample()
+        for req in self.requests.values():
+            self._finalize_record(req, reason="scenario_end")
+        self._finalized = True
 
     def _arrive(self, p: dict) -> None:
         link_id = p["link"]

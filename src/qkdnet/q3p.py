@@ -17,6 +17,14 @@ burns the exact same span when it opens the message (spans ride along
 in-memory, standing in for the key-synchronization dialogue of a real
 deployment). Messages may arrive in any order; the receiver's opened spans
 reject replays, because each keyed message spends its own one-time key.
+
+Each authenticated message is hashed once. ``seal`` keeps the tag key, the
+authenticated bytes and the tag on the message, in a field that is not on
+the wire. ``open`` takes that tag as its recomputed tag only when the key
+it reserved and the bytes it rebuilt from the message as received are
+byte-identical to the kept ones. The tag is a pure function of key and
+bytes, so ``open`` accepts and rejects exactly the messages a full
+recomputation would.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import hmac
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 AUTH_KEY_BYTES = 32          # key budget per authenticated message
@@ -93,7 +101,7 @@ class Purpose(str, Enum):
 _GENERAL_PURPOSES = (Purpose.ENCRYPT, Purpose.PRESHARED_REFILL)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class KeyBlock:
     """One batch of fresh shared secret delivered by a link."""
 
@@ -400,13 +408,21 @@ def _poly_tag(key: bytes, data: bytes) -> bytes:
     return ((acc ^ mask) & _MASK_128).to_bytes(TAG_BYTES, "big")
 
 
-def _tag(reservation: Reservation, data: bytes) -> bytes:
-    """The tag of ``data`` under a 32-byte authentication reservation, spending it."""
+def _tag(reservation: Reservation, data: bytes,
+         sealed: tuple[bytes, bytes, bytes] | None = None) -> bytes:
+    """The tag of ``data`` under a 32-byte authentication reservation, spending it.
+
+    ``sealed`` is the sealing end's ``(key, data, tag)``: its tag is returned
+    without hashing when both the reservation's key and ``data`` equal the
+    kept ones byte for byte.
+    """
     if reservation.purpose is not Purpose.AUTHENTICATE:
         raise ValueError("reservation purpose must be authenticate")
     if reservation.n_bytes != AUTH_KEY_BYTES:
         raise LengthMismatch(f"authentication needs {AUTH_KEY_BYTES} key bytes")
     reservation.consume()
+    if sealed is not None and sealed[0] == reservation.key and sealed[1] == data:
+        return sealed[2]
     return _poly_tag(reservation.key, data)
 
 
@@ -427,7 +443,10 @@ class Q3PMessage:
     """A sealed message plus the key spans its opener must mirror-consume.
 
     The tag covers ``header_bytes()`` (magic, version, channel, flags, msg
-    id, payload length) followed by the payload.
+    id, payload length) followed by the payload. ``sealed_auth`` is not on
+    the wire: it keeps the sealing end's ``(auth key, authenticated bytes,
+    tag)`` until the message is opened, so the receiver can skip the hash
+    when its key and the bytes it received are byte-identical.
     """
 
     link_id: str
@@ -440,6 +459,8 @@ class Q3PMessage:
     enc_ranges: Span | None = None
     auth_ranges: Span | None = None
     enc_purpose: Purpose = Purpose.ENCRYPT
+    sealed_auth: tuple[bytes, bytes, bytes] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def encrypted(self) -> bool:
@@ -553,14 +574,23 @@ class Q3PLink:
             enc_purpose=purpose,
         )
         if auth_res:
-            msg.tag = authenticate(msg.header_bytes() + body, auth_res)
+            data = msg.header_bytes() + body
+            msg.tag = authenticate(data, auth_res)
+            msg.sealed_auth = (auth_res.key, data, msg.tag)
         return msg
 
     def open(self, side: int, msg: Q3PMessage) -> bytes:
         """Verify, mirror-consume, and decrypt a message at the receiving end;
-        a replay (key already spent here) reserves nothing."""
+        a replay (key already spent here) reserves nothing.
+
+        The tag is checked against the tag of the bytes as received. The
+        sealing end's kept tag stands in for that hash only when the reserved
+        key and the rebuilt bytes are byte-identical to the kept ones; the
+        kept field is cleared either way.
+        """
         if side == msg.sender_side:
             raise ValueError("open must run at the opposite end from seal")
+        sealed, msg.sealed_auth = msg.sealed_auth, None
         store = self.stores[side]
         for span in (msg.auth_ranges, msg.enc_ranges):
             if span is not None and store.spent(span):
@@ -571,7 +601,8 @@ class Q3PLink:
             # burned before the tag check, so a forged or corrupted message
             # costs the receiver the same bytes it cost the sender
             enc_res = store.reserve_exact(msg.enc_ranges, msg.enc_purpose)
-        if msg.authenticated and not verify(msg.header_bytes() + msg.payload, msg.tag, auth_res):
+        if msg.authenticated and not hmac.compare_digest(
+                _tag(auth_res, msg.header_bytes() + msg.payload, sealed), msg.tag):
             raise TagMismatch(f"{self.link_id}: tag mismatch on msg {msg.msg_id}")
         plaintext = msg.payload
         if msg.encrypted:

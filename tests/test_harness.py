@@ -12,6 +12,7 @@ from qkdnet.harness import (
     Engine,
     Event,
     EventKind,
+    Scenario,
     ScenarioError,
     TimeTravel,
     parse_scenario,
@@ -75,14 +76,17 @@ class TestScenarioParsing:
 
     def test_engine_rejects_unknown_references(self):
         topo = vienna_preset()
-        for text in (
+        scenarios = [parse_scenario(text) for text in (
             "[scenario] duration=2\n[event] t=1 kind=fail link=NOPE\n",
             "[scenario] duration=2\n[event] t=1 kind=request src=alice dst=ghost bytes=64\n",
             "[scenario] duration=2\n[event] t=1 kind=request src=alice dst=alice bytes=64\n",
             "[scenario] duration=2\n[loss] link=NOPE p=0.1\n",
-        ):
+        )]
+        # built in code, a scenario skips the parser's duration check
+        scenarios += [Scenario(duration_s=d) for d in (float("nan"), float("inf"), 0.0, -1.0)]
+        for sc in scenarios:
             with pytest.raises(ScenarioError):
-                Engine(topo, parse_scenario(text))
+                Engine(topo, sc)
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkdnet import q3p
 from qkdnet.q3p import (
     AUTH_KEY_BYTES,
     Channel,
@@ -333,16 +334,80 @@ class TestSealOpen:
         assert receiver.ledgered_bytes == ledgered == link.stores[0].ledgered_bytes
         assert receiver.consumed_ranges() == ranges
 
-    def test_tampered_payload_fails_tag(self):
+    def test_tampered_message_fails_tag(self):
+        # the tag covers the payload and every header field; a moved auth
+        # span reads other key, so the receiver's hash differs as well
+        tampers = {
+            "payload byte": lambda m: setattr(
+                m, "payload", m.payload[:-1] + bytes([m.payload[-1] ^ 1])),
+            "msg_id": lambda m: setattr(m, "msg_id", 99),
+            "channel": lambda m: setattr(m, "channel", Channel.ROUTING),
+            "flag bit": lambda m: setattr(m, "flags", m.flags | 0x04),
+            "tag": lambda m: setattr(m, "tag", bytes([m.tag[0] ^ 1]) + m.tag[1:]),
+            "auth span": lambda m: setattr(  # the next unspent span of the pool
+                m, "auth_ranges", (0, m.key_cost_bytes, m.key_cost_bytes + AUTH_KEY_BYTES)),
+        }
+        for encrypt in (False, True):
+            for name, tamper in tampers.items():
+                link = make_link()
+                msg = link.seal(0, Channel.TRANSPORT, b"y" * 40, encrypt=encrypt)
+                cost = msg.key_cost_bytes
+                tamper(msg)
+                with pytest.raises(TagMismatch):
+                    link.open(1, msg)
+                # the failed message costs its whole key at both ends
+                a, b = link.stores
+                assert a.ledgered_bytes == b.ledgered_bytes == cost, (encrypt, name)
+                if name != "auth span":
+                    assert a.consumed_ranges() == b.consumed_ranges(), (encrypt, name)
+
+    def test_each_authenticated_message_is_hashed_once(self, monkeypatch):
+        # the receiver takes the sealing end's tag for identical key and bytes
+        calls = []
+
+        def counting(key, data):
+            calls.append(len(data))
+            return _poly_tag(key, data)
+
+        monkeypatch.setattr(q3p, "_poly_tag", counting)
         link = make_link()
-        msg = link.seal(0, Channel.TRANSPORT, b"y" * 40)
-        msg.payload = msg.payload[:-1] + bytes([msg.payload[-1] ^ 1])
-        with pytest.raises(TagMismatch):
-            link.open(1, msg)
-        # the failed message costs its whole key at both ends
+        n = 25
+        for side in (0, 1):
+            before = len(calls)
+            for i in range(n):
+                payload = RNG.randbytes(30 + i)
+                msg = link.seal(side, Channel.TRANSPORT, payload, encrypt=i % 2 == 0)
+                assert link.open(1 - side, msg) == payload
+            assert len(calls) - before == n
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_a_corrupted_message_costs_only_its_own_key(self, data):
+        link = make_link()
+        sent = []
+        for _ in range(data.draw(st.integers(1, 12), label="messages")):
+            side = data.draw(st.integers(0, 1))
+            payload = data.draw(st.binary(max_size=200))
+            msg = link.seal(side, Channel.TRANSPORT, payload, encrypt=data.draw(st.booleans()))
+            corrupt = data.draw(st.booleans())
+            if corrupt:
+                # one byte of what travels after the header: payload, then tag
+                wire = bytearray(msg.payload + msg.tag)
+                wire[data.draw(st.integers(0, len(wire) - 1))] ^= data.draw(st.integers(1, 255))
+                cut = len(msg.payload)
+                msg.payload, msg.tag = bytes(wire[:cut]), bytes(wire[cut:])
+            sent.append((msg, payload, corrupt))
+        for i in data.draw(st.permutations(range(len(sent))), label="open order"):
+            msg, payload, corrupt = sent[i]
+            if corrupt:
+                with pytest.raises(TagMismatch):
+                    link.open(1 - msg.sender_side, msg)
+            else:
+                assert link.open(1 - msg.sender_side, msg) == payload
         a, b = link.stores
-        assert a.ledgered_bytes == b.ledgered_bytes == 40 + AUTH_KEY_BYTES
-        assert sorted(a.consumed_ranges()) == sorted(b.consumed_ranges())
+        assert a.ledgered_bytes == b.ledgered_bytes
+        for side in (0, 1):
+            assert link.open(1 - side, link.seal(side, Channel.TRANSPORT, b"fresh")) == b"fresh"
 
     def test_mirror_symmetry_bidirectional(self):
         link = make_link()
@@ -628,11 +693,3 @@ class TestWireFrame:
         assert len(msg.header_bytes()) == 19
         assert link.open(1, msg) == b"ack"
         assert link.stores[0].ledgered_bytes == before == link.stores[1].ledgered_bytes
-
-    def test_tag_covers_the_header(self):
-        link = make_link()
-        for field, value in (("msg_id", 99), ("channel", Channel.ROUTING)):
-            msg = link.seal(0, Channel.TRANSPORT, b"h" * 20, encrypt=False)
-            setattr(msg, field, value)
-            with pytest.raises(TagMismatch):
-                link.open(1, msg)
