@@ -361,6 +361,17 @@ class TestSealOpen:
                 if name != "auth span":
                     assert a.consumed_ranges() == b.consumed_ranges(), (encrypt, name)
 
+    def test_tampered_payload_fails_tag(self):
+        link = make_link()
+        msg = link.seal(0, Channel.TRANSPORT, b"y" * 40)
+        msg.payload = msg.payload[:-1] + bytes([msg.payload[-1] ^ 1])
+        with pytest.raises(TagMismatch):
+            link.open(1, msg)
+        # the failed message costs its whole key at both ends
+        a, b = link.stores
+        assert a.ledgered_bytes == b.ledgered_bytes == 40 + AUTH_KEY_BYTES
+        assert sorted(a.consumed_ranges()) == sorted(b.consumed_ranges())
+
     def test_each_authenticated_message_is_hashed_once(self, monkeypatch):
         # the receiver takes the sealing end's tag for identical key and bytes
         calls = []
@@ -693,3 +704,11 @@ class TestWireFrame:
         assert len(msg.header_bytes()) == 19
         assert link.open(1, msg) == b"ack"
         assert link.stores[0].ledgered_bytes == before == link.stores[1].ledgered_bytes
+
+    def test_tag_covers_the_header(self):
+        link = make_link()
+        for field, value in (("msg_id", 99), ("channel", Channel.ROUTING)):
+            msg = link.seal(0, Channel.TRANSPORT, b"h" * 20, encrypt=False)
+            setattr(msg, field, value)
+            with pytest.raises(TagMismatch):
+                link.open(1, msg)
