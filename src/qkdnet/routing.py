@@ -12,10 +12,16 @@ neighbour one authenticated frame listing ``(instance hash, seq)`` for every
 LSA in its database, and a node that receives one sends back every LSA the
 summary lacks or holds older. That one path repairs lost LSAs, LSAs skipped
 for lack of key and cuts healed by a restore, at a constant 32 bytes of
-authentication key per link direction per period."""
+authentication key per link direction per period.
+
+Each node's database keeps one number per link beside the advertisements:
+the lower of the two ends' levels when the link is usable, set when an
+advertisement is installed. Path search reads that table and never
+re-derives an advertisement pair on an edge."""
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -33,7 +39,7 @@ class NoRoute(Exception):
     """No usable path exists between the requested endpoints."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LinkStateAd:
     """One endpoint's advertised view of its link."""
 
@@ -113,25 +119,48 @@ class RouteCostParams:
     target_level_bytes: int = 65536
 
     def __post_init__(self) -> None:
-        if min(self.hop_cost, self.scarcity_weight, self.target_level_bytes) < 0:
-            raise ValueError("route cost parameters must be non-negative")
+        values = (self.hop_cost, self.scarcity_weight, self.target_level_bytes)
+        if not all(0 <= v < math.inf for v in values):
+            raise ValueError("route cost parameters must be finite and non-negative")
+
+    def step_cost(self, level_bytes: int) -> float:
+        """Cost of one usable link whose lower end holds ``level_bytes``."""
+        target = max(1, self.target_level_bytes)  # degenerate target: hop cost only
+        return self.hop_cost + self.scarcity_weight * max(0.0, 1.0 - level_bytes / target)
 
 
 class LinkStateDB:
-    """Freshest advertisement from each end of each link, per node."""
+    """Freshest advertisement from each end of each link, per node.
+
+    ``usable_levels`` maps each usable link to the lower of its two ends'
+    levels and holds no entry for any other link. ``update`` is the only
+    writer of ``ads`` and sets the link's entry whenever it installs an
+    advertisement, against the ``usable_floor`` given at construction.
+    """
 
     def __init__(self, topology: Topology, usable_floor: int = AUTH_RESERVE_DEFAULT) -> None:
         self.topology = topology
         self.usable_floor = usable_floor
         self.ads: dict[str, dict[str, LinkStateAd]] = {}
+        self.usable_levels: dict[str, int] = {}
 
     def update(self, lsa: LinkStateAd) -> bool:
         """Install if strictly newer than the held instance; returns whether
         anything changed."""
-        held = self.ads.setdefault(lsa.link_id, {}).get(lsa.origin)
+        both = self.ads.setdefault(lsa.link_id, {})
+        held = both.get(lsa.origin)
         if held is not None and lsa.seq <= held.seq:
             return False
-        self.ads[lsa.link_id][lsa.origin] = lsa
+        link = self.topology.link(lsa.link_id)
+        both[lsa.origin] = lsa
+        a, b = both.get(link.a), both.get(link.b)
+        floor = self.usable_floor
+        # usable: both ends advertise Up and hold more key than the floor
+        if (a is not None and b is not None and a.up and b.up
+                and a.level_bytes > floor and b.level_bytes > floor):
+            self.usable_levels[lsa.link_id] = min(a.level_bytes, b.level_bytes)
+        else:
+            self.usable_levels.pop(lsa.link_id, None)
         return True
 
     def lsas(self) -> Iterable[LinkStateAd]:
@@ -149,12 +178,12 @@ class LinkStateDB:
     def usable(self, link_id: str) -> bool:
         """A link carries traffic only if both ends advertise Up and hold
         more key than the authentication floor."""
-        pair = self.pair(link_id)
-        if pair is None:
-            return False
-        return all(ad.up and ad.level_bytes > self.usable_floor for ad in pair)
+        return link_id in self.usable_levels
 
     def min_level(self, link_id: str) -> int:
+        level = self.usable_levels.get(link_id)
+        if level is not None:
+            return level
         pair = self.pair(link_id)
         if pair is None:
             return 0
@@ -167,12 +196,10 @@ class LinkStateDB:
         return min(ad.rate_bps for ad in pair)
 
     def link_cost(self, link_id: str, params: RouteCostParams | None = None) -> float:
-        params = params or RouteCostParams()
-        if not self.usable(link_id):
-            return float("inf")
-        target = max(1, params.target_level_bytes)  # degenerate target: hop cost only
-        depletion = max(0.0, 1.0 - self.min_level(link_id) / target)
-        return params.hop_cost + params.scarcity_weight * depletion
+        level = self.usable_levels.get(link_id)
+        if level is None:
+            return math.inf
+        return (params or RouteCostParams()).step_cost(level)
 
     def snapshot(self) -> dict[tuple[str, str], tuple[int, bool, int]]:
         """(link, origin) -> (seq, up, level); used by convergence tests."""
@@ -211,13 +238,20 @@ def shortest_path(
 ) -> Path:
     """Minimum-cost usable path; ties break toward the lexicographically
     smallest node-name sequence, so identical databases always yield the
-    same route."""
+    same route.
+
+    Each edge's cost comes from the database's per-link level table. Heap
+    order alone settles ties: an entry is (cost, node sequence, link
+    sequence), and no two entries are equal because each node expands once,
+    so the pop order does not depend on the order neighbours are pushed in.
+    """
     if src == dst:
         raise ValueError("src and dst must differ")
     params = params or RouteCostParams()
     topo = db.topology
-    # Heap entries order by (cost, node sequence): the first pop per node is
-    # both cheapest and lexicographically smallest among equal costs.
+    kinds = topo.nodes
+    levels = db.usable_levels
+    step_cost = params.step_cost
     heap: list[tuple[float, tuple[str, ...], tuple[str, ...]]] = [(0.0, (src,), ())]
     done: set[str] = set()
     while heap:
@@ -228,18 +262,19 @@ def shortest_path(
         if at in done:
             continue
         done.add(at)
-        for neighbor, link in sorted(topo.neighbors(at), key=lambda nl: (nl[0], nl[1].id)):
+        for neighbor, link in topo.neighbors(at):
             if neighbor in done or neighbor in nodes:
                 continue
             if neighbor in exclude_nodes or link.id in exclude_links:
                 continue
             # end-users never carry transit traffic
-            if topo.kind(neighbor) is NodeKind.END_USER and neighbor != dst:
+            if kinds[neighbor] is NodeKind.END_USER and neighbor != dst:
                 continue
-            step = db.link_cost(link.id, params)
-            if step == float("inf"):
+            level = levels.get(link.id)
+            if level is None:
                 continue
-            heappush(heap, (cost + step, nodes + (neighbor,), link_ids + (link.id,)))
+            heappush(heap, (cost + step_cost(level),
+                            nodes + (neighbor,), link_ids + (link.id,)))
     raise NoRoute(f"no usable path {src} -> {dst}")
 
 

@@ -2,13 +2,28 @@
 interior-disjoint path sets checked against brute-force enumeration."""
 
 import itertools
+import math
 import struct
 import zlib
+from heapq import heappop, heappush
+from unittest import mock
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qkdnet.model import building_block_preset, load_topology, vienna_preset
+from qkdnet import routing
+from qkdnet.model import (
+    DeviceProfile,
+    LinkClass,
+    LinkSpec,
+    NodeKind,
+    Topology,
+    building_block_preset,
+    load_topology,
+    validate_topology,
+    vienna_preset,
+)
 from qkdnet.routing import (
     FloodingState,
     LinkStateAd,
@@ -105,6 +120,19 @@ class TestLinkCost:
         db = saturated_db(building_block_preset())
         params = RouteCostParams(target_level_bytes=0)
         assert db.link_cost("L5", params) == 1.0
+
+
+class TestRouteCostParams:
+    @pytest.mark.parametrize("field", ["hop_cost", "scarcity_weight", "target_level_bytes"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_non_finite_and_negative(self, field, value):
+        with pytest.raises(ValueError):
+            RouteCostParams(**{field: value})
+
+    def test_accepts_finite_non_negative(self):
+        params = RouteCostParams(hop_cost=0.0, scarcity_weight=0.0, target_level_bytes=0)
+        assert params.step_cost(0) == 0.0
+        assert RouteCostParams(scarcity_weight=1e300).step_cost(65536) == 1.0
 
 
 class TestShortestPath:
@@ -256,3 +284,244 @@ class TestPathType:
             Path(nodes=("A", "B"), links=())
         with pytest.raises(ValueError):
             Path(nodes=("A", "B", "A"), links=("x", "y"))
+
+
+# --- reference routing, as first written -----------------------------------
+#
+# The rules as first written re-derive each link's advertisement pair from ``db.ads``
+# on every call, and ``_reference_shortest_path`` sorts each node's
+# neighbours before expanding it. The database's per-link level table and
+# the unsorted expansion in ``shortest_path`` must give identical results.
+
+FLOOR = 4096
+
+
+def _reference_pair(db, link_id):
+    link = db.topology.link(link_id)
+    both = db.ads.get(link_id, {})
+    if link.a in both and link.b in both:
+        return both[link.a], both[link.b]
+    return None
+
+
+def _reference_usable(db, link_id):
+    pair = _reference_pair(db, link_id)
+    if pair is None:
+        return False
+    return all(ad.up and ad.level_bytes > db.usable_floor for ad in pair)
+
+
+def _reference_min_level(db, link_id):
+    pair = _reference_pair(db, link_id)
+    if pair is None:
+        return 0
+    return min(ad.level_bytes for ad in pair)
+
+
+def _reference_link_cost(db, link_id, params=None):
+    params = params or RouteCostParams()
+    if not _reference_usable(db, link_id):
+        return float("inf")
+    target = max(1, params.target_level_bytes)  # degenerate target: hop cost only
+    depletion = max(0.0, 1.0 - _reference_min_level(db, link_id) / target)
+    return params.hop_cost + params.scarcity_weight * depletion
+
+
+def _reference_shortest_path(
+    db, src, dst, params=None, exclude_links=frozenset(), exclude_nodes=frozenset(),
+):
+    """``shortest_path`` as first written, with its edge costs taken from the
+    reference rules above instead of the database's table."""
+    if src == dst:
+        raise ValueError("src and dst must differ")
+    params = params or RouteCostParams()
+    topo = db.topology
+    # Heap entries order by (cost, node sequence): the first pop per node is
+    # both cheapest and lexicographically smallest among equal costs.
+    heap = [(0.0, (src,), ())]
+    done = set()
+    while heap:
+        cost, nodes, link_ids = heappop(heap)
+        at = nodes[-1]
+        if at == dst:
+            return Path(nodes=nodes, links=link_ids)
+        if at in done:
+            continue
+        done.add(at)
+        for neighbor, link in sorted(topo.neighbors(at), key=lambda nl: (nl[0], nl[1].id)):
+            if neighbor in done or neighbor in nodes:
+                continue
+            if neighbor in exclude_nodes or link.id in exclude_links:
+                continue
+            # end-users never carry transit traffic
+            if topo.kind(neighbor) is NodeKind.END_USER and neighbor != dst:
+                continue
+            step = _reference_link_cost(db, link.id, params)
+            if step == float("inf"):
+                continue
+            heappush(heap, (cost + step, nodes + (neighbor,), link_ids + (link.id,)))
+    raise NoRoute(f"no usable path {src} -> {dst}")
+
+
+_PROFILE = DeviceProfile("p", 10000.0, 0.2, 60.0, 30.0)
+# at, just above and below the floor, depleted, half and fully stocked, or
+# any level, so that costs round as they fall
+_LEVELS = st.one_of(
+    st.sampled_from([0, FLOOR - 1, FLOOR, FLOOR + 1, 8192, 32768, 65536, 131072]),
+    st.integers(0, 200_000))
+
+
+@st.composite
+def topologies(draw):
+    """Connected topology with shuffled link order and ids, parallel
+    backbone links, and end-users each on one access link."""
+    n_qbb = draw(st.integers(2, 7))
+    names = draw(st.permutations([f"N{i}" for i in range(n_qbb)]))
+    pairs = [(names[i], names[draw(st.integers(0, i - 1))]) for i in range(1, n_qbb)]
+    extra = draw(st.lists(
+        st.tuples(st.integers(0, n_qbb - 1), st.integers(0, n_qbb - 1))
+        .filter(lambda ab: ab[0] != ab[1]), max_size=2 * n_qbb))
+    pairs += [(names[a], names[b]) for a, b in extra]  # may repeat: parallel links
+    users = [(f"u{i}", draw(st.sampled_from(names))) for i in range(draw(st.integers(0, 3)))]
+    ends = ([(a, b, LinkClass.QBB_FIBER) for a, b in pairs]
+            + [(u, anchor, LinkClass.QAN_FIBER) for u, anchor in users])
+    ids = draw(st.permutations([f"L{i:02d}" for i in range(len(ends))]))
+    links = [LinkSpec(link_id, a, b, 10.0, "p", cls, 8192)
+             for link_id, (a, b, cls) in zip(ids, ends)]
+    links = draw(st.permutations(links))
+    nodes = {n: NodeKind.QBB for n in names}
+    nodes.update({u: NodeKind.END_USER for u, _ in users})
+    topo = Topology(nodes=nodes, links=tuple(links), profiles={"p": _PROFILE})
+    validate_topology(topo)
+    return topo
+
+
+_PARAMS = st.builds(
+    RouteCostParams,
+    hop_cost=st.sampled_from([0.0, 0.5, 1.0]),
+    scarcity_weight=st.sampled_from([0.0, 0.0, 1.0, 2.5]),  # 0: all ties
+    target_level_bytes=st.sampled_from([0, 65536, 100_000, 131072]),
+)
+
+
+@st.composite
+def routing_cases(draw):
+    """A database over a generated topology: ends missing, down, or at or
+    below the floor; equal levels often, so equal costs often."""
+    topo = draw(topologies())
+    db = LinkStateDB(topo, usable_floor=FLOOR)
+    uniform = draw(st.booleans())
+    for link in topo.links:
+        for origin in (link.a, link.b):
+            if draw(st.integers(0, 9)) == 0:
+                continue  # this end never advertised
+            up = draw(st.integers(0, 7)) != 0
+            level = 131072 if uniform else draw(_LEVELS)
+            db.update(LinkStateAd(link.id, origin, 1, up, level, 1000.0, 0))
+    names = sorted(topo.nodes)
+    src = draw(st.sampled_from(names))
+    dst = draw(st.sampled_from([n for n in names if n != src]))
+    link_ids = sorted(l.id for l in topo.links)
+    exclude_links = frozenset(draw(st.lists(st.sampled_from(link_ids), max_size=3)))
+    exclude_nodes = frozenset(draw(st.lists(st.sampled_from(names), max_size=2)))
+    return db, src, dst, draw(_PARAMS), exclude_links, exclude_nodes
+
+
+def _route(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except NoRoute:
+        return NoRoute
+
+
+class TestRoutesMatchReference:
+    @given(routing_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_shortest_path_matches_reference(self, case):
+        db, src, dst, params, exclude_links, exclude_nodes = case
+        kwargs = dict(exclude_links=exclude_links, exclude_nodes=exclude_nodes)
+        assert (_route(shortest_path, db, src, dst, params, **kwargs)
+                == _route(_reference_shortest_path, db, src, dst, params, **kwargs))
+
+    @given(routing_cases(), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_disjoint_paths_matches_reference(self, case, k):
+        db, src, dst, params, exclude_links, _ = case
+        got = disjoint_paths(db, src, dst, k, params, exclude_links=exclude_links)
+        with mock.patch.object(routing, "shortest_path", _reference_shortest_path):
+            want = disjoint_paths(db, src, dst, k, params, exclude_links=exclude_links)
+        assert got == want
+
+    @given(routing_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_cost_matches_networkx_dijkstra(self, case):
+        db, src, dst, params, exclude_links, exclude_nodes = case
+        topo = db.topology
+        banned = exclude_nodes - {src}  # exclusion applies to nodes reached
+        g = nx.Graph()
+        g.add_nodes_from([src, dst])
+        for link in topo.links:
+            if not db.usable(link.id) or link.id in exclude_links:
+                continue
+            if {link.a, link.b} & banned:
+                continue
+            if any(topo.kind(n) is NodeKind.END_USER and n not in (src, dst)
+                   for n in (link.a, link.b)):
+                continue  # end-users other than the endpoints relay nothing
+            w = db.link_cost(link.id, params)
+            if g.has_edge(link.a, link.b):
+                w = min(w, g[link.a][link.b]["weight"])  # cheapest parallel link
+            g.add_edge(link.a, link.b, weight=w)
+        try:
+            want = nx.dijkstra_path_length(g, src, dst, weight="weight")
+        except nx.NetworkXNoPath:
+            want = None
+        try:
+            path = shortest_path(db, src, dst, params, exclude_links=exclude_links,
+                                 exclude_nodes=exclude_nodes)
+        except NoRoute:
+            assert want is None
+            return
+        assert want is not None
+        assert sum(db.link_cost(l, params) for l in path.links) == pytest.approx(
+            want, rel=1e-9, abs=1e-9)
+
+
+class TestLevelTable:
+    def test_shortest_path_rederives_nothing(self, monkeypatch):
+        db = saturated_db(vienna_preset())
+        set_level(db, "SIE-ERD", 8192)
+        calls = []
+        for name in ("pair", "usable", "min_level", "link_cost"):
+            original = getattr(LinkStateDB, name)
+
+            def counted(self, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(LinkStateDB, name, counted)
+        path = shortest_path(db, "alice", "bob", RouteCostParams(scarcity_weight=2.0))
+        assert path.nodes[0] == "alice" and path.nodes[-1] == "bob"
+        assert calls == []
+
+    @given(topologies(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_table_follows_every_update(self, topo, data):
+        db = LinkStateDB(topo, usable_floor=FLOOR)
+        params = data.draw(_PARAMS)
+        link_ids = [l.id for l in topo.links]
+        updates = data.draw(st.lists(st.tuples(
+            st.sampled_from(link_ids), st.booleans(),
+            st.integers(0, 3),  # small seqs: stale and duplicate installs
+            st.booleans(), _LEVELS), max_size=40))
+        for link_id, a_end, seq, up, level in updates:
+            link = topo.link(link_id)
+            origin = link.a if a_end else link.b
+            held = db.ads.get(link_id, {}).get(origin)
+            newer = held is None or seq > held.seq
+            assert db.update(LinkStateAd(link_id, origin, seq, up, level, 1.0, 0)) is newer
+            for lid in link_ids:
+                assert db.usable(lid) is _reference_usable(db, lid)
+                assert db.min_level(lid) == _reference_min_level(db, lid)
+                assert db.link_cost(lid, params) == _reference_link_cost(db, lid, params)
+                assert db.link_cost(lid) == _reference_link_cost(db, lid)
