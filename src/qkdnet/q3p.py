@@ -18,12 +18,18 @@ in-memory, standing in for the key-synchronization dialogue of a real
 deployment). Messages may arrive in any order; the receiver's opened spans
 reject replays, because each keyed message spends its own one-time key.
 
+Each keyed message spends one span: its first bytes pad the encrypted part
+of the payload and its last 32 key the tag. The sender reserves the span
+once and the receiver checks and burns it once. The sender's ledger still
+holds one record per purpose, the pad part and the tag part, as adjacent
+sub-spans of that one reservation.
+
 Each authenticated message is hashed once. ``seal`` keeps the tag key, the
 authenticated bytes and the tag on the message, in a field that is not on
-the wire. ``open`` takes that tag as its recomputed tag only when the key
-it reserved and the bytes it rebuilt from the message as received are
-byte-identical to the kept ones. The tag is a pure function of key and
-bytes, so ``open`` accepts and rejects exactly the messages a full
+the wire. ``open`` takes that tag as its recomputed tag only when the tag
+key of the span it burned and the bytes it rebuilt from the message as
+received are byte-identical to the kept ones. The tag is a pure function of
+key and bytes, so ``open`` accepts and rejects exactly the messages a full
 recomputation would.
 """
 
@@ -67,7 +73,7 @@ class ReservationConsumed(Q3PError):
 
 
 class LengthMismatch(Q3PError):
-    """Reservation length does not match the data length."""
+    """Key length does not match the data length."""
 
 
 class TagMismatch(Q3PError):
@@ -232,10 +238,11 @@ class KeyStore:
     The stream is held once per link (``KeyStream``) and read by both ends.
     ``side`` 0 sits at the link's ``a`` endpoint and spends pool 0 (a to b);
     side 1 spends pool 1. A store holds each spent span once: its own pool
-    is consumed below its cursor and its ledger records each reservation;
-    the peer's pool is consumed where the store opened the peer's messages,
-    one merged span set plus its byte count. A store built without a stream
-    gets one of its own, seeded with ``preshared``.
+    is consumed below its cursor and its ledger records each reservation,
+    one record per purpose; the peer's pool is consumed where the store
+    opened the peer's messages, one merged span set plus its byte count. A
+    store built without a stream gets one of its own, seeded with
+    ``preshared``.
     """
 
     def __init__(
@@ -291,30 +298,39 @@ class KeyStore:
 
     # -- reservation --------------------------------------------------------
 
-    def reserve(self, n_bytes: int, purpose: Purpose) -> Reservation:
-        """Claim and ledger the next ``n_bytes`` of this store's own pool.
+    def reserve(self, n_bytes: int, purpose: Purpose, auth_bytes: int = 0) -> Reservation:
+        """Claim the next ``n_bytes + auth_bytes`` of this store's own pool as
+        one span: ``n_bytes`` for ``purpose``, then ``auth_bytes`` of
+        authentication key.
 
-        General-purpose reservations (encryption, refill) fail rather than
-        dip the level below the authentication reserve; authentication
-        reservations may spend the reserve itself.
+        The ledger gets one record per purpose, as adjacent sub-spans. The
+        general-purpose part (encryption, refill) fails rather than dip the
+        level below the authentication reserve; authentication key may spend
+        the reserve itself. The whole span must fit the store and the
+        direction pool, so a reservation is taken whole or not at all.
         """
-        if n_bytes <= 0:
-            raise ValueError("n_bytes must be positive")
-        if purpose in _GENERAL_PURPOSES:
-            if self.available_bytes - n_bytes < self.auth_reserve:
-                raise InsufficientKey(
-                    f"{self.link_id}/{self.side}: {n_bytes} B would breach the "
-                    f"{self.auth_reserve} B authentication reserve"
-                )
-        elif self.available_bytes < n_bytes:
+        if n_bytes <= 0 or auth_bytes < 0:
+            raise ValueError("n_bytes must be positive and auth_bytes non-negative")
+        total = n_bytes + auth_bytes
+        available = self.available_bytes
+        if purpose in _GENERAL_PURPOSES and available - n_bytes < self.auth_reserve:
+            raise InsufficientKey(
+                f"{self.link_id}/{self.side}: {n_bytes} B would breach the "
+                f"{self.auth_reserve} B authentication reserve"
+            )
+        if available < total:
             raise InsufficientKey(f"{self.link_id}/{self.side}: store exhausted")
-        if self.pool_available(self.side) < n_bytes:
+        if self.pool_available(self.side) < total:
             raise InsufficientKey(
                 f"{self.link_id}/{self.side}: direction pool {self.side} exhausted"
             )
-        span = (self.side, self._cursor, self._cursor + n_bytes)
-        self._cursor += n_bytes
-        self.ledger.append(LedgerRecord(ranges=span, purpose=purpose))
+        side, start = self.side, self._cursor
+        mid = start + n_bytes
+        self._cursor = end = mid + auth_bytes
+        self.ledger.append(LedgerRecord(ranges=(side, start, mid), purpose=purpose))
+        if auth_bytes:
+            self.ledger.append(LedgerRecord(ranges=(side, mid, end), purpose=Purpose.AUTHENTICATE))
+        span = (side, start, end)
         return Reservation(ranges=span, key=self.stream.read(span), purpose=purpose)
 
     def reserve_exact(self, span: Span, purpose: Purpose) -> Reservation:
@@ -352,24 +368,20 @@ def _xor(data: bytes, key: bytes) -> bytes:
     return (int.from_bytes(data, "big") ^ int.from_bytes(key, "big")).to_bytes(n, "big")
 
 
-def _pad(reservation: Reservation, data: bytes) -> bytes:
-    """XOR ``data`` with an encryption reservation's key, spending it."""
-    if reservation.purpose not in _GENERAL_PURPOSES:
-        raise ValueError("reservation purpose does not permit encryption")
-    if reservation.n_bytes != len(data):
-        raise LengthMismatch(f"reservation holds {reservation.n_bytes} B, data is {len(data)} B")
-    reservation.consume()
-    return _xor(data, reservation.key)
+def _pad(key: bytes, data: bytes) -> bytes:
+    if len(key) != len(data):
+        raise LengthMismatch(f"pad key holds {len(key)} B, data is {len(data)} B")
+    return _xor(data, key)
 
 
-def otp_encrypt(reservation: Reservation, plaintext: bytes) -> bytes:
-    """XOR the plaintext with reserved key bytes; single use enforced."""
-    return _pad(reservation, plaintext)
+def otp_encrypt(key: bytes, plaintext: bytes) -> bytes:
+    """XOR the plaintext with key bytes of exactly its length."""
+    return _pad(key, plaintext)
 
 
-def otp_decrypt(reservation: Reservation, ciphertext: bytes) -> bytes:
+def otp_decrypt(key: bytes, ciphertext: bytes) -> bytes:
     """Inverse of otp_encrypt (XOR is an involution)."""
-    return _pad(reservation, ciphertext)
+    return _pad(key, ciphertext)
 
 
 def _poly_tag(key: bytes, data: bytes) -> bytes:
@@ -408,45 +420,32 @@ def _poly_tag(key: bytes, data: bytes) -> bytes:
     return ((acc ^ mask) & _MASK_128).to_bytes(TAG_BYTES, "big")
 
 
-def _tag(reservation: Reservation, data: bytes,
-         sealed: tuple[bytes, bytes, bytes] | None = None) -> bytes:
-    """The tag of ``data`` under a 32-byte authentication reservation, spending it.
-
-    ``sealed`` is the sealing end's ``(key, data, tag)``: its tag is returned
-    without hashing when both the reservation's key and ``data`` equal the
-    kept ones byte for byte.
-    """
-    if reservation.purpose is not Purpose.AUTHENTICATE:
-        raise ValueError("reservation purpose must be authenticate")
-    if reservation.n_bytes != AUTH_KEY_BYTES:
+def authenticate(data: bytes, key: bytes) -> bytes:
+    """The 16-byte tag of ``data`` under a 32-byte one-time key."""
+    if len(key) != AUTH_KEY_BYTES:
         raise LengthMismatch(f"authentication needs {AUTH_KEY_BYTES} key bytes")
-    reservation.consume()
-    if sealed is not None and sealed[0] == reservation.key and sealed[1] == data:
-        return sealed[2]
-    return _poly_tag(reservation.key, data)
+    return _poly_tag(key, data)
 
 
-def authenticate(data: bytes, reservation: Reservation) -> bytes:
-    """Produce a 16-byte tag, consuming a 32-byte authentication reservation."""
-    return _tag(reservation, data)
-
-
-def verify(data: bytes, tag: bytes, reservation: Reservation) -> bool:
-    """Recompute the tag with mirrored key bytes; consumes the reservation."""
-    return hmac.compare_digest(_tag(reservation, data), tag)
+def verify(data: bytes, tag: bytes, key: bytes) -> bool:
+    """Whether ``tag`` is the tag of ``data`` under the mirrored key."""
+    return hmac.compare_digest(authenticate(data, key), tag)
 
 
 # --- messages -----------------------------------------------------------------
 
 @dataclass
 class Q3PMessage:
-    """A sealed message plus the key spans its opener must mirror-consume.
+    """A sealed message plus the one key span its opener must mirror-consume.
 
-    The tag covers ``header_bytes()`` (magic, version, channel, flags, msg
-    id, payload length) followed by the payload. ``sealed_auth`` is not on
-    the wire: it keeps the sealing end's ``(auth key, authenticated bytes,
-    tag)`` until the message is opened, so the receiver can skip the hash
-    when its key and the bytes it received are byte-identical.
+    A keyed message's ``span`` holds the encryption key of its encrypted
+    part, if any, followed by its 32 tag key bytes, if authenticated; an
+    unkeyed message has none. The tag covers ``header_bytes()`` (magic,
+    version, channel, flags, msg id, payload length) followed by the
+    payload. ``sealed_auth`` is not on the wire: it keeps the sealing end's
+    ``(tag key, authenticated bytes, tag)`` until the message is opened, so
+    the receiver can skip the hash when its key and the bytes it received
+    are byte-identical.
     """
 
     link_id: str
@@ -456,9 +455,7 @@ class Q3PMessage:
     msg_id: int
     payload: bytes                                   # ciphertext when encrypted
     tag: bytes | None
-    enc_ranges: Span | None = None
-    auth_ranges: Span | None = None
-    enc_purpose: Purpose = Purpose.ENCRYPT
+    span: Span | None = None
     sealed_auth: tuple[bytes, bytes, bytes] | None = field(
         default=None, repr=False, compare=False)
 
@@ -472,13 +469,14 @@ class Q3PMessage:
 
     @property
     def encrypted_len(self) -> int:
-        if self.enc_ranges is None:
+        if not self.encrypted:
             return 0
-        return self.enc_ranges[2] - self.enc_ranges[1]
+        return self.key_cost_bytes - (AUTH_KEY_BYTES if self.authenticated else 0)
 
     @property
     def key_cost_bytes(self) -> int:
-        return self.encrypted_len + (AUTH_KEY_BYTES if self.authenticated else 0)
+        span = self.span
+        return 0 if span is None else span[2] - span[1]
 
     def header_bytes(self) -> bytes:
         return _HEADER.pack(
@@ -537,75 +535,87 @@ class Q3PLink:
         purpose: Purpose = Purpose.ENCRYPT,
         clear_len: int = 0,
     ) -> Q3PMessage:
-        """Reserve key, encrypt and tag the payload, and emit the message.
+        """Reserve one key span, encrypt and tag the payload, and emit the message.
 
         The first ``clear_len`` payload bytes are framing metadata and stay
-        unencrypted (still covered by the tag); key spend is exactly the
-        encrypted length plus the 32-byte tag budget.
+        unencrypted (still covered by the tag). The span is the encrypted
+        length of ``purpose`` key followed by the 32-byte tag key; a keyed
+        message makes one reservation, so it spends all of its key or none.
         """
-        store = self.stores[side]
         n_enc = len(payload) - clear_len if encrypt else 0
-        if not self.can_seal(side, n_enc, encrypt and n_enc > 0, auth):
-            raise InsufficientKey(
-                f"{self.link_id}/{side}: cannot seal {len(payload)} B "
-                f"(encrypt={encrypt}, auth={auth})"
-            )
-        flags = 0
-        enc_res = None
-        auth_res = None
-        if encrypt and n_enc > 0:
+        n_tag = AUTH_KEY_BYTES if auth else 0
+        flags = FLAG_AUTHENTICATED if auth else 0
+        if n_enc > 0:
+            if purpose not in _GENERAL_PURPOSES:
+                raise ValueError(f"purpose {purpose.value} does not permit encryption")
             flags |= FLAG_ENCRYPTED
-            enc_res = store.reserve(n_enc, purpose)
-        if auth:
-            flags |= FLAG_AUTHENTICATED
-            auth_res = store.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
-        key = (side, channel)
-        msg_id = self._next_id.get(key, 0) + 1
-        self._next_id[key] = msg_id
-        if enc_res is not None:
-            body = payload[:clear_len] + otp_encrypt(enc_res, payload[clear_len:])
+            res = self.stores[side].reserve(n_enc, purpose, n_tag)
         else:
-            body = payload
-        msg = Q3PMessage(
-            link_id=self.link_id, sender_side=side, channel=channel, flags=flags,
-            msg_id=msg_id, payload=body, tag=None,
-            enc_ranges=enc_res.ranges if enc_res else None,
-            auth_ranges=auth_res.ranges if auth_res else None,
-            enc_purpose=purpose,
-        )
-        if auth_res:
+            n_enc = 0
+            res = self.stores[side].reserve(n_tag, Purpose.AUTHENTICATE) if auth else None
+        counter = (side, channel)
+        msg_id = self._next_id.get(counter, 0) + 1
+        self._next_id[counter] = msg_id
+        if res is None:
+            return Q3PMessage(self.link_id, side, channel, flags, msg_id, payload, None)
+        res.consume()
+        key = res.key
+        body = payload
+        if n_enc:
+            body = payload[:clear_len] + otp_encrypt(key[:n_enc], payload[clear_len:])
+        msg = Q3PMessage(self.link_id, side, channel, flags, msg_id, body, None, res.ranges)
+        if auth:
             data = msg.header_bytes() + body
-            msg.tag = authenticate(data, auth_res)
-            msg.sealed_auth = (auth_res.key, data, msg.tag)
+            tag_key = key[n_enc:]
+            msg.tag = authenticate(data, tag_key)
+            msg.sealed_auth = (tag_key, data, msg.tag)
         return msg
 
     def open(self, side: int, msg: Q3PMessage) -> bytes:
-        """Verify, mirror-consume, and decrypt a message at the receiving end;
-        a replay (key already spent here) reserves nothing.
+        """Verify, mirror-consume, and decrypt a message at the receiving end.
 
-        The tag is checked against the tag of the bytes as received. The
-        sealing end's kept tag stands in for that hash only when the reserved
-        key and the rebuilt bytes are byte-identical to the kept ones; the
-        kept field is cleared either way.
+        A keyed message makes one replay check and one mirror reservation of
+        its span; a replay (key already spent here) reserves nothing. The
+        span is burned before the tag check, so a forged or corrupted message
+        costs the receiver the bytes it names. A span that is not the peer's
+        key, or does not fit the message's flags and length, fails as a tag
+        mismatch. The sealing end's kept tag stands in for the hash only when
+        the tag key and the rebuilt bytes are byte-identical to the kept
+        ones; the kept field is cleared either way.
         """
         if side == msg.sender_side:
             raise ValueError("open must run at the opposite end from seal")
         sealed, msg.sealed_auth = msg.sealed_auth, None
+        span, flags, payload = msg.span, msg.flags, msg.payload
+        if span is None:
+            if flags & (FLAG_ENCRYPTED | FLAG_AUTHENTICATED):
+                raise TagMismatch(f"{self.link_id}: keyed msg {msg.msg_id} names no key span")
+            return payload
         store = self.stores[side]
-        for span in (msg.auth_ranges, msg.enc_ranges):
-            if span is not None and store.spent(span):
-                raise ReplayDetected(f"{self.link_id}: msg {msg.msg_id} spends consumed key")
-        if msg.authenticated:
-            auth_res = store.reserve_exact(msg.auth_ranges, Purpose.AUTHENTICATE)
-        if msg.encrypted:
-            # burned before the tag check, so a forged or corrupted message
-            # costs the receiver the same bytes it cost the sender
-            enc_res = store.reserve_exact(msg.enc_ranges, msg.enc_purpose)
-        if msg.authenticated and not hmac.compare_digest(
-                _tag(auth_res, msg.header_bytes() + msg.payload, sealed), msg.tag):
-            raise TagMismatch(f"{self.link_id}: tag mismatch on msg {msg.msg_id}")
-        plaintext = msg.payload
-        if msg.encrypted:
-            clear = len(msg.payload) - msg.encrypted_len
-            plaintext = msg.payload[:clear] + otp_decrypt(enc_res, msg.payload[clear:])
-        return plaintext
+        if store.spent(span):
+            raise ReplayDetected(f"{self.link_id}: msg {msg.msg_id} spends consumed key")
+        try:
+            res = store.reserve_exact(span, Purpose.ENCRYPT if flags & FLAG_ENCRYPTED
+                                      else Purpose.AUTHENTICATE)
+        except (ValueError, InsufficientKey) as err:
+            raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} names key span {span} "
+                              f"that is not the peer's key") from err
+        res.consume()
+        key = res.key
+        n_tag = AUTH_KEY_BYTES if flags & FLAG_AUTHENTICATED else 0
+        n_enc = len(key) - n_tag
+        if n_enc < 0 or n_enc > len(payload) or (n_enc > 0) != bool(flags & FLAG_ENCRYPTED):
+            raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} does not fit its key span")
+        if n_tag:
+            data = msg.header_bytes() + payload
+            tag_key = key[n_enc:]
+            if sealed is not None and sealed[0] == tag_key and sealed[1] == data:
+                tag = sealed[2]
+            else:
+                tag = _poly_tag(tag_key, data)
+            if msg.tag is None or not hmac.compare_digest(tag, msg.tag):
+                raise TagMismatch(f"{self.link_id}: tag mismatch on msg {msg.msg_id}")
+        if not n_enc:
+            return payload
+        clear = len(payload) - n_enc
+        return payload[:clear] + otp_decrypt(key[:n_enc], payload[clear:])

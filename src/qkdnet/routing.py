@@ -263,7 +263,7 @@ def shortest_path(
             continue
         done.add(at)
         for neighbor, link in topo.neighbors(at):
-            if neighbor in done or neighbor in nodes:
+            if neighbor in done:
                 continue
             if neighbor in exclude_nodes or link.id in exclude_links:
                 continue

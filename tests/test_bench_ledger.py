@@ -33,8 +33,8 @@ def test_sending_key_bytes_is_the_stores_own_pool_spend():
     rep = eng.run()
     assert rep.msg_counts["lost"] > 0
     key_bytes = child.sending_key_bytes(eng)
-    assert set(key_bytes) == {"encrypt", "authenticate", "preshared_refill"}
-    assert all(n > 0 for n in key_bytes.values())
+    # per purpose, so a ledger that files tag key under encryption shows
+    assert key_bytes == {"encrypt": 23552, "authenticate": 134304, "preshared_refill": 16384}
     own_spend = sum(
         len(store.stream.pools[store.side]) - store.pool_available(store.side)
         for lrt in eng.links.values() for store in lrt.q3p.stores

@@ -21,7 +21,6 @@ from qkdnet.q3p import (
     Q3PLink,
     Q3PMessage,
     ReplayDetected,
-    Reservation,
     ReservationConsumed,
     TagMismatch,
     _poly_tag,
@@ -181,44 +180,44 @@ class TestOtp:
     def test_zero_plaintext_reveals_key(self):
         s = store(1024, reserve=0)
         res = s.reserve(64, Purpose.ENCRYPT)
-        assert otp_encrypt(res, bytes(64)) == res.key
+        assert otp_encrypt(res.key, bytes(64)) == res.key
 
     def test_involution(self):
         s = store(4096, reserve=0)
         plaintext = RNG.randbytes(500)
         res = s.reserve(500, Purpose.ENCRYPT)
-        ct = otp_encrypt(res, plaintext)
-        mirror = Reservation(res.ranges, res.key, Purpose.ENCRYPT)
-        assert otp_decrypt(mirror, ct) == plaintext
+        ct = otp_encrypt(res.key, plaintext)
+        assert otp_decrypt(res.key, ct) == plaintext
 
     def test_single_use(self):
+        # the pad takes key bytes; single use is the reservation's
         s = store(1024, reserve=0)
         res = s.reserve(16, Purpose.ENCRYPT)
-        otp_encrypt(res, bytes(16))
+        otp_encrypt(res.key, bytes(16))
+        res.consume()
         with pytest.raises(ReservationConsumed):
-            otp_encrypt(res, bytes(16))
+            res.consume()
 
     def test_length_mismatch(self):
         s = store(1024, reserve=0)
         res = s.reserve(16, Purpose.ENCRYPT)
         with pytest.raises(LengthMismatch):
-            otp_encrypt(res, bytes(17))
+            otp_encrypt(res.key, bytes(17))
 
     def test_purpose_and_length_are_checked_before_use(self):
-        s = store(1024, reserve=0)
-        auth_res = s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
-        enc_res = s.reserve(AUTH_KEY_BYTES, Purpose.ENCRYPT)
-        short = s.reserve(16, Purpose.AUTHENTICATE)
-        for use in (lambda: otp_encrypt(auth_res, bytes(32)),
-                    lambda: otp_decrypt(auth_res, bytes(32)),
-                    lambda: authenticate(b"m", enc_res),
-                    lambda: verify(b"m", bytes(16), enc_res)):
-            with pytest.raises(ValueError):
-                use()
-        for use in (lambda: authenticate(b"m", short), lambda: verify(b"m", bytes(16), short)):
+        # an encryption under authentication key is refused before any key
+        # is reserved; the primitives refuse key of the wrong length
+        link = make_link()
+        with pytest.raises(ValueError):
+            link.seal(0, Channel.TRANSPORT, b"m" * 32, purpose=Purpose.AUTHENTICATE)
+        assert link.stores[0].ledgered_bytes == 0 and link.stores[0].ledger == []
+        key = RNG.randbytes(AUTH_KEY_BYTES)
+        for use in (lambda: otp_encrypt(key, bytes(31)),
+                    lambda: otp_decrypt(key, bytes(33)),
+                    lambda: authenticate(b"m", key[:16]),
+                    lambda: verify(b"m", bytes(16), key + b"x")):
             with pytest.raises(LengthMismatch):
                 use()
-        assert not (auth_res.consumed or enc_res.consumed or short.consumed)
 
 
 def _reference_tag(key, data):
@@ -237,12 +236,13 @@ def _reference_tag(key, data):
 
 class TestAuthentication:
     def test_round_trip(self):
-        s = store(1024, reserve=0)
         msg = b"link state: all good"
-        res = s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
-        tag = authenticate(msg, res)
-        checker = Reservation(res.ranges, res.key, Purpose.AUTHENTICATE)
-        assert verify(msg, tag, checker)
+        link = make_link()
+        res = link.stores[0].reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
+        tag = authenticate(msg, res.key)
+        mirror = link.stores[1].reserve_exact(res.ranges, Purpose.AUTHENTICATE)
+        assert verify(msg, tag, mirror.key)
+        assert not verify(msg + b"!", tag, mirror.key)
 
     def test_bit_flips_rejected(self):
         key = RNG.randbytes(32)
@@ -260,11 +260,10 @@ class TestAuthentication:
     def test_key_reuse_blocked_by_ledger(self):
         s = store(1024, reserve=0)
         res = s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
-        authenticate(b"first", res)
-        with pytest.raises(ReservationConsumed):
-            authenticate(b"second", res)
+        authenticate(b"first", res.key)
         with pytest.raises(KeyReuseError):
             s.reserve_exact(res.ranges, Purpose.AUTHENTICATE)
+        assert s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE).ranges[1] == res.ranges[2]
 
     def test_paired_folding_matches_one_block_reference(self):
         p = (1 << 128) - 159
@@ -335,8 +334,9 @@ class TestSealOpen:
         assert receiver.consumed_ranges() == ranges
 
     def test_tampered_message_fails_tag(self):
-        # the tag covers the payload and every header field; a moved auth
-        # span reads other key, so the receiver's hash differs as well
+        # the tag covers the payload and every header field; a span moved,
+        # shortened or lengthened keys the tag with other bytes, so the
+        # receiver's hash differs as well
         tampers = {
             "payload byte": lambda m: setattr(
                 m, "payload", m.payload[:-1] + bytes([m.payload[-1] ^ 1])),
@@ -344,8 +344,10 @@ class TestSealOpen:
             "channel": lambda m: setattr(m, "channel", Channel.ROUTING),
             "flag bit": lambda m: setattr(m, "flags", m.flags | 0x04),
             "tag": lambda m: setattr(m, "tag", bytes([m.tag[0] ^ 1]) + m.tag[1:]),
-            "auth span": lambda m: setattr(  # the next unspent span of the pool
-                m, "auth_ranges", (0, m.key_cost_bytes, m.key_cost_bytes + AUTH_KEY_BYTES)),
+            "span moved": lambda m: setattr(  # the next unspent span of the pool
+                m, "span", (0, m.span[2], 2 * m.span[2])),
+            "span shortened": lambda m: setattr(m, "span", (0, 0, m.span[2] - 1)),
+            "span lengthened": lambda m: setattr(m, "span", (0, 0, m.span[2] + 1)),
         }
         for encrypt in (False, True):
             for name, tamper in tampers.items():
@@ -355,11 +357,62 @@ class TestSealOpen:
                 tamper(msg)
                 with pytest.raises(TagMismatch):
                     link.open(1, msg)
-                # the failed message costs its whole key at both ends
+                # the failed message costs the sender its whole key and the
+                # receiver the span it names: the same bytes, unless the span
+                # was shortened or lengthened in flight
                 a, b = link.stores
-                assert a.ledgered_bytes == b.ledgered_bytes == cost, (encrypt, name)
-                if name != "auth span":
-                    assert a.consumed_ranges() == b.consumed_ranges(), (encrypt, name)
+                assert a.ledgered_bytes == cost, (encrypt, name)
+                assert b.ledgered_bytes == msg.key_cost_bytes, (encrypt, name)
+                assert a.consumed_ranges() == [(0, 0, cost)], (encrypt, name)
+                assert b.consumed_ranges() == [msg.span], (encrypt, name)
+
+    def test_open_lets_only_tag_and_replay_failures_escape(self):
+        # the node agent catches only these two; a span outside the peer's
+        # pool or at odds with the flags and length must not raise anything
+        # else, and a forged message is accepted only if it claims no tag
+        pool_len = len(make_link().stream.pools[0])
+        spans = [None, (0, 0, 40), (0, 0, 72), (1, 0, 40), (2, 0, 40), (-1, 0, 40),
+                 (0, 50, 50), (0, 60, 50), (0, pool_len - 10, pool_len + 10),
+                 (0, 0, 3), (0, 0, 31), (0, 0, 73), (0, 0, 500)]
+        for encrypt in (False, True):
+            for auth in (False, True):
+                for flags in range(4):
+                    for span in spans:
+                        link = make_link(reserve=0)
+                        msg = link.seal(0, Channel.TRANSPORT, b"z" * 40,
+                                        encrypt=encrypt, auth=auth)
+                        sealed_span = msg.span
+                        if (msg.flags, msg.span) == (flags, span):
+                            continue
+                        msg.flags, msg.span = flags, span
+                        try:
+                            link.open(1, msg)
+                        except (TagMismatch, ReplayDetected):
+                            continue
+                        assert not flags & q3p.FLAG_AUTHENTICATED and span != sealed_span
+
+    def test_one_reservation_and_one_mirror_per_keyed_message(self, monkeypatch):
+        # a keyed message reserves its one span once; the opener checks it
+        # once and mirror-consumes it once; an unkeyed ack touches no store
+        calls = []
+        for name in ("reserve", "reserve_exact", "spent"):
+            original = getattr(KeyStore, name)
+
+            def counting(self, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(KeyStore, name, counting)
+        link = make_link()
+        for encrypt, auth in ((True, True), (False, True), (True, False), (False, False)):
+            for side in (0, 1):
+                del calls[:]
+                msg = link.seal(side, Channel.TRANSPORT, RNG.randbytes(100),
+                                encrypt=encrypt, auth=auth)
+                assert calls == (["reserve"] if encrypt or auth else [])
+                del calls[:]
+                link.open(1 - side, msg)
+                assert calls == (["spent", "reserve_exact"] if encrypt or auth else [])
 
     def test_tampered_payload_fails_tag(self):
         link = make_link()
@@ -633,13 +686,16 @@ class TestLinkStream:
                     link.seal(side, Channel.TRANSPORT, payload, auth=auth)
                 continue
             msg = link.seal(side, Channel.TRANSPORT, payload, auth=auth)
-            enc_span, enc_key = take(side, size)
-            assert msg.enc_ranges == enc_span
-            assert msg.payload == bytes(x ^ k for x, k in zip(payload, enc_key))
+            span, key = take(side, size + tag_len)
+            assert msg.span == span
+            assert msg.payload == bytes(x ^ k for x, k in zip(payload, key[:size]))
+            # one span, ledgered per purpose as adjacent sub-spans
+            _, start, end = span
+            want = [((side, start, start + size), Purpose.ENCRYPT)]
             if auth:
-                auth_span, auth_key = take(side, AUTH_KEY_BYTES)
-                assert msg.auth_ranges == auth_span
-                assert msg.tag == _poly_tag(auth_key, msg.header_bytes() + msg.payload)
+                assert msg.tag == _poly_tag(key[size:], msg.header_bytes() + msg.payload)
+                want.append(((side, start + size, end), Purpose.AUTHENTICATE))
+            assert [(r.ranges, r.purpose) for r in link.stores[side].ledger[-len(want):]] == want
             ledgered[side] += size + tag_len
             if not lost:
                 assert link.open(1 - side, msg) == payload
@@ -656,10 +712,8 @@ class TestLinkStream:
             assert len(opened_spans) <= 1 + lost_from[1 - s]
         for msg in opened:
             for store in link.stores:
-                for span in (msg.enc_ranges, msg.auth_ranges):
-                    if span:
-                        with pytest.raises(KeyReuseError):
-                            store.reserve_exact(span, Purpose.ENCRYPT)
+                with pytest.raises(KeyReuseError):
+                    store.reserve_exact(msg.span, Purpose.ENCRYPT)
 
 
 class TestKeyAccounting:

@@ -221,7 +221,7 @@ class TestRetransmission:
 
             def spy(link_id, from_node, msg, meta=None):
                 if link_id == "L5" and getattr(msg, "channel", None) == Channel.TRANSPORT:
-                    sent_ciphertexts.append((msg.payload, msg.enc_ranges))
+                    sent_ciphertexts.append((msg.payload, msg.span))
                 return original(link_id, from_node, msg, meta)
 
             eng.send_message = spy
