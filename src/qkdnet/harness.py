@@ -219,7 +219,6 @@ class _LinkRT:
     spec: LinkSpec
     runtime: LinkRuntime
     q3p: Q3PLink
-    rng: Random
     loss: float
     min_level_seen: int = 0
     refilled_bytes: int = 0
@@ -348,8 +347,8 @@ class Engine:
             self.links[spec.id] = _LinkRT(
                 spec=spec,
                 runtime=LinkRuntime(spec, profile),
-                q3p=Q3PLink(spec.id, self._preshared_bytes(spec), auth_reserve),
-                rng=Random(sub_seed(self.seed, f"link:{spec.id}")),
+                q3p=Q3PLink(spec.id, self._preshared_bytes(spec), auth_reserve,
+                            Random(sub_seed(self.seed, f"link:{spec.id}")).randbytes),
                 loss=scenario.loss_for(spec.id),
             )
             self.links[spec.id].min_level_seen = self.links[spec.id].q3p.min_level()
@@ -541,11 +540,11 @@ class Engine:
         for link_id, lrt in self.links.items():
             runtime = lrt.runtime
             was_up = runtime.status.state is _UP
-            block = runtime.produce(PRODUCE_TICK_S, lrt.rng)
+            n_bytes = runtime.produce(PRODUCE_TICK_S)
             if not was_up and runtime.status.state is _UP:
                 self.link_events.append((self.now, link_id, "up"))
-            if block is not None:
-                lrt.q3p.push(block)
+            if n_bytes:
+                lrt.q3p.stream.produce(n_bytes)
                 # distillation runs inside the link devices and the rate law is
                 # net of its key cost; its two frames per block (one each way)
                 # are only counted, each with its own loss draw
@@ -692,8 +691,8 @@ class Engine:
 
     def _apply_refill(self, link_id: str, secret: bytes) -> None:
         lrt = self.links[link_id]
-        block = KeyBlock(lrt.runtime.claim_block_id(), secret, link_id)
-        lrt.q3p.push(block)
+        last = lrt.q3p.stream.last_block_id      # None when the link had no preshared key
+        lrt.q3p.push(KeyBlock(0 if last is None else last + 1, secret, link_id))
         lrt.refilled_bytes += len(secret)
         self.link_events.append((self.now, link_id, "refill_done"))
         for end in (lrt.spec.a, lrt.spec.b):

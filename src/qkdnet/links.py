@@ -1,14 +1,16 @@
 """Per-link secret-key sources: rate-vs-distance law, status machine, and
-bit-exact key production with a fractional-carry accumulator."""
+bit-exact key production with a fractional-carry accumulator.
+
+A link runtime counts the whole bytes each step produces; it draws no key.
+The link's ``KeyStream`` draws those bytes from the link's key source when a
+reservation first reads them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from random import Random
 
 from .model import DeviceProfile, LinkSpec
-from .q3p import KeyBlock
 
 DEPLOYMENT_SPAN_KM = 25.0
 DEPLOYMENT_MIN_RATE_BPS = 1000.0
@@ -67,7 +69,6 @@ class LinkRuntime:
         self.pending_bits = 0
         self.daytime = False
         self.produced_bytes_total = 0
-        self._next_block_id = 0
         self.key_rate_bps = key_rate(profile, spec.length_km)
 
     @property
@@ -81,12 +82,6 @@ class LinkRuntime:
     def produced_bits_total(self) -> int:
         return self.produced_bytes_total * 8 + self.pending_bits
 
-    def claim_block_id(self) -> int:
-        """Next block id; shared by production and refill pushes so ids stay
-        strictly increasing per link."""
-        self._next_block_id += 1
-        return self._next_block_id
-
     def fail(self) -> None:
         self.status = LinkStatus(LinkState.DOWN)
 
@@ -96,33 +91,33 @@ class LinkRuntime:
         else:
             self.status = LinkStatus(LinkState.RESTARTING, self.profile.restart_latency_s)
 
-    def produce(self, dt_s: float, rng: Random) -> KeyBlock | None:
-        """Advance the link by ``dt_s`` and emit whole bytes of fresh key.
+    def produce(self, dt_s: float) -> int:
+        """Advance the link by ``dt_s`` and count the whole bytes of fresh key.
 
-        Returns a block destined for BOTH endpoint stores, or None when the
-        step yielded less than a byte or the link is not producing.
+        Returns the number of bytes produced for BOTH endpoint stores, or 0
+        when the step yielded less than a byte or the link is not producing.
+        The bytes themselves are drawn later, on first read, by the link's
+        ``KeyStream``.
         """
         if dt_s <= 0:
             raise ValueError("dt_s must be positive")
         status = self.status
         if status.state is not LinkState.UP:
             if status.state is LinkState.DOWN:
-                return None
+                return 0
             if dt_s < status.remaining_s - 1e-12:
                 status.remaining_s -= dt_s
-                return None
+                return 0
             dt_s -= status.remaining_s
             self.status = LinkStatus(LinkState.UP)
             if dt_s <= 0:
-                return None
+                return 0
         rate = self.key_rate_bps
         if rate <= 0.0 or (self.daytime and self.profile.night_only):
-            return None
+            return 0
         total = rate * dt_s + self.fractional_bits
         whole = int(total)                           # the floor, as total >= 0
         self.fractional_bits = total - whole
         n_bytes, self.pending_bits = divmod(self.pending_bits + whole, 8)
-        if n_bytes == 0:
-            return None
         self.produced_bytes_total += n_bytes
-        return KeyBlock(self.claim_block_id(), rng.randbytes(n_bytes), self.spec.id)
+        return n_bytes

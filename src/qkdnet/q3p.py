@@ -5,7 +5,9 @@ Every QKD link feeds an identical stream of secret bytes to a key store at
 each endpoint. The stream is held once per link (``KeyStream``) and both
 stores read it; a store holds only its consumption state. Because both ends
 read the same stream, the two stores stay level-equal as long as they see
-the same message history.
+the same message history. Produced bytes count toward the levels at once
+but are drawn from the link's key source when a reservation first reads
+them, so a stream holds only the key read so far.
 
 To let both endpoints send concurrently without ever assigning the same key
 bytes twice, each key block is split in half: the first half is appended to
@@ -37,7 +39,9 @@ from __future__ import annotations
 
 import hmac
 import struct
+from array import array
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
@@ -199,37 +203,89 @@ class KeyStream:
     the second to pool 1 (b to a), so each pool is one contiguous
     ``bytearray`` and a span ``(pool, start, end)`` addresses its bytes.
     No ``memoryview`` of a pool may outlive a read, because a ``bytearray``
-    with a live export cannot grow. ``appended_bytes`` counts the bytes of
-    both pools, kept as a counter because every level reads it.
+    with a live export cannot grow.
+
+    Produced key is drawn on first read. ``produce`` only grows the pools'
+    logical ``lengths`` and queues the byte count; ``read`` draws queued
+    counts, oldest first, one ``source(n)`` call each, when a span reaches
+    past the bytes drawn so far. The draws are the calls an eager stream
+    would make at every production tick, in the same order, so every byte is
+    the same; the stream holds only the prefix read so far. ``push`` draws
+    the whole queue first, so a pushed block keeps its place in the stream.
+    ``appended_bytes`` counts the logical bytes of both pools, kept as a
+    counter because every level reads it.
     """
 
-    def __init__(self, preshared: bytes = b"") -> None:
+    def __init__(self, preshared: bytes = b"",
+                 source: Callable[[int], bytes] | None = None) -> None:
         self.pools = (bytearray(), bytearray())
+        self.lengths = [0, 0]                    # logical pool lengths, drawn or not
         self.appended_bytes = 0
         self.last_block_id: int | None = None
         self.initial_bytes = len(preshared)
+        self._source = source
+        self._queued = array("Q")                # produced counts not drawn yet
+        self._head = 0                           # first of them still to draw
         if preshared:
             self.push(KeyBlock(0, preshared, "preshared"))   # the preshared secret is block 0
 
+    def _count(self, n_bytes: int) -> None:
+        """Grow the logical lengths by a block of ``n_bytes``."""
+        half = (n_bytes + 1) // 2
+        self.lengths[0] += half
+        self.lengths[1] += n_bytes - half
+        self.appended_bytes += n_bytes
+
+    def _draw(self, pool: int, end: int) -> None:
+        """Draw queued counts, oldest first, until ``pool`` holds ``end`` bytes."""
+        queued, source, target = self._queued, self._source, self.pools[pool]
+        first, second = self.pools
+        head = self._head
+        while len(target) < end:
+            data = source(queued[head])
+            head += 1
+            half = (len(data) + 1) // 2
+            first += data[:half]
+            second += data[half:]
+        if head == len(queued):
+            del queued[:]
+            head = 0
+        elif head > len(queued) // 2:            # drop the drawn half, amortised O(1)
+            del queued[:head]
+            head = 0
+        self._head = head
+
+    def produce(self, n_bytes: int) -> None:
+        """Add ``n_bytes`` of the link's key source to the stream, undrawn."""
+        if n_bytes <= 0 or self._source is None:
+            raise ValueError("production needs a positive count and a key source")
+        self._count(n_bytes)
+        self._queued.append(n_bytes)
+
     def push(self, block: KeyBlock) -> None:
-        """Append a freshly produced block; ids must strictly increase."""
+        """Append a block after all production so far; ids must strictly increase."""
         if self.last_block_id is not None and block.id <= self.last_block_id:
             raise OutOfOrderBlock(
                 f"block id {block.id} not above stored id {self.last_block_id}"
             )
+        # every queued count puts at least one byte in pool 0
+        self._draw(0, self.lengths[0])
         data = block.data
         half = (len(data) + 1) // 2
         self.pools[0].extend(data[:half])
         self.pools[1].extend(data[half:])
-        self.appended_bytes += len(data)
+        self._count(len(data))
         self.last_block_id = block.id
 
     def read(self, span: Span) -> bytes:
         """The key bytes of ``span``; spans come from the peer, so checked."""
         pool, start, end = span
-        if pool not in (0, 1) or start < 0 or end > len(self.pools[pool]):
+        if pool not in (0, 1) or start < 0 or end > self.lengths[pool]:
             raise InsufficientKey(f"span {span} beyond stream")
-        return bytes(self.pools[pool][start:end])
+        data = self.pools[pool]
+        if end > len(data):
+            self._draw(pool, end)
+        return bytes(data[start:end])
 
 
 class KeyStore:
@@ -287,7 +343,7 @@ class KeyStore:
 
     def pool_available(self, pool: int) -> int:
         spent = self._cursor if pool == self.side else self._opened_bytes
-        return len(self.stream.pools[pool]) - spent
+        return self.stream.lengths[pool] - spent
 
     # -- intake -------------------------------------------------------------
 
@@ -492,13 +548,17 @@ class Q3PLink:
     store, ``open`` at the receiving store; both burn identical spans,
     so levels stay equal under loss-free histories. Messages may be opened
     in any order: the receiver's opened spans reject replays of keyed messages;
-    unkeyed ones (acks) carry no authenticated id and are not checked.
+    unkeyed ones (acks) carry no authenticated id and are not checked. Only
+    ``CONTROL`` messages may be unkeyed; ``open`` refuses any other message
+    without a tag. ``source`` is the link's key source: ``source(n)`` returns
+    the next ``n`` secret bytes of production (see ``KeyStream``).
     """
 
     def __init__(self, link_id: str, preshared: bytes,
-                 auth_reserve: int = AUTH_RESERVE_DEFAULT) -> None:
+                 auth_reserve: int = AUTH_RESERVE_DEFAULT,
+                 source: Callable[[int], bytes] | None = None) -> None:
         self.link_id = link_id
-        self.stream = KeyStream(preshared)
+        self.stream = KeyStream(preshared, source)
         self.stores = (
             KeyStore(link_id, 0, auth_reserve=auth_reserve, stream=self.stream),
             KeyStore(link_id, 1, auth_reserve=auth_reserve, stream=self.stream),
@@ -506,7 +566,8 @@ class Q3PLink:
         self._next_id: dict[tuple[int, Channel], int] = {}
 
     def push(self, block: KeyBlock) -> None:
-        """Append one produced block to the stream both endpoint stores read."""
+        """Append a block (a refill) to the stream both endpoint stores read,
+        after all key produced so far."""
         self.stream.push(block)
 
     def min_level(self) -> int:
@@ -579,17 +640,18 @@ class Q3PLink:
         span is burned before the tag check, so a forged or corrupted message
         costs the receiver the bytes it names. A span that is not the peer's
         key, or does not fit the message's flags and length, fails as a tag
-        mismatch. The sealing end's kept tag stands in for the hash only when
-        the tag key and the rebuilt bytes are byte-identical to the kept
-        ones; the kept field is cleared either way.
+        mismatch, and so does a message without a tag on any channel but
+        ``CONTROL``, the acks. The sealing end's kept tag stands in for the
+        hash only when the tag key and the rebuilt bytes are byte-identical
+        to the kept ones; the kept field is cleared either way.
         """
         if side == msg.sender_side:
             raise ValueError("open must run at the opposite end from seal")
         sealed, msg.sealed_auth = msg.sealed_auth, None
         span, flags, payload = msg.span, msg.flags, msg.payload
         if span is None:
-            if flags & (FLAG_ENCRYPTED | FLAG_AUTHENTICATED):
-                raise TagMismatch(f"{self.link_id}: keyed msg {msg.msg_id} names no key span")
+            if flags & (FLAG_ENCRYPTED | FLAG_AUTHENTICATED) or msg.channel != Channel.CONTROL:
+                raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} names no key span")
             return payload
         store = self.stores[side]
         if store.spent(span):
@@ -615,6 +677,8 @@ class Q3PLink:
                 tag = _poly_tag(tag_key, data)
             if msg.tag is None or not hmac.compare_digest(tag, msg.tag):
                 raise TagMismatch(f"{self.link_id}: tag mismatch on msg {msg.msg_id}")
+        elif msg.channel != Channel.CONTROL:
+            raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} carries no tag")
         if not n_enc:
             return payload
         clear = len(payload) - n_enc

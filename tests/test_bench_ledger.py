@@ -35,8 +35,9 @@ def test_sending_key_bytes_is_the_stores_own_pool_spend():
     key_bytes = child.sending_key_bytes(eng)
     # per purpose, so a ledger that files tag key under encryption shows
     assert key_bytes == {"encrypt": 23552, "authenticate": 134304, "preshared_refill": 16384}
+    # the logical pool length: a stream draws its bytes only when first read
     own_spend = sum(
-        len(store.stream.pools[store.side]) - store.pool_available(store.side)
+        store.stream.lengths[store.side] - store.pool_available(store.side)
         for lrt in eng.links.values() for store in lrt.q3p.stores
     )
     assert sum(key_bytes.values()) == own_spend

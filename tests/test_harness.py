@@ -1,17 +1,20 @@
 """Event engine: scenario parsing, determinism, conservation, drains,
 flooding convergence, event ordering."""
 
+import tracemalloc
 from collections import Counter
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkdnet import q3p
 from qkdnet.harness import (
     SUMMARY_S,
     Engine,
     Event,
     EventKind,
+    NodeAgent,
     Scenario,
     ScenarioError,
     TimeTravel,
@@ -20,7 +23,7 @@ from qkdnet.harness import (
 )
 from qkdnet.links import key_rate
 from qkdnet.model import PRESETS, load_topology, preset, vienna_preset
-from qkdnet.q3p import AUTH_KEY_BYTES
+from qkdnet.q3p import AUTH_KEY_BYTES, FLAG_ENCRYPTED, Channel, Q3PLink
 from qkdnet.scenarios import BASELINE, DOS_RECOVERY
 from qkdnet.transport import DeliveryStatus
 
@@ -479,3 +482,78 @@ class TestReordering:
                 in_flight[ev.payload["link"]] += ev.payload["msg"].key_cost_bytes
         for link_id, stats in rep.link_stats.items():
             assert abs(stats["ledgered_a"] - stats["ledgered_b"]) <= in_flight[link_id], link_id
+
+
+PAIR = """
+[profile] id=p r0_bps=80000 alpha=0.2 max_km=60 restart_s=30
+[node] name=A kind=qbb
+[node] name=B kind=qbb
+[link] id=AB a=A b=B km=0 profile=p class=qbb preshared=4096
+"""
+
+
+class TestKeyOnFirstRead:
+    def test_stream_holds_only_the_key_it_drew(self):
+        # 10,000 ticks produce 10 MB of key and one late 1 KiB request reads
+        # a little of it: the stream holds the ticks up to the furthest read,
+        # in both pools as a tick fills both, and the key layer's live memory
+        # is a few percent of the key produced (the drawn prefix, a count per
+        # undrawn tick, the ledgers)
+        eng = Engine(load_topology(PAIR), parse_scenario(
+            "[scenario] duration=1000 seed=1\n"
+            "[event] t=999 kind=request src=A dst=B bytes=1024 k=1\n"))
+        tracemalloc.start()
+        try:
+            rep = eng.run()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        lrt = eng.links["AB"]
+        assert rep.records[0].status is DeliveryStatus.DELIVERED
+        assert eng._tick_count == 10_000
+        assert lrt.runtime.produced_bytes_total == 10_000_000        # 1000 B a tick
+        reached = [0, 0]
+        for store in lrt.q3p.stores:
+            for pool, _, end in store.consumed_ranges():
+                reached[pool] = max(reached[pool], end)
+        for pool in (0, 1):
+            assert reached[pool] <= len(lrt.q3p.stream.pools[pool]) < max(reached) + 500
+        held = sum(stat.size for stat in snapshot.filter_traces(
+            [tracemalloc.Filter(True, q3p.__file__)]).statistics("filename"))
+        assert held < 500_000
+
+    def test_refill_follows_production_on_a_link_without_preshared_key(self):
+        # a refill numbers its block after the stream's last one, and there
+        # may be none; it lands after all key produced before it
+        eng = Engine(load_topology(RING4), parse_scenario("[scenario] duration=1 seed=1\n"))
+        lrt = eng.links["R12"]
+        lrt.q3p = Q3PLink("R12", b"", auth_reserve=0, source=Random(3).randbytes)
+        lrt.q3p.stream.produce(10)
+        eng._apply_refill("R12", b"\x01" * 8)
+        lrt.q3p.stream.produce(4)
+        eng._apply_refill("R12", b"\x02" * 8)
+        drawn = Random(3)
+        first, second = drawn.randbytes(10), drawn.randbytes(4)
+        stream = lrt.q3p.stream
+        assert stream.last_block_id == 1
+        assert stream.read((0, 0, 13)) == first[:5] + b"\x01" * 4 + second[:2] + b"\x02" * 2
+        assert stream.read((1, 0, 13)) == first[5:] + b"\x01" * 4 + second[2:] + b"\x02" * 2
+
+
+class TestAuthenticatedChannels:
+    def test_untagged_transport_message_is_a_tag_failure(self, monkeypatch):
+        # a transport message re-flagged as encrypted only, its span cut to
+        # leave out the tag key, is counted as a tag failure and never
+        # reaches the segment handler
+        eng = Engine(load_topology(RING4), parse_scenario("[scenario] duration=1 seed=1\n"))
+        reached = []
+        monkeypatch.setattr(NodeAgent, "_on_segment",
+                            lambda self, link_id, payload, meta: reached.append(payload))
+        link = eng.links["R12"].q3p
+        msg = link.seal(0, Channel.TRANSPORT, b"s" * 40)
+        start = msg.span[1]
+        msg.flags, msg.span = FLAG_ENCRYPTED, (0, start, start + 31)
+        eng.agents["N2"].on_message("R12", msg, {})
+        assert eng.msg_counts["tag_failures"] == 1
+        assert reached == []
+        assert link.stores[1].consumed_ranges() == [(0, start, start + 31)]

@@ -13,6 +13,7 @@ from qkdnet.links import (
     qualifies_for_deployment,
 )
 from qkdnet.model import DeviceProfile, LinkClass, LinkSpec
+from qkdnet.q3p import KeyBlock, KeyStream
 
 
 def profile(r0=10000.0, alpha=0.2, max_km=100.0, restart=30.0, night=False):
@@ -65,34 +66,31 @@ class TestDeploymentGate:
 class TestProduction:
     def test_whole_second_exact(self):
         rt = runtime(length_km=0.0, r0=3200.0)
-        block = rt.produce(1.0, Random(1))
-        assert block is not None and len(block.data) == 400
+        assert rt.produce(1.0) == 400
 
     def test_down_produces_nothing(self):
         rt = runtime()
         rt.fail()
-        assert rt.produce(1.0, Random(1)) is None
+        assert rt.produce(1.0) == 0
         assert rt.rate_bps == 0.0
 
     def test_carry_conservation_1000_small_steps(self):
         rt = runtime(length_km=0.0, r0=3162.3)
-        rng = Random(2)
         for _ in range(1000):
-            rt.produce(0.001, rng)
+            rt.produce(0.001)
         assert abs(rt.produced_bits_total - 3162) <= 1
 
     @given(st.lists(st.floats(min_value=1e-4, max_value=0.5), min_size=1, max_size=60))
     def test_conservation_over_any_partition(self, dts):
         rt = runtime(length_km=0.0, r0=7777.0)
-        rng = Random(3)
         for dt in dts:
-            rt.produce(dt, rng)
+            rt.produce(dt)
         expected_bits = 7777.0 * sum(dts)
         assert abs(rt.produced_bits_total - expected_bits) <= 1.0 + 1e-6
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
-            runtime().produce(0.0, Random(1))
+            runtime().produce(0.0)
 
 
 class TestStatusMachine:
@@ -106,13 +104,12 @@ class TestStatusMachine:
         rt = runtime(restart=60.0)
         rt.fail()
         rt.restore()
-        rng = Random(4)
         elapsed = 0.0
         while elapsed < 59.0:
-            rt.produce(1.0, rng)
+            rt.produce(1.0)
             elapsed += 1.0
         assert rt.status.state is LinkState.RESTARTING
-        rt.produce(1.0, rng)
+        rt.produce(1.0)
         assert rt.status.state is LinkState.UP
 
     def test_restore_with_zero_latency_is_immediate(self):
@@ -126,23 +123,38 @@ class TestStatusMachine:
         rt = runtime(length_km=0.0, r0=80000.0, restart=0.05)
         rt.fail()
         rt.restore()
-        block = rt.produce(0.1, Random(5))
+        n_bytes = rt.produce(0.1)
         assert rt.status.state is LinkState.UP
-        assert block is not None
-        assert len(block.data) == 500  # 80000 bps * 0.05 s / 8
+        assert n_bytes == 500  # 80000 bps * 0.05 s / 8
 
     def test_night_only_blackout(self):
         rt = LinkRuntime(spec(2.0), profile(night=True))
         assert rt.rate_bps > 0
         rt.daytime = True
         assert rt.rate_bps == 0.0
-        assert rt.produce(1.0, Random(6)) is None
+        assert rt.produce(1.0) == 0
         rt.daytime = False
         assert rt.rate_bps > 0
 
 
-def test_block_ids_strictly_increase():
+def test_key_order_holds_across_production_and_refill():
+    # produced and pushed blocks enter the stream in the order they happen,
+    # however late the produced bytes are drawn: each pool is the halves of
+    # the preshared block, the draws and the refills, in that order
     rt = runtime(length_km=0.0, r0=4000.0)
-    rng = Random(7)
-    ids = [rt.produce(1.0, rng).id for _ in range(5)]
-    assert ids == sorted(set(ids))
+    stream = KeyStream(b"P" * 6, Random(7).randbytes)
+    eager = Random(7)
+    blocks = [b"P" * 6]
+    for step in range(1, 8):
+        n_bytes = rt.produce(1.0)
+        stream.produce(n_bytes)
+        blocks.append(eager.randbytes(n_bytes))
+        if step % 3 == 0:
+            refill = bytes([step]) * (5 + step)
+            stream.push(KeyBlock(step, refill, "L"))
+            blocks.append(refill)
+    assert stream.read((1, 0, 8)) == blocks[0][3:] + blocks[1][250:255]
+    for pool in (0, 1):
+        want = b"".join(b[(len(b) + 1) // 2:] if pool else b[:(len(b) + 1) // 2]
+                        for b in blocks)
+        assert stream.read((pool, 0, stream.lengths[pool])) == want

@@ -15,6 +15,7 @@ from qkdnet.q3p import (
     KeyBlock,
     KeyReuseError,
     KeyStore,
+    KeyStream,
     LengthMismatch,
     OutOfOrderBlock,
     Purpose,
@@ -369,7 +370,8 @@ class TestSealOpen:
     def test_open_lets_only_tag_and_replay_failures_escape(self):
         # the node agent catches only these two; a span outside the peer's
         # pool or at odds with the flags and length must not raise anything
-        # else, and a forged message is accepted only if it claims no tag
+        # else, and a forged transport message is never accepted: with a tag
+        # it fails the tag, without one it fails for want of a tag
         pool_len = len(make_link().stream.pools[0])
         spans = [None, (0, 0, 40), (0, 0, 72), (1, 0, 40), (2, 0, 40), (-1, 0, 40),
                  (0, 50, 50), (0, 60, 50), (0, pool_len - 10, pool_len + 10),
@@ -389,7 +391,29 @@ class TestSealOpen:
                             link.open(1, msg)
                         except (TagMismatch, ReplayDetected):
                             continue
-                        assert not flags & q3p.FLAG_AUTHENTICATED and span != sealed_span
+                        pytest.fail(f"forged {flags=} {span=} opened; sealed {sealed_span}")
+
+    def test_only_control_messages_open_without_a_tag(self):
+        # a message that clears its tag flag and shortens its span to leave
+        # out the tag key is refused on every channel but CONTROL, and costs
+        # the receiver the span it names, like any forged tag
+        for channel in Channel:
+            link = make_link(reserve=0)
+            msg = link.seal(0, channel, b"t" * 40)
+            start = msg.span[1]
+            msg.flags, msg.span = q3p.FLAG_ENCRYPTED, (0, start, start + 31)
+            if channel is Channel.CONTROL:
+                assert len(link.open(1, msg)) == 40
+            else:
+                with pytest.raises(TagMismatch):
+                    link.open(1, msg)
+            assert link.stores[1].consumed_ranges() == [(0, start, start + 31)], channel
+            bare = Q3PMessage("L", 0, channel, 0, 9, b"ack", None)
+            if channel is Channel.CONTROL:
+                assert link.open(1, bare) == b"ack"
+            else:
+                with pytest.raises(TagMismatch):
+                    link.open(1, bare)
 
     def test_one_reservation_and_one_mirror_per_keyed_message(self, monkeypatch):
         # a keyed message reserves its one span once; the opener checks it
@@ -407,8 +431,9 @@ class TestSealOpen:
         for encrypt, auth in ((True, True), (False, True), (True, False), (False, False)):
             for side in (0, 1):
                 del calls[:]
-                msg = link.seal(side, Channel.TRANSPORT, RNG.randbytes(100),
-                                encrypt=encrypt, auth=auth)
+                # only CONTROL messages may travel without a tag
+                channel = Channel.TRANSPORT if auth else Channel.CONTROL
+                msg = link.seal(side, channel, RNG.randbytes(100), encrypt=encrypt, auth=auth)
                 assert calls == (["reserve"] if encrypt or auth else [])
                 del calls[:]
                 link.open(1 - side, msg)
@@ -680,12 +705,13 @@ class TestLinkStream:
                 continue
             _, side, auth, size, lost = op
             tag_len = AUTH_KEY_BYTES if auth else 0
+            channel = Channel.TRANSPORT if auth else Channel.CONTROL   # only CONTROL may be untagged
             payload = Random(size).randbytes(size)
             if size + tag_len > len(pools[side]) - offset[side]:
                 with pytest.raises(InsufficientKey):
-                    link.seal(side, Channel.TRANSPORT, payload, auth=auth)
+                    link.seal(side, channel, payload, auth=auth)
                 continue
-            msg = link.seal(side, Channel.TRANSPORT, payload, auth=auth)
+            msg = link.seal(side, channel, payload, auth=auth)
             span, key = take(side, size + tag_len)
             assert msg.span == span
             assert msg.payload == bytes(x ^ k for x, k in zip(payload, key[:size]))
@@ -714,6 +740,83 @@ class TestLinkStream:
             for store in link.stores:
                 with pytest.raises(KeyReuseError):
                     store.reserve_exact(msg.span, Purpose.ENCRYPT)
+
+
+_LAZY_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("produce"), st.integers(1, 60)),
+        st.tuples(st.just("refill"), st.integers(1, 40)),
+        # (reserve, side, size): the next bytes of that side's own pool,
+        # then mirrored at the other end
+        st.tuples(st.just("reserve"), st.integers(0, 1), st.integers(1, 70)),
+        # (read, pool, start, length), clipped to the pool's logical length
+        st.tuples(st.just("read"), st.integers(0, 1), st.integers(0, 400),
+                  st.integers(0, 60)),
+    ),
+    max_size=60,
+)
+
+
+class TestLazyStream:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 3), preshared=st.integers(0, 40), ops=_LAZY_OPS)
+    def test_lazy_stream_reads_what_an_eager_one_holds(self, seed, preshared, ops):
+        # reference: an eager stream draws each produced count at once, with
+        # the same source calls in the same order, and appends refills as
+        # they come
+        data = Random(preshared).randbytes(preshared)
+        link = Q3PLink("L", data, auth_reserve=0, source=Random(seed).randbytes)
+        stream = link.stream
+        eager = Random(seed)
+        pools = [bytearray(), bytearray()]
+
+        def add(block):
+            half = (len(block) + 1) // 2
+            pools[0] += block[:half]
+            pools[1] += block[half:]
+
+        add(data)
+        next_id = 1
+        for op in ops:
+            if op[0] == "produce":
+                stream.produce(op[1])
+                add(eager.randbytes(op[1]))
+            elif op[0] == "refill":
+                block = Random(1000 + next_id).randbytes(op[1])
+                link.push(KeyBlock(next_id, block, "L"))
+                add(block)
+                next_id += 1
+            elif op[0] == "reserve":
+                _, side, size = op
+                sender, receiver = link.stores[side], link.stores[1 - side]
+                if size > sender.pool_available(side):
+                    with pytest.raises(InsufficientKey):
+                        sender.reserve(size, Purpose.AUTHENTICATE)
+                    continue
+                res = sender.reserve(size, Purpose.AUTHENTICATE)
+                _, start, end = res.ranges
+                assert res.key == bytes(pools[side][start:end])
+                assert receiver.reserve_exact(res.ranges, Purpose.AUTHENTICATE).key == res.key
+            else:
+                _, pool, start, length = op
+                start = min(start, len(pools[pool]))
+                end = min(start + length, len(pools[pool]))
+                assert stream.read((pool, start, end)) == bytes(pools[pool][start:end])
+            assert stream.lengths == [len(pools[0]), len(pools[1])]
+            assert stream.appended_bytes == len(pools[0]) + len(pools[1])
+            for pool in (0, 1):
+                assert len(stream.pools[pool]) <= len(pools[pool])
+        for pool in (0, 1):
+            n = len(pools[pool])
+            assert stream.read((pool, 0, n)) == bytes(pools[pool])
+            with pytest.raises(InsufficientKey):
+                stream.read((pool, 0, n + 1))
+
+    def test_production_needs_a_source_and_a_positive_count(self):
+        with pytest.raises(ValueError):
+            KeyStream(b"abc").produce(10)
+        with pytest.raises(ValueError):
+            KeyStream(b"abc", Random(1).randbytes).produce(0)
 
 
 class TestKeyAccounting:
