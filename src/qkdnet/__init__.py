@@ -30,11 +30,9 @@ from .q3p import (
     AUTH_RESERVE_DEFAULT,
     Channel,
     InsufficientKey,
-    KeyBlock,
     KeyReuseError,
     KeyStore,
     KeyStream,
-    OutOfOrderBlock,
     Purpose,
     Q3PLink,
     ReplayDetected,

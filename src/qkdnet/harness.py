@@ -22,7 +22,6 @@ from .q3p import (
     AUTH_RESERVE_DEFAULT,
     Channel,
     InsufficientKey,
-    KeyBlock,
     KeyStore,
     Purpose,
     Q3PLink,
@@ -128,6 +127,23 @@ def _check_duration(duration: float | None) -> None:
         raise ScenarioError("scenario needs a positive finite duration")
 
 
+def _check_events(events: list[Event], duration: float) -> None:
+    """Refuse an event outside [0, duration], a daywindow that is not
+    0 <= start <= end, and a request deadline that is not finite and > 0."""
+    # written so that NaN, which fails every comparison, is refused too
+    request, daywindow = EventKind.KEY_REQUEST, EventKind.DAY_WINDOW
+    for ev in events:
+        t, kind, p = ev.time_s, ev.kind, ev.payload
+        if not 0.0 <= t <= duration:
+            raise ScenarioError(f"event at t={t} outside [0, {duration}]")
+        if kind is request:
+            deadline = p.get("deadline_s")
+            if deadline is not None and not 0.0 < deadline < float("inf"):
+                raise ScenarioError(f"request at t={t} needs a finite deadline > 0")
+        elif kind is daywindow and not 0.0 <= p["start"] <= p["end"]:
+            raise ScenarioError(f"daywindow at t={t} needs 0 <= start <= end")
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse the sectioned key-value scenario format.
 
@@ -183,11 +199,9 @@ def parse_scenario(text: str) -> Scenario:
                         "deadline_s": float(fields["deadline"]) if "deadline" in fields else None,
                     }))
                 elif kind == "daywindow":
-                    start, end = float(fields["start"]), float(fields["end"])
-                    # written so that NaN, which fails every comparison, is refused too
-                    if not 0.0 <= start <= end:
-                        raise ScenarioError(f"line {lineno}: daywindow needs 0 <= start <= end")
-                    events.append(Event(t, EventKind.DAY_WINDOW, {"start": start, "end": end}))
+                    events.append(Event(t, EventKind.DAY_WINDOW, {
+                        "start": float(fields["start"]), "end": float(fields["end"]),
+                    }))
                 elif kind == "refill":
                     events.append(Event(t, EventKind.REFILL, {
                         "link": fields["link"],
@@ -199,9 +213,7 @@ def parse_scenario(text: str) -> Scenario:
         except (KeyError, ValueError) as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
     _check_duration(duration)
-    for ev in events:
-        if not 0.0 <= ev.time_s <= duration:
-            raise ScenarioError(f"event at t={ev.time_s} outside [0, {duration}]")
+    _check_events(events, duration)
     return Scenario(
         duration_s=duration, seed=seed, events=events,
         loss_default=loss_default, loss_per_link=loss_per_link, jitter_ms=jitter_ms,
@@ -326,14 +338,11 @@ class MetricsReport:
 class Engine:
     """Single-threaded event loop owning all link and node state."""
 
-    def __init__(self, topology: Topology, scenario: Scenario, seed: int | None = None,
-                 auth_reserve: int = AUTH_RESERVE_DEFAULT,
-                 cost_params: RouteCostParams | None = None) -> None:
+    def __init__(self, topology: Topology, scenario: Scenario, seed: int | None = None) -> None:
         self.topology = topology
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
-        self.auth_reserve = auth_reserve
-        self.cost_params = cost_params or RouteCostParams()
+        self.cost_params = RouteCostParams()
         self.now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
         self._order = 0
@@ -347,8 +356,8 @@ class Engine:
             self.links[spec.id] = _LinkRT(
                 spec=spec,
                 runtime=LinkRuntime(spec, profile),
-                q3p=Q3PLink(spec.id, self._preshared_bytes(spec), auth_reserve,
-                            Random(sub_seed(self.seed, f"link:{spec.id}")).randbytes),
+                q3p=Q3PLink(spec.id, self._preshared_bytes(spec),
+                            source=Random(sub_seed(self.seed, f"link:{spec.id}")).randbytes),
                 loss=scenario.loss_for(spec.id),
             )
             self.links[spec.id].min_level_seen = self.links[spec.id].q3p.min_level()
@@ -374,6 +383,7 @@ class Engine:
         link_ids = set(self.links)
         node_ids = set(self.topology.nodes)
         _check_duration(sc.duration_s)
+        _check_events(sc.events, sc.duration_s)
         # written so that NaN, which fails every comparison, is refused too
         if not 0.0 <= sc.loss_default <= 1.0:
             raise ScenarioError(f"scenario loss {sc.loss_default} outside [0, 1]")
@@ -691,8 +701,7 @@ class Engine:
 
     def _apply_refill(self, link_id: str, secret: bytes) -> None:
         lrt = self.links[link_id]
-        last = lrt.q3p.stream.last_block_id      # None when the link had no preshared key
-        lrt.q3p.push(KeyBlock(0 if last is None else last + 1, secret, link_id))
+        lrt.q3p.push(secret)
         lrt.refilled_bytes += len(secret)
         self.link_events.append((self.now, link_id, "refill_done"))
         for end in (lrt.spec.a, lrt.spec.b):
@@ -708,7 +717,7 @@ class Engine:
     # -- observation -------------------------------------------------------------
 
     def _track_usability(self) -> None:
-        floor = self.auth_reserve
+        floor = AUTH_RESERVE_DEFAULT
         for link_id, lrt in self.links.items():
             usable = lrt.runtime.status.state is _UP and lrt.q3p.min_level() > floor
             if usable != self._advert_usable[link_id]:
@@ -740,7 +749,7 @@ class NodeAgent:
         self.engine = engine
         self.name = name
         self.topology = engine.topology
-        self.db = LinkStateDB(engine.topology, usable_floor=engine.auth_reserve)
+        self.db = LinkStateDB(engine.topology, usable_floor=AUTH_RESERVE_DEFAULT)
         self.flood = FloodingState(self.db)
         self.incident = engine.topology.links_at(name)
         self._ends: dict[str, tuple[_LinkRT, int, KeyStore]] = {}
@@ -803,7 +812,7 @@ class NodeAgent:
             return
         counts = self.engine.msg_counts
         try:
-            msg = lrt.q3p.seal(side, channel, payload, encrypt=False, auth=True)
+            msg = lrt.q3p.seal(side, channel, payload, encrypt=False)
         except InsufficientKey:
             counts["flood_skipped_no_key"] += 1
             return
@@ -813,7 +822,7 @@ class NodeAgent:
     def on_tick(self) -> None:
         """Originate on change only: up/down, a crossing of the
         authentication floor, or a level move past the hysteresis."""
-        floor = self.engine.auth_reserve
+        floor = AUTH_RESERVE_DEFAULT
         for link_id, (lrt, _, store) in self._ends.items():
             up = lrt.runtime.status.state is _UP
             level = store.available_bytes
@@ -828,6 +837,12 @@ class NodeAgent:
     # -- message handling -----------------------------------------------------------
 
     def on_message(self, link_id: str, msg, meta: dict) -> None:
+        """Handle one arrival: an ack frame (bytes, keyless) or a Q3P message."""
+        if isinstance(msg, bytes):
+            ack = decode_ack(msg)        # a malformed frame is ignored
+            if ack is not None:
+                self._on_ack(*ack)
+            return
         lrt, side, _ = self._ends[link_id]
         try:
             payload = lrt.q3p.open(side, msg)
@@ -845,10 +860,6 @@ class NodeAgent:
             self._on_summary(link_id, decode_summary(payload, self.engine.instances))
         elif msg.channel == Channel.TRANSPORT:
             self._on_segment(link_id, payload, meta)
-        elif msg.channel == Channel.CONTROL:
-            ack = decode_ack(payload)
-            if ack is not None:
-                self._on_ack(link_id, *ack)
 
     # -- transport: source side -------------------------------------------------------
 
@@ -895,9 +906,9 @@ class NodeAgent:
         lrt, side, store = self._ends[link_id]
         if lrt.runtime.status.state is not _UP:
             return False
-        if store.available_bytes < LOW_WATER_FACTOR * self.engine.auth_reserve:
+        if store.available_bytes < LOW_WATER_FACTOR * AUTH_RESERVE_DEFAULT:
             return False
-        return lrt.q3p.can_seal(side, payload_len, True, True)
+        return lrt.q3p.can_seal(side, payload_len)
 
     def _reroute(self, hop: _HopState) -> Path | None:
         """Recompute a route from here, skipping first hops this node locally
@@ -931,7 +942,7 @@ class NodeAgent:
         try:
             msg = lrt.q3p.seal(
                 side, Channel.TRANSPORT, payload,
-                encrypt=True, auth=True, purpose=req.purpose,
+                encrypt=True, purpose=req.purpose,
                 clear_len=SEGMENT_CLEAR_LEN,
             )
         except InsufficientKey:
@@ -986,7 +997,7 @@ class NodeAgent:
         self.engine.msg_counts["retransmissions"] += 1
         self._send_hop(hop)
 
-    def _on_ack(self, link_id: str, request_id: int, seq: int) -> None:
+    def _on_ack(self, request_id: int, seq: int) -> None:
         hop = self._relays.pop((request_id, seq), None)
         if hop is None:
             return
@@ -1004,12 +1015,9 @@ class NodeAgent:
     def _on_segment(self, link_id: str, payload: bytes, meta: dict) -> None:
         request_id, seq, _, fragment = decode_segment(payload)
         # ack unconditionally so the upstream sender stops retransmitting;
-        # acks ride the control channel without key spend
-        lrt, side, _ = self._ends[link_id]
-        ack = lrt.q3p.seal(side, Channel.CONTROL, encode_ack(request_id, seq),
-                           encrypt=False, auth=False)
+        # an ack is a bare frame that spends no key and bypasses Q3P
         self.engine.msg_counts["acks_sent"] += 1
-        self.engine.send_message(link_id, self.name, ack)
+        self.engine.send_message(link_id, self.name, encode_ack(request_id, seq))
         route_nodes = tuple(meta.get("route_nodes", ()))
         route_links = tuple(meta.get("route_links", ()))
         req = self.engine.requests[request_id]

@@ -18,13 +18,14 @@ so every reservation is one span, ledgered by the sender alone; the receiver
 burns the exact same span when it opens the message (spans ride along
 in-memory, standing in for the key-synchronization dialogue of a real
 deployment). Messages may arrive in any order; the receiver's opened spans
-reject replays, because each keyed message spends its own one-time key.
+reject replays, because each message spends its own one-time key.
 
-Each keyed message spends one span: its first bytes pad the encrypted part
-of the payload and its last 32 key the tag. The sender reserves the span
-once and the receiver checks and burns it once. The sender's ledger still
-holds one record per purpose, the pad part and the tag part, as adjacent
-sub-spans of that one reservation.
+Every message is keyed and tagged, and spends one span: its first bytes pad
+the encrypted part of the payload, if any, and its last 32 key the tag. The
+sender reserves the span once and the receiver checks and burns it once.
+The sender's ledger still holds one record per purpose, the pad part and
+the tag part, as adjacent sub-spans of that one reservation. Frames that
+need no key, such as transport acks, do not pass through this layer.
 
 Each authenticated message is hashed once. ``seal`` keeps the tag key, the
 authenticated bytes and the tag on the message, in a field that is not on
@@ -64,10 +65,6 @@ class Q3PError(Exception):
     """Base class for key-layer failures."""
 
 
-class OutOfOrderBlock(Q3PError):
-    """A key block arrived with an id not greater than all stored ids."""
-
-
 class InsufficientKey(Q3PError):
     """Not enough unconsumed key; the caller should back off or reroute."""
 
@@ -94,10 +91,8 @@ class KeyReuseError(Q3PError):
 
 
 class Channel(IntEnum):
-    DISTILL = 0
     ROUTING = 1
     TRANSPORT = 2
-    CONTROL = 3
     LSDB_SUMMARY = 4
 
 
@@ -109,19 +104,6 @@ class Purpose(str, Enum):
 
 # Purposes that must not dip the store below its authentication reserve.
 _GENERAL_PURPOSES = (Purpose.ENCRYPT, Purpose.PRESHARED_REFILL)
-
-
-@dataclass(slots=True)
-class KeyBlock:
-    """One batch of fresh shared secret delivered by a link."""
-
-    id: int
-    data: bytes
-    origin_link: str
-
-    def __post_init__(self) -> None:
-        if not self.data:
-            raise ValueError("key block must be non-empty")
 
 
 # A span ``(pool, start, end)``: bytes ``[start, end)`` of one direction
@@ -211,7 +193,8 @@ class KeyStream:
     past the bytes drawn so far. The draws are the calls an eager stream
     would make at every production tick, in the same order, so every byte is
     the same; the stream holds only the prefix read so far. ``push`` draws
-    the whole queue first, so a pushed block keeps its place in the stream.
+    the whole queue first, so pushed bytes land after all key produced
+    before them: the order of calls is the only block order the stream has.
     ``appended_bytes`` counts the logical bytes of both pools, kept as a
     counter because every level reads it.
     """
@@ -221,13 +204,12 @@ class KeyStream:
         self.pools = (bytearray(), bytearray())
         self.lengths = [0, 0]                    # logical pool lengths, drawn or not
         self.appended_bytes = 0
-        self.last_block_id: int | None = None
         self.initial_bytes = len(preshared)
         self._source = source
         self._queued = array("Q")                # produced counts not drawn yet
         self._head = 0                           # first of them still to draw
         if preshared:
-            self.push(KeyBlock(0, preshared, "preshared"))   # the preshared secret is block 0
+            self.push(preshared)
 
     def _count(self, n_bytes: int) -> None:
         """Grow the logical lengths by a block of ``n_bytes``."""
@@ -262,20 +244,16 @@ class KeyStream:
         self._count(n_bytes)
         self._queued.append(n_bytes)
 
-    def push(self, block: KeyBlock) -> None:
-        """Append a block after all production so far; ids must strictly increase."""
-        if self.last_block_id is not None and block.id <= self.last_block_id:
-            raise OutOfOrderBlock(
-                f"block id {block.id} not above stored id {self.last_block_id}"
-            )
+    def push(self, data: bytes) -> None:
+        """Append a block of key bytes after all production so far."""
+        if not data:
+            raise ValueError("a pushed block must be non-empty")
         # every queued count puts at least one byte in pool 0
         self._draw(0, self.lengths[0])
-        data = block.data
         half = (len(data) + 1) // 2
         self.pools[0].extend(data[:half])
         self.pools[1].extend(data[half:])
         self._count(len(data))
-        self.last_block_id = block.id
 
     def read(self, span: Span) -> bytes:
         """The key bytes of ``span``; spans come from the peer, so checked."""
@@ -291,32 +269,22 @@ class KeyStream:
 class KeyStore:
     """One endpoint's consumption state over its link's shared key stream.
 
-    The stream is held once per link (``KeyStream``) and read by both ends.
-    ``side`` 0 sits at the link's ``a`` endpoint and spends pool 0 (a to b);
-    side 1 spends pool 1. A store holds each spent span once: its own pool
+    The stream is held once per link (``KeyStream``); both stores are given
+    it and read it. ``side`` 0 sits at the link's ``a`` endpoint and spends
+    pool 0 (a to b); side 1 spends pool 1. A store holds each spent span once: its own pool
     is consumed below its cursor and its ledger records each reservation,
     one record per purpose; the peer's pool is consumed where the store
-    opened the peer's messages, one merged span set plus its byte count. A
-    store built without a stream gets one of its own, seeded with
-    ``preshared``.
+    opened the peer's messages, one merged span set plus its byte count.
     """
 
-    def __init__(
-        self,
-        link_id: str,
-        side: int = 0,
-        preshared: bytes = b"",
-        auth_reserve: int = AUTH_RESERVE_DEFAULT,
-        stream: KeyStream | None = None,
-    ) -> None:
+    def __init__(self, link_id: str, stream: KeyStream, side: int = 0,
+                 auth_reserve: int = AUTH_RESERVE_DEFAULT) -> None:
         if side not in (0, 1):
             raise ValueError("side must be 0 or 1")
-        if stream is not None and preshared:
-            raise ValueError("preshared bytes belong to the shared stream")
         self.link_id = link_id
         self.side = side
         self.auth_reserve = auth_reserve
-        self.stream = KeyStream(preshared) if stream is None else stream
+        self.stream = stream
         self.ledger: list[LedgerRecord] = []
         self._cursor = 0                         # next offset to reserve in pool ``side``
         self._opened = _IntervalSet()            # spans of the peer's pool opened here
@@ -345,41 +313,37 @@ class KeyStore:
         spent = self._cursor if pool == self.side else self._opened_bytes
         return self.stream.lengths[pool] - spent
 
-    # -- intake -------------------------------------------------------------
-
-    def push_block(self, block: KeyBlock) -> int:
-        """Add a freshly produced block to the stream; returns the updated level."""
-        self.stream.push(block)
-        return self.available_bytes
-
     # -- reservation --------------------------------------------------------
+
+    def refusal(self, general_bytes: int, total_bytes: int) -> str | None:
+        """Why this store cannot reserve ``total_bytes`` of which
+        ``general_bytes`` are for a general purpose (encryption, refill), or
+        None if it can. General-purpose key may not dip the level below the
+        authentication reserve; authentication key may spend the reserve
+        itself. The whole span must fit the direction pool, and so the store,
+        whose level is this pool's unspent bytes plus the peer pool's unopened
+        ones."""
+        if general_bytes and self.available_bytes - general_bytes < self.auth_reserve:
+            return (f"{general_bytes} B would breach the {self.auth_reserve} B "
+                    "authentication reserve")
+        if self.pool_available(self.side) < total_bytes:
+            return f"direction pool {self.side} exhausted"
+        return None
 
     def reserve(self, n_bytes: int, purpose: Purpose, auth_bytes: int = 0) -> Reservation:
         """Claim the next ``n_bytes + auth_bytes`` of this store's own pool as
         one span: ``n_bytes`` for ``purpose``, then ``auth_bytes`` of
         authentication key.
 
-        The ledger gets one record per purpose, as adjacent sub-spans. The
-        general-purpose part (encryption, refill) fails rather than dip the
-        level below the authentication reserve; authentication key may spend
-        the reserve itself. The whole span must fit the store and the
-        direction pool, so a reservation is taken whole or not at all.
+        The ledger gets one record per purpose, as adjacent sub-spans. A
+        reservation is taken whole or not at all; ``refusal`` says when not.
         """
         if n_bytes <= 0 or auth_bytes < 0:
             raise ValueError("n_bytes must be positive and auth_bytes non-negative")
-        total = n_bytes + auth_bytes
-        available = self.available_bytes
-        if purpose in _GENERAL_PURPOSES and available - n_bytes < self.auth_reserve:
-            raise InsufficientKey(
-                f"{self.link_id}/{self.side}: {n_bytes} B would breach the "
-                f"{self.auth_reserve} B authentication reserve"
-            )
-        if available < total:
-            raise InsufficientKey(f"{self.link_id}/{self.side}: store exhausted")
-        if self.pool_available(self.side) < total:
-            raise InsufficientKey(
-                f"{self.link_id}/{self.side}: direction pool {self.side} exhausted"
-            )
+        refused = self.refusal(n_bytes if purpose in _GENERAL_PURPOSES else 0,
+                               n_bytes + auth_bytes)
+        if refused is not None:
+            raise InsufficientKey(f"{self.link_id}/{self.side}: {refused}")
         side, start = self.side, self._cursor
         mid = start + n_bytes
         self._cursor = end = mid + auth_bytes
@@ -494,9 +458,10 @@ def verify(data: bytes, tag: bytes, key: bytes) -> bool:
 class Q3PMessage:
     """A sealed message plus the one key span its opener must mirror-consume.
 
-    A keyed message's ``span`` holds the encryption key of its encrypted
-    part, if any, followed by its 32 tag key bytes, if authenticated; an
-    unkeyed message has none. The tag covers ``header_bytes()`` (magic,
+    ``span`` holds the encryption key of the encrypted part, if any,
+    followed by the 32 tag key bytes. ``seal`` always sets ``span`` and
+    ``tag`` and the ``FLAG_AUTHENTICATED`` flag; ``open`` refuses a message
+    without them. The tag covers ``header_bytes()`` (magic,
     version, channel, flags, msg id, payload length) followed by the
     payload. ``sealed_auth`` is not on the wire: it keeps the sealing end's
     ``(tag key, authenticated bytes, tag)`` until the message is opened, so
@@ -516,20 +481,6 @@ class Q3PMessage:
         default=None, repr=False, compare=False)
 
     @property
-    def encrypted(self) -> bool:
-        return bool(self.flags & FLAG_ENCRYPTED)
-
-    @property
-    def authenticated(self) -> bool:
-        return bool(self.flags & FLAG_AUTHENTICATED)
-
-    @property
-    def encrypted_len(self) -> int:
-        if not self.encrypted:
-            return 0
-        return self.key_cost_bytes - (AUTH_KEY_BYTES if self.authenticated else 0)
-
-    @property
     def key_cost_bytes(self) -> int:
         span = self.span
         return 0 if span is None else span[2] - span[1]
@@ -546,12 +497,11 @@ class Q3PLink:
 
     Owns per-channel message-id counters. ``seal`` runs at the sending
     store, ``open`` at the receiving store; both burn identical spans,
-    so levels stay equal under loss-free histories. Messages may be opened
-    in any order: the receiver's opened spans reject replays of keyed messages;
-    unkeyed ones (acks) carry no authenticated id and are not checked. Only
-    ``CONTROL`` messages may be unkeyed; ``open`` refuses any other message
-    without a tag. ``source`` is the link's key source: ``source(n)`` returns
-    the next ``n`` secret bytes of production (see ``KeyStream``).
+    so levels stay equal under loss-free histories. Every message is keyed
+    and tagged, on every channel. Messages may be opened in any order: the
+    receiver's opened spans reject replays. ``source`` is the link's key
+    source: ``source(n)`` returns the next ``n`` secret bytes of production
+    (see ``KeyStream``).
     """
 
     def __init__(self, link_id: str, preshared: bytes,
@@ -560,31 +510,24 @@ class Q3PLink:
         self.link_id = link_id
         self.stream = KeyStream(preshared, source)
         self.stores = (
-            KeyStore(link_id, 0, auth_reserve=auth_reserve, stream=self.stream),
-            KeyStore(link_id, 1, auth_reserve=auth_reserve, stream=self.stream),
+            KeyStore(link_id, self.stream, 0, auth_reserve),
+            KeyStore(link_id, self.stream, 1, auth_reserve),
         )
         self._next_id: dict[tuple[int, Channel], int] = {}
 
-    def push(self, block: KeyBlock) -> None:
-        """Append a block (a refill) to the stream both endpoint stores read,
-        after all key produced so far."""
-        self.stream.push(block)
+    def push(self, data: bytes) -> None:
+        """Append a block of key bytes (a refill) to the stream both endpoint
+        stores read, after all key produced so far."""
+        self.stream.push(data)
 
     def min_level(self) -> int:
         a, b = self.stores
         return min(a.available_bytes, b.available_bytes)
 
-    def can_seal(self, side: int, encrypt_len: int, encrypt: bool, auth: bool) -> bool:
-        store = self.stores[side]
-        n_enc = encrypt_len if encrypt else 0
-        need = n_enc + (AUTH_KEY_BYTES if auth else 0)
-        if need == 0:
-            return True
-        if store.pool_available(side) < need:
-            return False
-        if n_enc > 0 and store.available_bytes - n_enc < store.auth_reserve:
-            return False
-        return store.available_bytes >= need
+    def can_seal(self, side: int, encrypt_len: int) -> bool:
+        """Whether ``seal`` at ``side`` would find the key for a message that
+        encrypts ``encrypt_len`` bytes (0: a tag only)."""
+        return self.stores[side].refusal(encrypt_len, encrypt_len + AUTH_KEY_BYTES) is None
 
     def seal(
         self,
@@ -592,7 +535,6 @@ class Q3PLink:
         channel: Channel,
         payload: bytes,
         encrypt: bool = True,
-        auth: bool = True,
         purpose: Purpose = Purpose.ENCRYPT,
         clear_len: int = 0,
     ) -> Q3PMessage:
@@ -600,59 +542,53 @@ class Q3PLink:
 
         The first ``clear_len`` payload bytes are framing metadata and stay
         unencrypted (still covered by the tag). The span is the encrypted
-        length of ``purpose`` key followed by the 32-byte tag key; a keyed
-        message makes one reservation, so it spends all of its key or none.
+        length of ``purpose`` key followed by the 32-byte tag key; a message
+        makes one reservation, so it spends all of its key or none.
         """
         n_enc = len(payload) - clear_len if encrypt else 0
-        n_tag = AUTH_KEY_BYTES if auth else 0
-        flags = FLAG_AUTHENTICATED if auth else 0
         if n_enc > 0:
             if purpose not in _GENERAL_PURPOSES:
                 raise ValueError(f"purpose {purpose.value} does not permit encryption")
-            flags |= FLAG_ENCRYPTED
-            res = self.stores[side].reserve(n_enc, purpose, n_tag)
+            flags = FLAG_AUTHENTICATED | FLAG_ENCRYPTED
+            res = self.stores[side].reserve(n_enc, purpose, AUTH_KEY_BYTES)
         else:
             n_enc = 0
-            res = self.stores[side].reserve(n_tag, Purpose.AUTHENTICATE) if auth else None
+            flags = FLAG_AUTHENTICATED
+            res = self.stores[side].reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
         counter = (side, channel)
         msg_id = self._next_id.get(counter, 0) + 1
         self._next_id[counter] = msg_id
-        if res is None:
-            return Q3PMessage(self.link_id, side, channel, flags, msg_id, payload, None)
         res.consume()
         key = res.key
         body = payload
         if n_enc:
             body = payload[:clear_len] + otp_encrypt(key[:n_enc], payload[clear_len:])
         msg = Q3PMessage(self.link_id, side, channel, flags, msg_id, body, None, res.ranges)
-        if auth:
-            data = msg.header_bytes() + body
-            tag_key = key[n_enc:]
-            msg.tag = authenticate(data, tag_key)
-            msg.sealed_auth = (tag_key, data, msg.tag)
+        data = msg.header_bytes() + body
+        tag_key = key[n_enc:]
+        msg.tag = authenticate(data, tag_key)
+        msg.sealed_auth = (tag_key, data, msg.tag)
         return msg
 
     def open(self, side: int, msg: Q3PMessage) -> bytes:
         """Verify, mirror-consume, and decrypt a message at the receiving end.
 
-        A keyed message makes one replay check and one mirror reservation of
-        its span; a replay (key already spent here) reserves nothing. The
-        span is burned before the tag check, so a forged or corrupted message
-        costs the receiver the bytes it names. A span that is not the peer's
-        key, or does not fit the message's flags and length, fails as a tag
-        mismatch, and so does a message without a tag on any channel but
-        ``CONTROL``, the acks. The sealing end's kept tag stands in for the
-        hash only when the tag key and the rebuilt bytes are byte-identical
-        to the kept ones; the kept field is cleared either way.
+        A message makes one replay check and one mirror reservation of its
+        span; a replay (key already spent here) reserves nothing. The span is
+        burned before the tag check, so a forged or corrupted message costs
+        the receiver the bytes it names. A message with no span, no tag or no
+        ``FLAG_AUTHENTICATED``, or with a span that is not the peer's key or
+        does not fit the message's flags and length, fails as a tag mismatch
+        on every channel. The sealing end's kept tag stands in for the hash
+        only when the tag key and the rebuilt bytes are byte-identical to the
+        kept ones; the kept field is cleared either way.
         """
         if side == msg.sender_side:
             raise ValueError("open must run at the opposite end from seal")
         sealed, msg.sealed_auth = msg.sealed_auth, None
         span, flags, payload = msg.span, msg.flags, msg.payload
         if span is None:
-            if flags & (FLAG_ENCRYPTED | FLAG_AUTHENTICATED) or msg.channel != Channel.CONTROL:
-                raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} names no key span")
-            return payload
+            raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} names no key span")
         store = self.stores[side]
         if store.spent(span):
             raise ReplayDetected(f"{self.link_id}: msg {msg.msg_id} spends consumed key")
@@ -664,21 +600,19 @@ class Q3PLink:
                               f"that is not the peer's key") from err
         res.consume()
         key = res.key
-        n_tag = AUTH_KEY_BYTES if flags & FLAG_AUTHENTICATED else 0
-        n_enc = len(key) - n_tag
+        n_enc = len(key) - AUTH_KEY_BYTES
+        if msg.tag is None or not flags & FLAG_AUTHENTICATED:
+            raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} carries no tag")
         if n_enc < 0 or n_enc > len(payload) or (n_enc > 0) != bool(flags & FLAG_ENCRYPTED):
             raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} does not fit its key span")
-        if n_tag:
-            data = msg.header_bytes() + payload
-            tag_key = key[n_enc:]
-            if sealed is not None and sealed[0] == tag_key and sealed[1] == data:
-                tag = sealed[2]
-            else:
-                tag = _poly_tag(tag_key, data)
-            if msg.tag is None or not hmac.compare_digest(tag, msg.tag):
-                raise TagMismatch(f"{self.link_id}: tag mismatch on msg {msg.msg_id}")
-        elif msg.channel != Channel.CONTROL:
-            raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} carries no tag")
+        data = msg.header_bytes() + payload
+        tag_key = key[n_enc:]
+        if sealed is not None and sealed[0] == tag_key and sealed[1] == data:
+            tag = sealed[2]
+        else:
+            tag = _poly_tag(tag_key, data)
+        if not hmac.compare_digest(tag, msg.tag):
+            raise TagMismatch(f"{self.link_id}: tag mismatch on msg {msg.msg_id}")
         if not n_enc:
             return payload
         clear = len(payload) - n_enc

@@ -4,6 +4,7 @@ flooding convergence, event ordering."""
 import tracemalloc
 from collections import Counter
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from qkdnet.links import key_rate
 from qkdnet.model import PRESETS, load_topology, preset, vienna_preset
 from qkdnet.q3p import AUTH_KEY_BYTES, FLAG_ENCRYPTED, Channel, Q3PLink
 from qkdnet.scenarios import BASELINE, DOS_RECOVERY
-from qkdnet.transport import DeliveryStatus
+from qkdnet.transport import DeliveryStatus, encode_ack
 
 RING4 = """
 [profile] id=p r0_bps=10000 alpha=0.2 max_km=60 restart_s=30
@@ -87,6 +88,18 @@ class TestScenarioParsing:
         )]
         # built in code, a scenario skips the parser's duration check
         scenarios += [Scenario(duration_s=d) for d in (float("nan"), float("inf"), 0.0, -1.0)]
+        # and its event checks: the time, the daywindow and the deadline
+        nan = float("nan")
+        fail = {"link": "SIE-ERD"}
+        events = [Event(-2.0, EventKind.LINK_FAIL, fail), Event(nan, EventKind.LINK_FAIL, fail),
+                  Event(3.0, EventKind.LINK_FAIL, fail)]
+        events += [Event(1.0, EventKind.DAY_WINDOW, {"start": start, "end": end})
+                   for start, end in ((nan, 1.5), (0.5, nan), (1.5, 0.5), (-1.0, 1.0))]
+        events += [Event(1.0, EventKind.KEY_REQUEST, {
+                       "src": "alice", "dst": "bob", "n_bytes": 64, "multipath": 1,
+                       "deadline_s": deadline})
+                   for deadline in (-3.0, 0.0, nan, float("inf"))]
+        scenarios += [Scenario(duration_s=2.0, events=[ev]) for ev in events]
         for sc in scenarios:
             with pytest.raises(ScenarioError):
                 Engine(topo, sc)
@@ -523,8 +536,8 @@ class TestKeyOnFirstRead:
         assert held < 500_000
 
     def test_refill_follows_production_on_a_link_without_preshared_key(self):
-        # a refill numbers its block after the stream's last one, and there
-        # may be none; it lands after all key produced before it
+        # a refill lands after all key produced before it, on a link whose
+        # stream began with no preshared block
         eng = Engine(load_topology(RING4), parse_scenario("[scenario] duration=1 seed=1\n"))
         lrt = eng.links["R12"]
         lrt.q3p = Q3PLink("R12", b"", auth_reserve=0, source=Random(3).randbytes)
@@ -535,9 +548,66 @@ class TestKeyOnFirstRead:
         drawn = Random(3)
         first, second = drawn.randbytes(10), drawn.randbytes(4)
         stream = lrt.q3p.stream
-        assert stream.last_block_id == 1
         assert stream.read((0, 0, 13)) == first[:5] + b"\x01" * 4 + second[:2] + b"\x02" * 2
         assert stream.read((1, 0, 13)) == first[5:] + b"\x01" * 4 + second[2:] + b"\x02" * 2
+
+
+class TestAcks:
+    def test_an_ack_spends_no_key_and_never_passes_q3p(self, monkeypatch):
+        # every Q3P message is keyed and tagged; acks travel beside it as
+        # bare frames, so the key both ends spend is the sealed messages' spans
+        eng = Engine(load_topology(RING4), parse_scenario(
+            "[scenario] duration=3 seed=1\n"
+            "[event] t=1 kind=request src=N1 dst=N3 bytes=4096 k=2\n"))
+        sealed, opened, frames = [], [], []
+        seal, open_ = Q3PLink.seal, Q3PLink.open
+
+        def sealing(self, side, channel, payload, *args, **kwargs):
+            msg = seal(self, side, channel, payload, *args, **kwargs)
+            sealed.append((self.link_id, side, msg.key_cost_bytes))
+            return msg
+
+        def opening(self, side, msg):
+            opened.append(msg)
+            return open_(self, side, msg)
+
+        monkeypatch.setattr(Q3PLink, "seal", sealing)
+        monkeypatch.setattr(Q3PLink, "open", opening)
+        send = eng.send_message
+
+        def sending(link_id, from_node, msg, meta=None):
+            frames.append(msg)
+            return send(link_id, from_node, msg, meta)
+
+        eng.send_message = sending
+        rep = eng.run()
+        assert rep.records[0].status is DeliveryStatus.DELIVERED
+        acks = [msg for msg in frames if isinstance(msg, bytes)]
+        assert len(acks) == rep.msg_counts["acks_sent"] > 0
+        assert len(sealed) == len(frames) - len(acks)
+        assert all(not isinstance(msg, bytes) for msg in opened)
+        for link_id, lrt in eng.links.items():
+            for side, store in enumerate(lrt.q3p.stores):
+                spent = sum(cost for link, s, cost in sealed if (link, s) == (link_id, side))
+                assert sum(rec.n_bytes for rec in store.ledger) == spent, (link_id, side)
+                spans = {msg.span for msg in opened
+                         if (msg.link_id, 1 - msg.sender_side) == (link_id, side)}
+                burned = sum(end - start for _, start, end in spans)
+                assert store.ledgered_bytes == spent + burned, (link_id, side)
+
+    def test_malformed_ack_frames_are_ignored(self, monkeypatch):
+        eng = Engine(load_topology(RING4), parse_scenario("[scenario] duration=1 seed=1\n"))
+        agent = eng.agents["N1"]
+        hop = SimpleNamespace(req=SimpleNamespace(request=SimpleNamespace(src="N3")))
+        agent._relays[(7, 0)] = hop
+        monkeypatch.setattr(Q3PLink, "open", lambda *args: pytest.fail("ack reached open"))
+        ack = encode_ack(7, 0)
+        for frame in (b"", b"junk", ack[:-1], ack + b"\0", b"\x02" + ack[1:]):
+            agent.on_message("R12", frame, {})
+        assert agent._relays == {(7, 0): hop}
+        assert eng.msg_counts == Counter()
+        agent.on_message("R12", ack, {})
+        assert agent._relays == {}
 
 
 class TestAuthenticatedChannels:

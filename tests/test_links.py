@@ -13,7 +13,7 @@ from qkdnet.links import (
     qualifies_for_deployment,
 )
 from qkdnet.model import DeviceProfile, LinkClass, LinkSpec
-from qkdnet.q3p import KeyBlock, KeyStream
+from qkdnet.q3p import KeyStream
 
 
 def profile(r0=10000.0, alpha=0.2, max_km=100.0, restart=30.0, night=False):
@@ -151,7 +151,7 @@ def test_key_order_holds_across_production_and_refill():
         blocks.append(eager.randbytes(n_bytes))
         if step % 3 == 0:
             refill = bytes([step]) * (5 + step)
-            stream.push(KeyBlock(step, refill, "L"))
+            stream.push(refill)
             blocks.append(refill)
     assert stream.read((1, 0, 8)) == blocks[0][3:] + blocks[1][250:255]
     for pool in (0, 1):

@@ -12,12 +12,10 @@ from qkdnet.q3p import (
     AUTH_KEY_BYTES,
     Channel,
     InsufficientKey,
-    KeyBlock,
     KeyReuseError,
     KeyStore,
     KeyStream,
     LengthMismatch,
-    OutOfOrderBlock,
     Purpose,
     Q3PLink,
     Q3PMessage,
@@ -36,25 +34,23 @@ RNG = Random(99)
 
 def store(preshared=0, reserve=0, side=0):
     data = RNG.randbytes(preshared) if preshared else b""
-    return KeyStore("L", side=side, preshared=data, auth_reserve=reserve)
+    return KeyStore("L", KeyStream(data), side=side, auth_reserve=reserve)
 
 
 class TestPush:
     def test_empty_store_push_400(self):
         s = store()
-        assert s.push_block(KeyBlock(1, RNG.randbytes(400), "L")) == 400
+        s.stream.push(RNG.randbytes(400))
+        assert s.available_bytes == 400
 
     def test_additivity(self):
         s = store()
-        s.push_block(KeyBlock(1, RNG.randbytes(400), "L"))
-        assert s.push_block(KeyBlock(2, RNG.randbytes(400), "L")) == 800
-
-    def test_out_of_order_rejected(self):
-        s = store()
-        s.push_block(KeyBlock(1, RNG.randbytes(8), "L"))
-        s.push_block(KeyBlock(2, RNG.randbytes(8), "L"))
-        with pytest.raises(OutOfOrderBlock):
-            s.push_block(KeyBlock(2, RNG.randbytes(8), "L"))
+        s.stream.push(RNG.randbytes(400))
+        s.stream.push(RNG.randbytes(400))
+        assert s.available_bytes == 800
+        with pytest.raises(ValueError):
+            s.stream.push(b"")
+        assert s.available_bytes == 800
 
     def test_link_push_holds_each_block_compactly(self):
         # the stream keeps a block as its bytes in the two pools, with no
@@ -66,7 +62,7 @@ class TestPush:
         try:
             before = tracemalloc.get_traced_memory()[0]
             for i in range(n_blocks):
-                link.push(KeyBlock(i + 1, data[40 * i : 40 * i + 40], "L"))
+                link.push(data[40 * i : 40 * i + 40])
             used = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -95,7 +91,7 @@ class TestReserve:
         for n in (100, 32, 7, 300):
             s.reserve(n, Purpose.AUTHENTICATE)
             assert s.initial_bytes + 0 - s.ledgered_bytes == s.available_bytes
-        s.push_block(KeyBlock(1, RNG.randbytes(512), "L"))
+        s.stream.push(RNG.randbytes(512))
         assert s.appended_bytes - s.ledgered_bytes == s.available_bytes
 
     def test_ledger_ranges_never_overlap(self):
@@ -108,9 +104,7 @@ class TestReserve:
             assert p1 != p2 or e1 <= s2
 
     def test_mirror_consumption_is_range_exact(self):
-        data = RNG.randbytes(1024)
-        a = KeyStore("L", side=0, preshared=data, auth_reserve=0)
-        b = KeyStore("L", side=1, preshared=data, auth_reserve=0)
+        a, b = Q3PLink("L", RNG.randbytes(1024), auth_reserve=0).stores
         res = a.reserve(100, Purpose.ENCRYPT)
         mirror = b.reserve_exact(res.ranges, Purpose.ENCRYPT)
         assert mirror.key == res.key
@@ -125,8 +119,8 @@ class TestReserve:
     def test_reservation_is_one_span_of_its_own_pool(self):
         data = RNG.randbytes(1000)
         for side in (0, 1):
-            s = KeyStore("L", side=side, preshared=data, auth_reserve=0)
-            s.push_block(KeyBlock(1, RNG.randbytes(301), "L"))
+            s = KeyStore("L", KeyStream(data), side=side, auth_reserve=0)
+            s.stream.push(RNG.randbytes(301))
             first = s.reserve(100, Purpose.ENCRYPT)
             second = s.reserve(500, Purpose.AUTHENTICATE)   # crosses into block 1's half
             assert (first.ranges, second.ranges) == ((side, 0, 100), (side, 100, 600))
@@ -136,9 +130,7 @@ class TestReserve:
     def test_overlap_in_either_pool_raises_key_reuse(self):
         # both ends spend their own pool from offset 0: only the pool tells
         # the two spans apart
-        data = RNG.randbytes(1024)
-        a = KeyStore("L", side=0, preshared=data, auth_reserve=0)
-        b = KeyStore("L", side=1, preshared=data, auth_reserve=0)
+        a, b = Q3PLink("L", RNG.randbytes(1024), auth_reserve=0).stores
         for sender, receiver in ((a, b), (b, a)):
             res = sender.reserve(64, Purpose.ENCRYPT)
             pool, start, end = res.ranges
@@ -308,9 +300,10 @@ class TestSealOpen:
     def test_round_trip_all_flag_combinations(self):
         link = make_link()
         payload = RNG.randbytes(300)
-        for encrypt in (False, True):
-            for auth in (False, True):
-                msg = link.seal(0, Channel.CONTROL, payload, encrypt=encrypt, auth=auth)
+        for channel in Channel:
+            for encrypt in (False, True):
+                msg = link.seal(0, channel, payload, encrypt=encrypt)
+                assert msg.flags & q3p.FLAG_AUTHENTICATED and msg.tag is not None
                 assert link.open(1, msg) == payload
 
     def test_replay_detected(self):
@@ -370,54 +363,59 @@ class TestSealOpen:
     def test_open_lets_only_tag_and_replay_failures_escape(self):
         # the node agent catches only these two; a span outside the peer's
         # pool or at odds with the flags and length must not raise anything
-        # else, and a forged transport message is never accepted: with a tag
-        # it fails the tag, without one it fails for want of a tag
+        # else, and a forged message is never accepted: with a tag it fails
+        # the tag, without one it fails for want of a tag
         pool_len = len(make_link().stream.pools[0])
         spans = [None, (0, 0, 40), (0, 0, 72), (1, 0, 40), (2, 0, 40), (-1, 0, 40),
                  (0, 50, 50), (0, 60, 50), (0, pool_len - 10, pool_len + 10),
                  (0, 0, 3), (0, 0, 31), (0, 0, 73), (0, 0, 500)]
         for encrypt in (False, True):
-            for auth in (False, True):
+            for tagged in (False, True):
                 for flags in range(4):
                     for span in spans:
                         link = make_link(reserve=0)
-                        msg = link.seal(0, Channel.TRANSPORT, b"z" * 40,
-                                        encrypt=encrypt, auth=auth)
+                        msg = link.seal(0, Channel.TRANSPORT, b"z" * 40, encrypt=encrypt)
                         sealed_span = msg.span
-                        if (msg.flags, msg.span) == (flags, span):
+                        if (msg.flags, msg.span, tagged) == (flags, span, True):
                             continue
                         msg.flags, msg.span = flags, span
+                        if not tagged:
+                            msg.tag = None
                         try:
                             link.open(1, msg)
                         except (TagMismatch, ReplayDetected):
                             continue
-                        pytest.fail(f"forged {flags=} {span=} opened; sealed {sealed_span}")
+                        pytest.fail(f"forged {flags=} {span=} {tagged=} opened; "
+                                    f"sealed {sealed_span}")
 
-    def test_only_control_messages_open_without_a_tag(self):
+    def test_every_channel_needs_a_tag(self):
         # a message that clears its tag flag and shortens its span to leave
-        # out the tag key is refused on every channel but CONTROL, and costs
-        # the receiver the span it names, like any forged tag
+        # out the tag key, or drops its tag, is refused on every channel and
+        # costs the receiver the span it names, like any forged tag; one
+        # that names no span at all costs nothing
         for channel in Channel:
             link = make_link(reserve=0)
             msg = link.seal(0, channel, b"t" * 40)
             start = msg.span[1]
             msg.flags, msg.span = q3p.FLAG_ENCRYPTED, (0, start, start + 31)
-            if channel is Channel.CONTROL:
-                assert len(link.open(1, msg)) == 40
-            else:
-                with pytest.raises(TagMismatch):
-                    link.open(1, msg)
+            with pytest.raises(TagMismatch):
+                link.open(1, msg)
             assert link.stores[1].consumed_ranges() == [(0, start, start + 31)], channel
-            bare = Q3PMessage("L", 0, channel, 0, 9, b"ack", None)
-            if channel is Channel.CONTROL:
-                assert link.open(1, bare) == b"ack"
-            else:
+            untagged = link.seal(0, channel, b"u" * 40)
+            untagged.tag = None
+            with pytest.raises(TagMismatch):
+                link.open(1, untagged)
+            assert link.stores[1].spent(untagged.span), channel
+            ledgered = link.stores[1].ledgered_bytes
+            for flags in (0, q3p.FLAG_AUTHENTICATED):
+                bare = Q3PMessage("L", 0, channel, flags, 9, b"ack", bytes(16))
                 with pytest.raises(TagMismatch):
                     link.open(1, bare)
+            assert link.stores[1].ledgered_bytes == ledgered, channel
 
     def test_one_reservation_and_one_mirror_per_keyed_message(self, monkeypatch):
-        # a keyed message reserves its one span once; the opener checks it
-        # once and mirror-consumes it once; an unkeyed ack touches no store
+        # a message reserves its one span once; the opener checks it once
+        # and mirror-consumes it once
         calls = []
         for name in ("reserve", "reserve_exact", "spent"):
             original = getattr(KeyStore, name)
@@ -428,16 +426,14 @@ class TestSealOpen:
 
             monkeypatch.setattr(KeyStore, name, counting)
         link = make_link()
-        for encrypt, auth in ((True, True), (False, True), (True, False), (False, False)):
+        for encrypt in (True, False):
             for side in (0, 1):
                 del calls[:]
-                # only CONTROL messages may travel without a tag
-                channel = Channel.TRANSPORT if auth else Channel.CONTROL
-                msg = link.seal(side, channel, RNG.randbytes(100), encrypt=encrypt, auth=auth)
-                assert calls == (["reserve"] if encrypt or auth else [])
+                msg = link.seal(side, Channel.TRANSPORT, RNG.randbytes(100), encrypt=encrypt)
+                assert calls == ["reserve"]
                 del calls[:]
                 link.open(1 - side, msg)
-                assert calls == (["spent", "reserve_exact"] if encrypt or auth else [])
+                assert calls == ["spent", "reserve_exact"]
 
     def test_tampered_payload_fails_tag(self):
         link = make_link()
@@ -529,7 +525,7 @@ class TestSealOpen:
     def test_auth_only_works_below_the_reserve(self):
         # routing keeps flooding even on a link drained under its floor
         link = Q3PLink("L", Random(6).randbytes(2048), auth_reserve=4096)
-        msg = link.seal(0, Channel.ROUTING, b"lsa" * 10, encrypt=False, auth=True)
+        msg = link.seal(0, Channel.ROUTING, b"lsa" * 10, encrypt=False)
         assert link.open(1, msg) == b"lsa" * 10
 
     def test_reserve_guarantees_a_message_budget(self):
@@ -556,6 +552,28 @@ class TestSealOpen:
                 side = 1
         assert sent >= 4096 // 32
 
+    def test_can_seal_and_seal_share_one_admission_rule(self):
+        # can_seal says yes exactly when seal finds the key, and a refusal
+        # names the rule that failed: the reserve floor or the direction pool
+        link = Q3PLink("L", Random(6).randbytes(12288), auth_reserve=4096)
+        reasons = set()
+        for step in range(600):
+            # varied sizes until the floor stops encryption, then tags only
+            side, n_enc = step % 2, (step * 37) % 1500 if step < 100 else 0
+            admitted = link.can_seal(side, n_enc)
+            try:
+                msg = link.seal(side, Channel.TRANSPORT, RNG.randbytes(n_enc),
+                                encrypt=n_enc > 0)
+            except InsufficientKey as err:
+                assert not admitted, (step, n_enc)
+                reasons.add("reserve" if "authentication reserve" in str(err)
+                            else "pool" if f"direction pool {side} exhausted" in str(err)
+                            else str(err))
+                continue
+            assert admitted, (step, n_enc)
+            link.open(1 - side, msg)
+        assert reasons == {"reserve", "pool"}
+
     def test_partial_encryption_keeps_header_clear(self):
         link = make_link()
         payload = b"HEADER" + RNG.randbytes(64)
@@ -573,13 +591,11 @@ class TestRandomOperationSequences:
             rng = Random(1000 + seed)
             link = Q3PLink("L", rng.randbytes(16384), auth_reserve=1024)
             pushed = 0
-            next_id = 1
             for _ in range(120):
                 op = rng.random()
                 if op < 0.3:
                     n = rng.randint(1, 900)
-                    link.push(KeyBlock(next_id, rng.randbytes(n), "L"))
-                    next_id += 1
+                    link.push(rng.randbytes(n))
                     pushed += n
                 else:
                     side = rng.randint(0, 1)
@@ -587,7 +603,7 @@ class TestRandomOperationSequences:
                     encrypt = rng.random() < 0.7
                     try:
                         msg = link.seal(side, Channel.TRANSPORT, rng.randbytes(size),
-                                        encrypt=encrypt, auth=True)
+                                        encrypt=encrypt)
                     except InsufficientKey:
                         continue
                     link.open(1 - side, msg)
@@ -620,7 +636,7 @@ class TestReserveCursor:
         # reference model: each pool is its blocks' halves concatenated, and
         # reservations slice it at a running offset
         data = Random(preshared).randbytes(preshared)
-        stores = [KeyStore("L", side=s, preshared=data, auth_reserve=0) for s in (0, 1)]
+        stores = Q3PLink("L", data, auth_reserve=0).stores
         pools = [bytearray(), bytearray()]
         chunk_ends = [[], []]
         offset = [0, 0]
@@ -637,8 +653,7 @@ class TestReserveCursor:
         for op in ops:
             if op[0] == "push":
                 block = Random(next_id).randbytes(op[1])
-                for s in stores:
-                    s.push_block(KeyBlock(next_id, block, "L"))
+                stores[0].stream.push(block)
                 add(block)
                 next_id += 1
                 continue
@@ -661,9 +676,8 @@ class TestReserveCursor:
 _LINK_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), st.integers(1, 80)),
-        # (seal, side, authenticated?, size, lost?)
-        st.tuples(st.just("seal"), st.integers(0, 1), st.booleans(),
-                  st.integers(1, 90), st.booleans()),
+        # (seal, side, size, lost?)
+        st.tuples(st.just("seal"), st.integers(0, 1), st.integers(1, 90), st.booleans()),
     ),
     max_size=50,
 )
@@ -699,28 +713,26 @@ class TestLinkStream:
         for op in ops:
             if op[0] == "push":
                 block = Random(next_id).randbytes(op[1])
-                link.push(KeyBlock(next_id, block, "L"))
+                link.push(block)
                 add(block)
                 next_id += 1
                 continue
-            _, side, auth, size, lost = op
-            tag_len = AUTH_KEY_BYTES if auth else 0
-            channel = Channel.TRANSPORT if auth else Channel.CONTROL   # only CONTROL may be untagged
+            _, side, size, lost = op
+            tag_len = AUTH_KEY_BYTES
             payload = Random(size).randbytes(size)
             if size + tag_len > len(pools[side]) - offset[side]:
                 with pytest.raises(InsufficientKey):
-                    link.seal(side, channel, payload, auth=auth)
+                    link.seal(side, Channel.TRANSPORT, payload)
                 continue
-            msg = link.seal(side, channel, payload, auth=auth)
+            msg = link.seal(side, Channel.TRANSPORT, payload)
             span, key = take(side, size + tag_len)
             assert msg.span == span
             assert msg.payload == bytes(x ^ k for x, k in zip(payload, key[:size]))
+            assert msg.tag == _poly_tag(key[size:], msg.header_bytes() + msg.payload)
             # one span, ledgered per purpose as adjacent sub-spans
             _, start, end = span
-            want = [((side, start, start + size), Purpose.ENCRYPT)]
-            if auth:
-                assert msg.tag == _poly_tag(key[size:], msg.header_bytes() + msg.payload)
-                want.append(((side, start + size, end), Purpose.AUTHENTICATE))
+            want = [((side, start, start + size), Purpose.ENCRYPT),
+                    ((side, start + size, end), Purpose.AUTHENTICATE)]
             assert [(r.ranges, r.purpose) for r in link.stores[side].ledger[-len(want):]] == want
             ledgered[side] += size + tag_len
             if not lost:
@@ -783,7 +795,7 @@ class TestLazyStream:
                 add(eager.randbytes(op[1]))
             elif op[0] == "refill":
                 block = Random(1000 + next_id).randbytes(op[1])
-                link.push(KeyBlock(next_id, block, "L"))
+                link.push(block)
                 add(block)
                 next_id += 1
             elif op[0] == "reserve":
@@ -852,15 +864,12 @@ class TestWireFrame:
         header = msg.header_bytes()
         assert header == struct.pack(">IBBBQI", 0x51335021, 1, 2, 3, 7, 2)
         assert header[:4] == b"Q3P!"
-
-    def test_unauthenticated_frame_has_no_tag(self):
-        link = make_link()
-        before = link.stores[0].ledgered_bytes
-        msg = link.seal(0, Channel.CONTROL, b"ack", encrypt=False, auth=False)
-        assert msg.tag is None and msg.flags == 0 and msg.key_cost_bytes == 0
-        assert len(msg.header_bytes()) == 19
-        assert link.open(1, msg) == b"ack"
-        assert link.stores[0].ledgered_bytes == before == link.stores[1].ledgered_bytes
+        assert len(header) == 19
+        # the channel byte on the wire, which every tag covers
+        assert len(Channel) == 3
+        for channel, byte in ((Channel.ROUTING, 1), (Channel.TRANSPORT, 2),
+                              (Channel.LSDB_SUMMARY, 4)):
+            assert Q3PMessage("L", 0, channel, 0x02, 7, b"", None).header_bytes()[5] == byte
 
     def test_tag_covers_the_header(self):
         link = make_link()

@@ -38,6 +38,12 @@ def segment_arrivals(eng):
     return arrivals
 
 
+def channel_of(msg):
+    """The Q3P channel of a sent message, or None for an ack, which travels
+    as a bare ``encode_ack`` frame."""
+    return None if isinstance(msg, bytes) else msg.channel
+
+
 def fault_next(eng, link_id, n, corrupt=False):
     """Wrap ``eng.send_message`` so that the next ``n`` transport frames sent
     on ``link_id`` are lost before the seeded loss draw or, with ``corrupt``,
@@ -46,7 +52,7 @@ def fault_next(eng, link_id, n, corrupt=False):
     left = [n]
 
     def faulty(link, from_node, msg, meta=None):
-        if link == link_id and msg.channel == Channel.TRANSPORT and left[0] > 0:
+        if link == link_id and channel_of(msg) == Channel.TRANSPORT and left[0] > 0:
             left[0] -= 1
             if not corrupt:
                 eng.msg_counts["lost"] += 1
@@ -220,7 +226,7 @@ class TestRetransmission:
             original = eng.send_message
 
             def spy(link_id, from_node, msg, meta=None):
-                if link_id == "L5" and getattr(msg, "channel", None) == Channel.TRANSPORT:
+                if link_id == "L5" and channel_of(msg) == Channel.TRANSPORT:
                     sent_ciphertexts.append((msg.payload, msg.span))
                 return original(link_id, from_node, msg, meta)
 
@@ -284,20 +290,21 @@ class TestRetransmission:
         # every ack for seq 0 on LA is lost, so alice gives up on a fragment
         # bob already holds; seq 1 is delayed and still in flight by then
         topo = building_block_preset()
-        drops = {("LA", Channel.CONTROL, 0): 99, ("LA", Channel.TRANSPORT, 1): 5,
+        drops = {("LA", None, 0): 99, ("LA", Channel.TRANSPORT, 1): 5,
                  ("L5", Channel.TRANSPORT, 1): 1}
 
         def prep(eng):
             original = eng.send_message
 
             def lossy(link_id, from_node, msg, meta=None):
-                if msg.channel == Channel.CONTROL:
-                    seq = decode_ack(msg.payload)[1]
-                elif msg.channel == Channel.TRANSPORT:
+                channel = channel_of(msg)
+                if channel is None:
+                    seq = decode_ack(msg)[1]
+                elif channel == Channel.TRANSPORT:
                     seq = decode_segment(msg.payload)[1]
                 else:
                     return original(link_id, from_node, msg, meta)
-                key = (link_id, msg.channel, seq)
+                key = (link_id, channel, seq)
                 if drops.get(key, 0) > 0:
                     drops[key] -= 1
                     return False
