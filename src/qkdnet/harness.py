@@ -90,7 +90,16 @@ class EventKind(Enum):
     FINALIZE = "finalize"
 
 
-@dataclass
+# the kinds a scenario (or ``Engine.inject``) may carry; the others are the
+# engine's own. A tuple, most common first: its ``in`` tests identity, while
+# hashing an enum member runs Python code
+_SCENARIO_KINDS = (
+    EventKind.KEY_REQUEST, EventKind.LINK_FAIL, EventKind.LINK_RESTORE,
+    EventKind.DOS_DRAIN, EventKind.REFILL, EventKind.DAY_WINDOW,
+)
+
+
+@dataclass(slots=True)
 class Event:
     time_s: float
     kind: EventKind
@@ -226,14 +235,33 @@ def sub_seed(master: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _band(level: int) -> tuple[int, int]:
+    """The open band ``(lo, hi)`` of levels that need no new LSA after an
+    end advertised ``level``: the level stays on the same side of the
+    authentication floor and moves less than ``max(2048, level // 4)``."""
+    floor = AUTH_RESERVE_DEFAULT
+    step = max(2048, level // 4)
+    if level > floor:
+        return max(floor, level - step), level + step
+    return level - step, min(floor + 1, level + step)
+
+
 @dataclass
 class _LinkRT:
+    """One link's engine state. ``advertised[side]`` is what that end's
+    last LSA said: ``(up, lo, hi)``, the up state and the band (``_band``)
+    of its level, set by ``NodeAgent.originate``; the tick reads the bands
+    to decide whether the agents need polling. Until an end first
+    advertises, its band is empty."""
+
     spec: LinkSpec
     runtime: LinkRuntime
     q3p: Q3PLink
     loss: float
     min_level_seen: int = 0
     refilled_bytes: int = 0
+    advertised: list[tuple[bool, int, int]] = field(
+        default_factory=lambda: [(False, 0, 0), (False, 0, 0)])
 
 
 @dataclass
@@ -264,7 +292,7 @@ class _Request:
     frag_path: list[int] = field(default_factory=list)         # seq -> path index
 
 
-@dataclass
+@dataclass(slots=True)
 class _HopState:
     req: _Request
     seq: int
@@ -380,39 +408,51 @@ class Engine:
         """Reject references to nodes or links the topology does not have,
         and values no run can honour."""
         sc = self.scenario
-        link_ids = set(self.links)
-        node_ids = set(self.topology.nodes)
         _check_duration(sc.duration_s)
-        _check_events(sc.events, sc.duration_s)
         # written so that NaN, which fails every comparison, is refused too
         if not 0.0 <= sc.loss_default <= 1.0:
             raise ScenarioError(f"scenario loss {sc.loss_default} outside [0, 1]")
         if not sc.jitter_ms >= 0.0:
             raise ScenarioError(f"scenario jitter_ms {sc.jitter_ms} is negative")
         for link_id, loss in sc.loss_per_link.items():
-            if link_id not in link_ids:
+            if link_id not in self.links:
                 raise ScenarioError(f"loss entry for unknown link {link_id!r}")
             if not 0.0 <= loss <= 1.0:
                 raise ScenarioError(f"loss p={loss} for link {link_id!r} outside [0, 1]")
+        self._check_scenario_events(sc.events)
+
+    def _check_scenario_events(self, events: list[Event]) -> None:
+        """Refuse scenario events that ``_check_events`` refuses against the
+        scenario duration, and those that are not of a scenario kind, lack a
+        payload key, name a node or link the topology does not have, or
+        carry values no run can honour."""
+        links, nodes = self.links, self.topology.nodes
         request, refill, dos = EventKind.KEY_REQUEST, EventKind.REFILL, EventKind.DOS_DRAIN
-        for ev in sc.events:
-            p = ev.payload
-            kind = ev.kind
-            if "link" in p and p["link"] not in link_ids:
-                raise ScenarioError(f"event at t={ev.time_s} names unknown link {p['link']!r}")
-            if kind is request:
-                for end in (p["src"], p["dst"]):
-                    if end not in node_ids:
-                        raise ScenarioError(
-                            f"request at t={ev.time_s} names unknown node {end!r}")
-                if p["src"] == p["dst"]:
-                    raise ScenarioError(f"request at t={ev.time_s} has src == dst")
-            if (kind is request or kind is refill) and (p["n_bytes"] <= 0 or p["multipath"] < 1):
-                raise ScenarioError(f"event at t={ev.time_s} has invalid size or k")
-            if kind is dos and not (
-                    0 <= p["rate_bytes_per_s"] < float("inf") and p["duration_s"] > 0):
-                raise ScenarioError(f"dos at t={ev.time_s} needs a finite rate >= 0 "
-                                    "and a duration > 0")
+        try:
+            _check_events(events, self.scenario.duration_s)
+            for ev in events:
+                p = ev.payload
+                kind = ev.kind
+                if kind not in _SCENARIO_KINDS:
+                    raise ScenarioError(f"event at t={ev.time_s} has non-scenario kind {kind}")
+                if "link" in p and p["link"] not in links:
+                    raise ScenarioError(f"event at t={ev.time_s} names unknown link {p['link']!r}")
+                if kind is request:
+                    for end in (p["src"], p["dst"]):
+                        if end not in nodes:
+                            raise ScenarioError(
+                                f"request at t={ev.time_s} names unknown node {end!r}")
+                    if p["src"] == p["dst"]:
+                        raise ScenarioError(f"request at t={ev.time_s} has src == dst")
+                if (kind is request or kind is refill) and (
+                        p["n_bytes"] <= 0 or p["multipath"] < 1):
+                    raise ScenarioError(f"event at t={ev.time_s} has invalid size or k")
+                if kind is dos and not (
+                        0 <= p["rate_bytes_per_s"] < float("inf") and p["duration_s"] > 0):
+                    raise ScenarioError(f"dos at t={ev.time_s} needs a finite rate >= 0 "
+                                        "and a duration > 0")
+        except KeyError as missing:
+            raise ScenarioError(f"a scenario event lacks payload key {missing}") from None
 
     def _preshared_bytes(self, spec: LinkSpec) -> bytes:
         rng = Random(sub_seed(self.seed, f"preshared:{spec.id}"))
@@ -425,10 +465,27 @@ class Engine:
         heapq.heappush(self._queue, (event.time_s, order if order is not None else self._order, event))
 
     def inject(self, event: Event) -> None:
-        """Queue an externally supplied event; the past is immutable."""
-        if event.time_s < self.now:
-            raise TimeTravel(f"event at t={event.time_s} is before now={self.now}")
-        self._schedule(event)
+        """Queue an externally supplied scenario event, checked as the
+        scenario's own events are and queued as ``run`` queues them; the
+        past is immutable."""
+        self._check_scenario_events([event])
+        p = event.payload
+        first = p["start"] if event.kind is EventKind.DAY_WINDOW else event.time_s
+        if first < self.now:
+            raise TimeTravel(f"event at t={first} is before now={self.now}")
+        self._enqueue(event)
+
+    def _enqueue(self, event: Event) -> None:
+        """Queue one scenario event in the engine's form: a request is
+        submitted, a daywindow becomes its two daytime switches."""
+        kind, p = event.kind, event.payload
+        if kind is EventKind.KEY_REQUEST:
+            self.submit_request(p, event.time_s)
+        elif kind is EventKind.DAY_WINDOW:
+            self._schedule(Event(p["start"], EventKind.DAY_WINDOW, {"daytime": True}))
+            self._schedule(Event(p["end"], EventKind.DAY_WINDOW, {"daytime": False}))
+        else:
+            self._schedule(event)
 
     # -- requests ------------------------------------------------------------
 
@@ -508,15 +565,7 @@ class Engine:
         }
         self._queue_tick(1)
         for ev in self.scenario.events:
-            if ev.kind is EventKind.KEY_REQUEST:
-                self.submit_request(ev.payload, ev.time_s)
-            elif ev.kind is EventKind.REFILL:
-                self._schedule(ev)
-            elif ev.kind is EventKind.DAY_WINDOW:
-                self._schedule(Event(ev.payload["start"], EventKind.DAY_WINDOW, {"daytime": True}))
-                self._schedule(Event(ev.payload["end"], EventKind.DAY_WINDOW, {"daytime": False}))
-            else:
-                self._schedule(ev)
+            self._enqueue(ev)
         self._schedule(Event(self.scenario.duration_s, EventKind.FINALIZE, {}), order=1 << 62)
         for name in self.topology.nodes:
             self.agents[name].on_start()
@@ -545,14 +594,24 @@ class Engine:
                            order=0)
 
     def _tick(self) -> None:
+        """Produce on every link, apply the DoS drains, then make one pass
+        over the links that reads each store's level once. The pass lowers
+        ``min_level_seen`` and checks each end against the band its last
+        LSA set. Agents are polled (``NodeAgent.on_tick``, in node order)
+        only when an end left its band or a link came up during
+        production: otherwise no agent would originate. Usability is judged
+        from the pass's levels unless an agent was polled or a summary was
+        sent, either of which may have spent key since."""
         self._tick_count += 1
         self._queue_tick(self._tick_count + 1)
+        poll = False
         for link_id, lrt in self.links.items():
             runtime = lrt.runtime
             was_up = runtime.status.state is _UP
             n_bytes = runtime.produce(PRODUCE_TICK_S)
             if not was_up and runtime.status.state is _UP:
                 self.link_events.append((self.now, link_id, "up"))
+                poll = True
             if n_bytes:
                 lrt.q3p.stream.produce(n_bytes)
                 # distillation runs inside the link devices and the rate law is
@@ -562,17 +621,26 @@ class Engine:
                 if lrt.loss > 0:
                     self._lost(link_id)
                     self._lost(link_id)
-            # a drain lowers its link's level further and notes that itself
-            level = lrt.q3p.min_level()
+        self._apply_drains()
+        levels = []
+        for lrt in self.links.values():
+            a, b = lrt.q3p.stores
+            level_a, level_b = a.available_bytes, b.available_bytes
+            (_, lo_a, hi_a), (_, lo_b, hi_b) = lrt.advertised
+            if not (lo_a < level_a < hi_a and lo_b < level_b < hi_b):
+                poll = True
+            level = level_a if level_a < level_b else level_b
             if level < lrt.min_level_seen:
                 lrt.min_level_seen = level
-        self._apply_drains()
-        for agent in self.agents.values():
-            agent.on_tick()
-        if self._tick_count % round(SUMMARY_S / PRODUCE_TICK_S) == 0:
+            levels.append(level)
+        if poll:
+            for agent in self.agents.values():
+                agent.on_tick()
+        summary = self._tick_count % round(SUMMARY_S / PRODUCE_TICK_S) == 0
+        if summary:
             for agent in self.agents.values():
                 agent.send_summary()
-        self._track_usability()
+        self._track_usability(None if poll or summary else levels)
         if self._tick_count % round(SAMPLE_PERIOD_S / PRODUCE_TICK_S) == 0:
             self._sample()
 
@@ -591,7 +659,6 @@ class Engine:
                     continue
                 peer.reserve_exact(sender.reserve(n, Purpose.AUTHENTICATE).ranges,
                                    Purpose.AUTHENTICATE)
-            lrt.min_level_seen = min(lrt.min_level_seen, lrt.q3p.min_level())
 
     def _fail_link(self, p: dict) -> None:
         link_id = p["link"]
@@ -716,10 +783,15 @@ class Engine:
 
     # -- observation -------------------------------------------------------------
 
-    def _track_usability(self) -> None:
+    def _track_usability(self, levels: list[int] | None = None) -> None:
+        """Note each link that became usable (up, and its lower end's level
+        above the authentication floor) or unusable. ``levels`` are the
+        links' current min levels in link order, when the caller has them."""
         floor = AUTH_RESERVE_DEFAULT
-        for link_id, lrt in self.links.items():
-            usable = lrt.runtime.status.state is _UP and lrt.q3p.min_level() > floor
+        if levels is None:
+            levels = [lrt.q3p.min_level() for lrt in self.links.values()]
+        for (link_id, lrt), level in zip(self.links.items(), levels):
+            usable = lrt.runtime.status.state is _UP and level > floor
             if usable != self._advert_usable[link_id]:
                 self._advert_usable[link_id] = usable
                 self.link_events.append(
@@ -757,7 +829,6 @@ class NodeAgent:
             lrt, side = engine.links[link.id], 0 if name == link.a else 1
             self._ends[link.id] = (lrt, side, lrt.q3p.stores[side])
         self._lsa_seq: dict[str, int] = {l.id: 0 for l in self.incident}
-        self._advertised: dict[str, tuple[bool, int]] = {}
         self._relays: dict[tuple[int, int], _HopState] = {}   # (request id, seq)
         self._timer_gen = 0
 
@@ -768,8 +839,10 @@ class NodeAgent:
             self.originate(link.id)
 
     def originate(self, link_id: str) -> None:
-        """Advertise our end's current view of one incident link."""
-        lrt, _, store = self._ends[link_id]
+        """Advertise our end's current view of one incident link, and note
+        on the link's record what it said: the up state and the band of
+        levels that need no new LSA."""
+        lrt, side, store = self._ends[link_id]
         self._lsa_seq[link_id] += 1
         lsa = LinkStateAd(
             link_id=link_id,
@@ -781,7 +854,7 @@ class NodeAgent:
             timestamp_ms=int(self.engine.now * 1000),
         )
         self.flood.accept(lsa)
-        self._advertised[link_id] = (lsa.up, lsa.level_bytes)
+        lrt.advertised[side] = (lsa.up, *_band(lsa.level_bytes))
         self._flood_out(lsa, arrived_on=None)
 
     def _flood_out(self, lsa: LinkStateAd, arrived_on: str | None) -> None:
@@ -820,18 +893,14 @@ class NodeAgent:
         self.engine.send_message(link_id, self.name, msg)
 
     def on_tick(self) -> None:
-        """Originate on change only: up/down, a crossing of the
-        authentication floor, or a level move past the hysteresis."""
-        floor = AUTH_RESERVE_DEFAULT
-        for link_id, (lrt, _, store) in self._ends.items():
-            up = lrt.runtime.status.state is _UP
-            level = store.available_bytes
-            last_up, last_level = self._advertised[link_id]
-            if (
-                up != last_up
-                or (level <= floor) != (last_level <= floor)
-                or abs(level - last_level) >= max(2048, last_level // 4)
-            ):
+        """Originate on change only: for each incident link whose up state
+        differs from our last LSA's, or whose level at our end left that
+        LSA's band (a crossing of the authentication floor, or a move past
+        the hysteresis). The engine calls this only in ticks where some end
+        left its band or some link came up."""
+        for link_id, (lrt, side, store) in self._ends.items():
+            up, lo, hi = lrt.advertised[side]
+            if (lrt.runtime.status.state is _UP) is not up or not lo < store.available_bytes < hi:
                 self.originate(link_id)
 
     # -- message handling -----------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qkdnet import q3p
 from qkdnet.harness import (
+    PRODUCE_TICK_S,
     SUMMARY_S,
     Engine,
     Event,
@@ -22,9 +23,16 @@ from qkdnet.harness import (
     parse_scenario,
     sub_seed,
 )
-from qkdnet.links import key_rate
+from qkdnet.links import LinkState, key_rate
 from qkdnet.model import PRESETS, load_topology, preset, vienna_preset
-from qkdnet.q3p import AUTH_KEY_BYTES, FLAG_ENCRYPTED, Channel, Q3PLink
+from qkdnet.q3p import (
+    AUTH_KEY_BYTES,
+    AUTH_RESERVE_DEFAULT,
+    FLAG_ENCRYPTED,
+    Channel,
+    Purpose,
+    Q3PLink,
+)
 from qkdnet.scenarios import BASELINE, DOS_RECOVERY
 from qkdnet.transport import DeliveryStatus, encode_ack
 
@@ -226,6 +234,42 @@ class TestEventOrdering:
         eng.now = 1.0
         with pytest.raises(TimeTravel):
             eng.inject(Event(0.5, EventKind.LINK_FAIL, {"link": "SIE-ERD"}))
+
+    @pytest.mark.parametrize("event", [
+        Event(float("nan"), EventKind.LINK_FAIL, {"link": "SIE-ERD"}),
+        Event(3.0, EventKind.LINK_FAIL, {"link": "SIE-ERD"}),            # past the end
+        Event(1.0, EventKind.LINK_FAIL, {"link": "NOPE"}),
+        Event(1.0, EventKind.KEY_REQUEST, {"src": "alice", "dst": "ghost", "n_bytes": 64,
+                                           "multipath": 1}),
+        Event(1.0, EventKind.DOS_DRAIN, {"link": "SIE-ERD", "rate_bytes_per_s": -1.0,
+                                         "duration_s": 1.0}),
+        Event(1.0, EventKind.DAY_WINDOW, {"start": 1.5, "end": 0.5}),
+        Event(1.0, EventKind.REFILL, {"link": "SIE-ERD"}),               # no size
+        Event(1.0, EventKind.TIMER, {"node": "SIE"}),                    # the engine's own
+    ], ids=["nan", "after-end", "unknown-link", "unknown-node", "negative-dos",
+            "inverted-daywindow", "missing-key", "engine-kind"])
+    def test_inject_refuses_what_a_scenario_refuses(self, event):
+        eng = Engine(vienna_preset(), parse_scenario("[scenario] duration=2 seed=1\n"))
+        with pytest.raises(ScenarioError):
+            eng.inject(event)
+        rep = eng.run()
+        assert [e for _, _, e in rep.link_events if e in ("fail", "dos_start")] == []
+
+    def test_injected_daywindow_runs_as_a_scenario_daywindow(self):
+        head = "[scenario] duration=6 seed=2\n"
+        window = parse_scenario(head + "[event] t=1 kind=daywindow start=2 end=5\n")
+        expected = Engine(vienna_preset(), window).run()
+        eng = Engine(vienna_preset(), parse_scenario(head))
+        eng.inject(window.events[0])
+        rep = eng.run()
+        assert rep.metrics_csv() == expected.metrics_csv()
+        assert rep.summary_json() == expected.summary_json()
+
+    def test_injected_daywindow_starting_in_the_past_is_time_travel(self):
+        eng = Engine(vienna_preset(), parse_scenario("[scenario] duration=6\n"))
+        eng.now = 3.0
+        with pytest.raises(TimeTravel):
+            eng.inject(Event(3.0, EventKind.DAY_WINDOW, {"start": 2.0, "end": 5.0}))
 
     def test_same_time_events_run_in_insertion_order(self):
         topo = vienna_preset()
@@ -627,3 +671,195 @@ class TestAuthenticatedChannels:
         assert eng.msg_counts["tag_failures"] == 1
         assert reached == []
         assert link.stores[1].consumed_ranges() == [(0, start, start + 31)]
+
+
+GRID6 = """
+[profile] id=p r0_bps=20000 alpha=0.2 max_km=60 restart_s=1.5
+[profile] id=fso r0_bps=25000 alpha=1.0 max_km=5 restart_s=1 night_only=true
+[profile] id=slow r0_bps=200 alpha=0 max_km=60 restart_s=1
+[node] name=A kind=qbb
+[node] name=B kind=qbb
+[node] name=C kind=qbb
+[node] name=D kind=qbb
+[node] name=E kind=qbb
+[node] name=F kind=qbb
+[link] id=AB a=A b=B km=10 profile=p class=qbb preshared=16384
+[link] id=BC a=B b=C km=14 profile=p class=qbb preshared=131072
+[link] id=DE a=D b=E km=12 profile=p class=qbb preshared=9000
+[link] id=EF a=E b=F km=3 profile=fso class=qbb preshared=131072
+[link] id=AD a=A b=D km=20 profile=p class=qbb preshared=131072
+[link] id=BE a=B b=E km=8 profile=p class=qbb preshared=65536
+[link] id=CF a=C b=F km=16 profile=slow class=qbb preshared=4096
+"""
+
+
+def _log_originations(eng: Engine) -> list:
+    """Record each origination as (time, node, link, seq, up, level), taken
+    as ``originate`` reads them."""
+    log = []
+    for agent in eng.agents.values():
+        def logged(link_id, agent=agent, originate=agent.originate):
+            lrt, side, store = agent._ends[link_id]
+            log.append((eng.now, agent.name, link_id, agent._lsa_seq[link_id] + 1,
+                        lrt.runtime.status.state is LinkState.UP, store.available_bytes))
+            originate(link_id)
+        agent.originate = logged
+    return log
+
+
+def _last_advertised(log: list) -> dict:
+    return {(node, link): (up, level) for _, node, link, _, up, level in log}
+
+
+def _poll_every_tick(eng: Engine, log: list) -> None:
+    """The reference: every agent is polled on every tick and decides with
+    the origination rule written out, not with the engine's bands."""
+    floor = AUTH_RESERVE_DEFAULT
+
+    def polling_on_tick(agent):
+        last = _last_advertised(log)
+        for link_id, (lrt, _, store) in agent._ends.items():
+            up = lrt.runtime.status.state is LinkState.UP
+            level = store.available_bytes
+            last_up, last_level = last[agent.name, link_id]
+            if (up != last_up or (level <= floor) != (last_level <= floor)
+                    or abs(level - last_level) >= max(2048, last_level // 4)):
+                agent.originate(link_id)
+
+    for agent in eng.agents.values():
+        agent.on_tick = lambda agent=agent: polling_on_tick(agent)
+    apply_drains = eng._apply_drains
+
+    def drains_then_empty_bands():
+        apply_drains()
+        for lrt in eng.links.values():   # an empty band: the tick polls the agents
+            lrt.advertised[:] = [(False, 0, 0), (False, 0, 0)]
+    eng._apply_drains = drains_then_empty_bands
+
+
+def _move_level(lrt, side: int, target: int) -> None:
+    """Move both ends of a link by the same amount, so that the end at
+    ``side`` reaches ``target`` if the link's key allows: a pushed block
+    raises both, a spend that the other end mirrors (as a drain's) lowers
+    both."""
+    delta = target - lrt.q3p.stores[side].available_bytes
+    if delta > 0:
+        lrt.q3p.push(bytes(delta))
+    for direction in (0, 1):
+        sender, peer = lrt.q3p.stores[direction], lrt.q3p.stores[1 - direction]
+        n = min(-delta, sender.pool_available(direction))
+        if n > 0:
+            peer.reserve_exact(sender.reserve(n, Purpose.AUTHENTICATE).ranges,
+                               Purpose.AUTHENTICATE)
+            delta += n
+
+
+def _nudge_to_edges(eng: Engine, log: list, nudges: list) -> None:
+    """After the drains of the drawn ticks, move one end's level onto, or
+    next to, an edge of the origination rule around its last advertised
+    level: the hysteresis on either side, or the floor. A nudge may first
+    take the end below the floor, one tick earlier, so that its next band
+    is a below-floor one."""
+    floor = AUTH_RESERVE_DEFAULT
+    at_tick = {}
+    for tick, link, side, below, edge, offset in nudges:
+        if below is not None:
+            at_tick.setdefault(tick, []).append((link, side, None, floor - 1 - below))
+            tick += 1
+        at_tick.setdefault(tick, []).append((link, side, edge, offset))
+    links = sorted(eng.links)
+    apply_drains = eng._apply_drains
+
+    def drains_then_nudges():
+        apply_drains()
+        last = _last_advertised(log)
+        for link, side, edge, offset in at_tick.get(eng._tick_count, ()):
+            lrt = eng.links[links[link % len(links)]]
+            if edge is None:
+                _move_level(lrt, side, offset)
+                continue
+            last_level = last[(lrt.spec.a, lrt.spec.b)[side], lrt.spec.id][1]
+            step = max(2048, last_level // 4)
+            target = (last_level - step, last_level + step, floor, floor + 1)[edge] + offset
+            if target >= 0:
+                _move_level(lrt, side, target)
+    eng._apply_drains = drains_then_nudges
+
+
+class TestGatedTick:
+    """The tick polls the agents only when a link end left the band its last
+    LSA set, or a link came up; it must originate exactly what polling every
+    tick with the origination rule originates."""
+
+    @given(
+        name=st.sampled_from(["vienna", "building-block", "grid"]),
+        seed=st.integers(0, 2**32),
+        loss=st.sampled_from([0.0, 0.02]),
+        jitter_ms=st.sampled_from([0.0, 3.0]),
+        events=st.lists(st.tuples(
+            st.sampled_from(["fail", "dos", "refill", "request"]),
+            st.integers(0, 59), st.integers(0, 20), st.integers(1, 30),
+        ), max_size=6),
+        daywindow=st.none() | st.tuples(st.integers(0, 30), st.integers(1, 40)),
+        nudges=st.lists(st.tuples(
+            st.integers(1, 59), st.integers(0, 8), st.integers(0, 1),
+            st.none() | st.integers(0, 3000), st.integers(0, 3), st.integers(-1, 1),
+        ), max_size=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_gated_tick_originates_as_polling_every_tick(
+            self, name, seed, loss, jitter_ms, events, daywindow, nudges):
+        topo = load_topology(GRID6) if name == "grid" else preset(name)
+        links = [link.id for link in topo.links]
+        nodes = sorted(topo.nodes)
+        lines = [f"[scenario] duration=6 seed={seed} loss={loss} jitter_ms={jitter_ms}"]
+        for kind, tenth, i, size in events:
+            t = tenth / 10
+            link = links[i % len(links)]
+            if kind == "fail":
+                lines.append(f"[event] t={t} kind=fail link={link}")
+                lines.append(f"[event] t={min(6.0, t + size / 20)} kind=restore link={link}")
+            elif kind == "dos":
+                lines.append(f"[event] t={t} kind=dos link={link} rate={size * 4000} "
+                             f"duration={size / 10}")
+            elif kind == "refill":
+                lines.append(f"[event] t={t} kind=refill link={link} bytes={size * 256}")
+            else:
+                src, dst = nodes[i % len(nodes)], nodes[(i + 1) % len(nodes)]
+                lines.append(f"[event] t={t} kind=request src={src} dst={dst} "
+                             f"bytes={size * 512} k={1 + i % 2}")
+        if daywindow is not None:
+            start = daywindow[0] / 10
+            lines.append(f"[event] t={start} kind=daywindow start={start} "
+                         f"end={start + daywindow[1] / 10}")
+        scenario = "\n".join(lines) + "\n"
+
+        def run(reference):
+            eng = Engine(topo, parse_scenario(scenario))
+            log = _log_originations(eng)
+            _nudge_to_edges(eng, log, nudges)
+            if reference:
+                _poll_every_tick(eng, log)
+            rep = eng.run()
+            return ([entry[:4] + entry[5:] for entry in log],
+                    rep.metrics_csv(), rep.summary_json(), rep.audit_text())
+
+        assert run(reference=False) == run(reference=True)
+
+    def test_agents_are_polled_in_few_ticks_of_a_steady_run(self, monkeypatch):
+        polled_ticks = set()
+        on_tick = NodeAgent.on_tick
+
+        def counted(agent):
+            polled_ticks.add(agent.engine._tick_count)
+            on_tick(agent)
+
+        monkeypatch.setattr(NodeAgent, "on_tick", counted)
+        lines = ["[scenario] duration=120 seed=1"]
+        lines += [f"[event] t={t} kind=request src=SIE dst=GUD bytes=1024 k=1"
+                  for t in range(1, 120)]
+        eng = Engine(vienna_preset(), parse_scenario("\n".join(lines) + "\n"))
+        rep = eng.run()
+        assert all(rec.status is DeliveryStatus.DELIVERED for rec in rep.records)
+        assert eng._tick_count == round(120 / PRODUCE_TICK_S)
+        assert 0 < len(polled_ticks) < 0.05 * eng._tick_count

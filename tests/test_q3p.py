@@ -263,7 +263,7 @@ class TestAuthentication:
         points = [bytes(16), p.to_bytes(16, "big"), (p + 1).to_bytes(16, "big"), b"\xff" * 16]
         keys = [Random(k).randbytes(32) for k in range(3)]
         keys += [r + Random(9).randbytes(16) for r in points] + [b"\xff" * 32]
-        for n in [*range(200), 293, 1061, 4096]:
+        for n in [*range(200), 255, 256, 293, 383, 384, 385, 1061, 1747, 4096]:
             data = RNG.randbytes(n)
             for key in keys:
                 assert _poly_tag(key, data) == _reference_tag(key, data), (n, key)
