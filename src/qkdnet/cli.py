@@ -82,12 +82,21 @@ def _load_topology_arg(args) -> Topology:
     return load_topology(text)
 
 
+def _unreadable(what: str, path: str, exc: OSError | UnicodeDecodeError) -> int:
+    """Report a config file that could not be read (missing, a directory,
+    not UTF-8, ...) on one line; it is bad config."""
+    if isinstance(exc, FileNotFoundError):
+        print(f"error: {what} not found: {path}", file=sys.stderr)
+    else:
+        print(f"error: cannot read {what} {path}: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def _cmd_run(args) -> int:
     try:
         topo = _load_topology_arg(args)
-    except FileNotFoundError as exc:
-        print(f"error: topology file not found: {exc.filename}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (OSError, UnicodeDecodeError) as exc:
+        return _unreadable("topology file", args.topology, exc)
     except (ParseError, ValidationError) as exc:
         print(f"error: invalid topology: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -96,14 +105,13 @@ def _cmd_run(args) -> int:
     else:
         try:
             scenario_text = Path(args.scenario).read_text()
-        except FileNotFoundError:
-            print(f"error: scenario not found: {args.scenario}", file=sys.stderr)
-            return EXIT_CONFIG
+        except (OSError, UnicodeDecodeError) as exc:
+            return _unreadable("scenario", args.scenario, exc)
     try:
         scenario = parse_scenario(scenario_text)
         engine = Engine(topo, scenario, seed=args.seed)
         report = engine.run()
-    except (ScenarioError, ValidationError, KeyError) as exc:
+    except (ScenarioError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out)
@@ -168,9 +176,8 @@ def _cmd_plan(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         topo = _load_topology_arg(args)
-    except FileNotFoundError as exc:
-        print(f"error: topology file not found: {exc.filename}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (OSError, UnicodeDecodeError) as exc:
+        return _unreadable("topology file", args.topology, exc)
     except (ParseError, ValidationError) as exc:
         print(f"error: invalid topology: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
@@ -23,6 +23,7 @@ from .q3p import (
     Channel,
     InsufficientKey,
     KeyStore,
+    ProductionClock,
     Purpose,
     Q3PLink,
     ReplayDetected,
@@ -246,22 +247,56 @@ def _band(level: int) -> tuple[int, int]:
     return level - step, min(floor + 1, level + step)
 
 
-@dataclass
+@dataclass(eq=False)
 class _LinkRT:
     """One link's engine state. ``advertised[side]`` is what that end's
     last LSA said: ``(up, lo, hi)``, the up state and the band (``_band``)
     of its level, set by ``NodeAgent.originate``; the tick reads the bands
     to decide whether the agents need polling. Until an end first
-    advertises, its band is empty."""
+    advertises, its band is empty.
+
+    Production is lazy. ``settle`` brings the link up to the engine's last
+    tick; the link's ``KeyStream`` calls it on the first read that finds it
+    behind. ``index`` is the link's place in link order, the mark its spends
+    leave on the engine's clock. ``tick_bytes`` bounds the bytes one tick
+    can produce: at most ``rate * dt / 8`` plus one byte of carried bits, at
+    the rate of the link's devices whatever its state, and one more byte
+    covers rounding. ``wake`` is the earliest tick at which production alone
+    could carry an end to its band's ``hi``; ``usable`` is the usability
+    the engine last noted (``Engine._track_usability``)."""
 
     spec: LinkSpec
     runtime: LinkRuntime
     q3p: Q3PLink
     loss: float
+    index: int
+    msg_counts: Counter
     min_level_seen: int = 0
     refilled_bytes: int = 0
     advertised: list[tuple[bool, int, int]] = field(
         default_factory=lambda: [(False, 0, 0), (False, 0, 0)])
+    usable: bool = True
+    wake: int = 0
+    tick_bytes: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.tick_bytes = int(self.runtime.key_rate_bps * PRODUCE_TICK_S / 8) + 2
+
+    def settle(self) -> int:
+        """Produce the ticks the link missed, in order, up to the clock of
+        its stream; returns the number of blocks they yielded."""
+        stream = self.q3p.stream
+        ticks = stream.clock.ticks
+        counts: list[int] = []
+        self.runtime.produce(PRODUCE_TICK_S, ticks - stream.through, counts)
+        stream.through = ticks
+        if counts:
+            stream.produce(*counts)
+            # distillation runs inside the link devices and the rate law is
+            # net of its key cost; its two frames per block (one each way)
+            # are only counted
+            self.msg_counts["distill"] += 2 * len(counts)
+        return len(counts)
 
 
 @dataclass
@@ -378,27 +413,33 @@ class Engine:
         self._rng_loss = Random(sub_seed(self.seed, "loss"))
         self._rng_jitter = Random(sub_seed(self.seed, "jitter"))
         self._rng_secret = Random(sub_seed(self.seed, "secrets"))
+        self.msg_counts: Counter = Counter()
+        self.clock = ProductionClock()
         self.links: dict[str, _LinkRT] = {}
-        for spec in topology.links:
+        for index, spec in enumerate(topology.links):
             profile = topology.profile_of(spec)
-            self.links[spec.id] = _LinkRT(
+            lrt = _LinkRT(
                 spec=spec,
                 runtime=LinkRuntime(spec, profile),
                 q3p=Q3PLink(spec.id, self._preshared_bytes(spec),
                             source=Random(sub_seed(self.seed, f"link:{spec.id}")).randbytes),
                 loss=scenario.loss_for(spec.id),
+                index=index,
+                msg_counts=self.msg_counts,
             )
-            self.links[spec.id].min_level_seen = self.links[spec.id].q3p.min_level()
+            lrt.q3p.stream.attach(self.clock, index, lrt.settle)
+            lrt.min_level_seen = lrt.q3p.min_level()
+            self.links[spec.id] = lrt
+        self._link_list = list(self.links.values())
+        self._refresh_eager()
+        self._wakes: defaultdict[int, list[_LinkRT]] = defaultdict(list)
         self.agents = {name: NodeAgent(self, name) for name in topology.nodes}
         self.requests: dict[int, _Request] = {}
         self._next_request_id = 0
         self._drains: list[_Drain] = []
-        self._advert_usable: dict[str, bool] = {l: True for l in self.links}
         self.samples: list[tuple[float, str, int, float]] = []
         self.exposures: list[tuple[float, str, int, int]] = []
         self.link_events: list[tuple[float, str, str]] = []
-        self.msg_counts: Counter = Counter()
-        self._tick_count = 0
         self._started = False
         self._finalized = False
         self._last_sample_time = None
@@ -593,56 +634,89 @@ class Engine:
             self._schedule(Event(round(i * PRODUCE_TICK_S, 6), EventKind.PRODUCE_TICK, {}),
                            order=0)
 
+    def _refresh_eager(self) -> None:
+        """The links the tick settles at every tick, in link order, before
+        the drains: a lossy link, whose produced blocks each take two draws
+        from the shared loss stream in tick order, and a restarting one,
+        which comes up inside ``produce`` and must note it at that tick."""
+        restarting = LinkState.RESTARTING
+        self._eager = [lrt for lrt in self._link_list
+                       if lrt.loss > 0 or lrt.runtime.status.state is restarting]
+
     def _tick(self) -> None:
-        """Produce on every link, apply the DoS drains, then make one pass
-        over the links that reads each store's level once. The pass lowers
-        ``min_level_seen`` and checks each end against the band its last
-        LSA set. Agents are polled (``NodeAgent.on_tick``, in node order)
-        only when an end left its band or a link came up during
-        production: otherwise no agent would originate. Usability is judged
-        from the pass's levels unless an agent was polled or a summary was
-        sent, either of which may have spent key since."""
-        self._tick_count += 1
-        self._queue_tick(self._tick_count + 1)
+        """Settle the eager links (``_refresh_eager``), apply the DoS drains,
+        then examine the links whose state could have changed (``_due``):
+        read each one's levels once, lower ``min_level_seen``, and check each
+        end against the band its last LSA set. A link that is not examined
+        was not spent since its last examination and production alone could
+        not carry it to its band's ``hi``, so its ends are still inside their
+        bands and on the same side of the floor: polling it, its usability
+        and its minimum would all come out unchanged. Agents are polled
+        (``NodeAgent.on_tick``, in node order) only when an end left its
+        band or a link came up during production. Usability is judged from
+        the examined levels unless an agent was polled or a summary was sent,
+        either of which may have spent key since; then over all links."""
+        clock = self.clock
+        clock.ticks = ticks = clock.ticks + 1
+        self._queue_tick(ticks + 1)
         poll = False
-        for link_id, lrt in self.links.items():
+        for lrt in self._eager:
             runtime = lrt.runtime
             was_up = runtime.status.state is _UP
-            n_bytes = runtime.produce(PRODUCE_TICK_S)
+            blocks = lrt.settle()                    # one tick: at most one block
             if not was_up and runtime.status.state is _UP:
-                self.link_events.append((self.now, link_id, "up"))
+                self.link_events.append((self.now, lrt.spec.id, "up"))
                 poll = True
-            if n_bytes:
-                lrt.q3p.stream.produce(n_bytes)
-                # distillation runs inside the link devices and the rate law is
-                # net of its key cost; its two frames per block (one each way)
-                # are only counted, each with its own loss draw
-                self.msg_counts["distill"] += 2
-                if lrt.loss > 0:
-                    self._lost(link_id)
-                    self._lost(link_id)
+            if blocks and lrt.loss > 0:
+                # the block's two distillation frames take a loss draw each
+                self._lost(lrt.spec.id)
+                self._lost(lrt.spec.id)
+        if poll:
+            self._refresh_eager()
         self._apply_drains()
-        levels = []
-        for lrt in self.links.values():
+        examined = []
+        wakes = self._wakes
+        for lrt in self._due(ticks):
             a, b = lrt.q3p.stores
             level_a, level_b = a.available_bytes, b.available_bytes
             (_, lo_a, hi_a), (_, lo_b, hi_b) = lrt.advertised
-            if not (lo_a < level_a < hi_a and lo_b < level_b < hi_b):
+            if lo_a < level_a < hi_a and lo_b < level_b < hi_b:
+                gap_a, gap_b = hi_a - level_a, hi_b - level_b
+                wake = ticks - (-(gap_a if gap_a < gap_b else gap_b) // lrt.tick_bytes)
+                if wake != lrt.wake:
+                    lrt.wake = wake
+                    wakes[wake].append(lrt)
+            else:
                 poll = True
             level = level_a if level_a < level_b else level_b
             if level < lrt.min_level_seen:
                 lrt.min_level_seen = level
-            levels.append(level)
+            examined.append((lrt, level))
         if poll:
             for agent in self.agents.values():
                 agent.on_tick()
-        summary = self._tick_count % round(SUMMARY_S / PRODUCE_TICK_S) == 0
+        summary = ticks % round(SUMMARY_S / PRODUCE_TICK_S) == 0
         if summary:
             for agent in self.agents.values():
                 agent.send_summary()
-        self._track_usability(None if poll or summary else levels)
-        if self._tick_count % round(SAMPLE_PERIOD_S / PRODUCE_TICK_S) == 0:
+        self._track_usability(None if poll or summary else examined)
+        if ticks % round(SAMPLE_PERIOD_S / PRODUCE_TICK_S) == 0:
             self._sample()
+
+    def _due(self, ticks: int) -> list[_LinkRT]:
+        """The links tick ``ticks`` examines, in link order: each link spent,
+        pushed or re-advertised since its last examination (the clock's
+        marks; the agents' first LSAs mark every link for tick 1), each link
+        under a DoS drain, and each link whose ``wake`` is this tick (a stale
+        wake entry, superseded by a later examination, is dropped)."""
+        links = self._link_list
+        due, self.clock.spent = self.clock.spent, set()
+        for lrt in self._wakes.pop(ticks, ()):
+            if lrt.wake == ticks:
+                due.add(lrt.index)
+        for drain in self._drains:
+            due.add(self.links[drain.link_id].index)
+        return [links[i] for i in sorted(due)]
 
     def _apply_drains(self) -> None:
         self._drains = [drain for drain in self._drains if self.now <= drain.end_s]
@@ -660,10 +734,21 @@ class Engine:
                 peer.reserve_exact(sender.reserve(n, Purpose.AUTHENTICATE).ranges,
                                    Purpose.AUTHENTICATE)
 
+    def _settle(self, lrts) -> None:
+        """Bring links up to the last tick, and mark them for the next tick
+        to examine: before their rate changes, the past ticks produce at the
+        old rate."""
+        for lrt in lrts:
+            if lrt.q3p.stream.through != self.clock.ticks:
+                lrt.settle()
+            self.clock.spent.add(lrt.index)
+
     def _fail_link(self, p: dict) -> None:
         link_id = p["link"]
         lrt = self.links[link_id]
+        self._settle((lrt,))
         lrt.runtime.fail()
+        self._refresh_eager()
         self.link_events.append((self.now, link_id, "fail"))
         for end in (lrt.spec.a, lrt.spec.b):
             self.agents[end].originate(link_id)
@@ -672,7 +757,9 @@ class Engine:
     def _restore_link(self, p: dict) -> None:
         link_id = p["link"]
         lrt = self.links[link_id]
+        self._settle((lrt,))
         lrt.runtime.restore()
+        self._refresh_eager()
         self.link_events.append((self.now, link_id, "restore"))
         for end in (lrt.spec.a, lrt.spec.b):
             self.agents[end].originate(link_id)
@@ -690,7 +777,8 @@ class Engine:
         self.agents[req.request.src].start_delivery(req)
 
     def _set_daytime(self, p: dict) -> None:
-        for lrt in self.links.values():
+        self._settle(self._link_list)
+        for lrt in self._link_list:
             lrt.runtime.daytime = p["daytime"]
 
     def _on_timer(self, p: dict) -> None:
@@ -700,6 +788,9 @@ class Engine:
         self._finalize_record(self.requests[p["request_id"]], reason="deadline")
 
     def _finalize(self, p: dict) -> None:
+        """Settle every link, so the report and anything reading the stores
+        afterwards sees all production, then close the open requests."""
+        self._settle(self._link_list)
         self._sample()
         for req in self.requests.values():
             self._finalize_record(req, reason="scenario_end")
@@ -763,6 +854,9 @@ class Engine:
             rec.status = DeliveryStatus.FAILED
             rec.failure_reason = rec.failure_reason or reason
         req.final = True
+        # nothing reads a final request's fragments again
+        req.fragments.clear()
+        req.received.clear()
         if rec.status is DeliveryStatus.DELIVERED and req.refill_target:
             self._apply_refill(req.refill_target, rec.secret_at_dst)
 
@@ -783,19 +877,20 @@ class Engine:
 
     # -- observation -------------------------------------------------------------
 
-    def _track_usability(self, levels: list[int] | None = None) -> None:
+    def _track_usability(self, examined: list[tuple[_LinkRT, int]] | None = None) -> None:
         """Note each link that became usable (up, and its lower end's level
-        above the authentication floor) or unusable. ``levels`` are the
-        links' current min levels in link order, when the caller has them."""
+        above the authentication floor) or unusable. ``examined`` holds
+        ``(link, current min level)`` in link order for the links the caller
+        read; by default every link, read now."""
         floor = AUTH_RESERVE_DEFAULT
-        if levels is None:
-            levels = [lrt.q3p.min_level() for lrt in self.links.values()]
-        for (link_id, lrt), level in zip(self.links.items(), levels):
+        if examined is None:
+            examined = [(lrt, lrt.q3p.min_level()) for lrt in self._link_list]
+        for lrt, level in examined:
             usable = lrt.runtime.status.state is _UP and level > floor
-            if usable != self._advert_usable[link_id]:
-                self._advert_usable[link_id] = usable
+            if usable != lrt.usable:
+                lrt.usable = usable
                 self.link_events.append(
-                    (self.now, link_id, "usable" if usable else "unusable")
+                    (self.now, lrt.spec.id, "usable" if usable else "unusable")
                 )
 
     def _sample(self) -> None:
@@ -855,6 +950,7 @@ class NodeAgent:
         )
         self.flood.accept(lsa)
         lrt.advertised[side] = (lsa.up, *_band(lsa.level_bytes))
+        self.engine.clock.spent.add(lrt.index)       # its band moved: examine it
         self._flood_out(lsa, arrived_on=None)
 
     def _flood_out(self, lsa: LinkStateAd, arrived_on: str | None) -> None:

@@ -3,7 +3,9 @@ bit-exact key production with a fractional-carry accumulator.
 
 A link runtime counts the whole bytes each step produces; it draws no key.
 The link's ``KeyStream`` draws those bytes from the link's key source when a
-reservation first reads them."""
+reservation first reads them. Production itself may run late: the engine
+advances a link by all the steps it missed when something first reads the
+link's key, and the counts are the same as stepping it at every tick."""
 
 from __future__ import annotations
 
@@ -43,6 +45,9 @@ class LinkState(Enum):
     UP = "up"
     DOWN = "down"
     RESTARTING = "restarting"
+
+
+_UP, _DOWN = LinkState.UP, LinkState.DOWN  # enum member lookups are slow on CPython 3.11
 
 
 @dataclass
@@ -91,33 +96,52 @@ class LinkRuntime:
         else:
             self.status = LinkStatus(LinkState.RESTARTING, self.profile.restart_latency_s)
 
-    def produce(self, dt_s: float) -> int:
-        """Advance the link by ``dt_s`` and count the whole bytes of fresh key.
+    def produce(self, dt_s: float, ticks: int = 1, counts: list[int] | None = None) -> int:
+        """Advance the link by ``ticks`` steps of ``dt_s`` each and count the
+        whole bytes of fresh key.
 
-        Returns the number of bytes produced for BOTH endpoint stores, or 0
-        when the step yielded less than a byte or the link is not producing.
-        The bytes themselves are drawn later, on first read, by the link's
-        ``KeyStream``.
+        Returns the number of bytes produced for BOTH endpoint stores, 0 when
+        the steps yielded less than a byte or the link is not producing. The
+        count of each step that yielded bytes is appended to ``counts``, if
+        given: the link's ``KeyStream`` queues it as one block and draws its
+        bytes later, on first read. This is the one copy of the recurrence:
+        advancing ``n`` steps at once runs the same arithmetic, in the same
+        order, as ``n`` calls of one step, so the counts are the same to the
+        bit.
         """
         if dt_s <= 0:
             raise ValueError("dt_s must be positive")
+        first = dt_s                                 # producing time of the first step
         status = self.status
-        if status.state is not LinkState.UP:
-            if status.state is LinkState.DOWN:
+        while status.state is not _UP:               # a restart counts down step by step
+            if status.state is _DOWN or ticks <= 0:
                 return 0
             if dt_s < status.remaining_s - 1e-12:
                 status.remaining_s -= dt_s
-                return 0
-            dt_s -= status.remaining_s
-            self.status = LinkStatus(LinkState.UP)
-            if dt_s <= 0:
-                return 0
+                ticks -= 1
+                continue
+            first = dt_s - status.remaining_s        # up for the rest of this step
+            self.status = status = LinkStatus(LinkState.UP)
+            if first <= 0:                           # up at the step's end: no key yet
+                first = dt_s
+                ticks -= 1
         rate = self.key_rate_bps
-        if rate <= 0.0 or (self.daytime and self.profile.night_only):
+        if ticks <= 0 or rate <= 0.0 or (self.daytime and self.profile.night_only):
             return 0
-        total = rate * dt_s + self.fractional_bits
-        whole = int(total)                           # the floor, as total >= 0
-        self.fractional_bits = total - whole
-        n_bytes, self.pending_bits = divmod(self.pending_bits + whole, 8)
-        self.produced_bytes_total += n_bytes
-        return n_bytes
+        step_bits = rate * dt_s
+        bits = rate * first
+        frac, pending = self.fractional_bits, self.pending_bits
+        produced = 0
+        for _ in range(ticks):
+            total = bits + frac
+            whole = int(total)                       # the floor, as total >= 0
+            frac = total - whole
+            n_bytes, pending = divmod(pending + whole, 8)
+            if n_bytes:
+                produced += n_bytes
+                if counts is not None:
+                    counts.append(n_bytes)
+            bits = step_bits
+        self.fractional_bits, self.pending_bits = frac, pending
+        self.produced_bytes_total += produced
+        return produced

@@ -5,9 +5,11 @@ Every QKD link feeds an identical stream of secret bytes to a key store at
 each endpoint. The stream is held once per link (``KeyStream``) and both
 stores read it; a store holds only its consumption state. Because both ends
 read the same stream, the two stores stay level-equal as long as they see
-the same message history. Produced bytes count toward the levels at once
-but are drawn from the link's key source when a reservation first reads
-them, so a stream holds only the key read so far.
+the same message history. Production may be counted late: a stream behind
+its ``ProductionClock`` is settled by the first read of a level, a pool
+length or key bytes, so no reader sees the difference. Produced bytes are
+drawn from the link's key source when a reservation first reads them, so a
+stream holds only the key read so far.
 
 To let both endpoints send concurrently without ever assigning the same key
 bytes twice, each key block is split in half: the first half is appended to
@@ -181,6 +183,24 @@ class _IntervalSet:
         return iter(zip(self._starts, self._ends))
 
 
+class ProductionClock:
+    """The production tick that a set of key streams is settled against,
+    and the streams spent or pushed since their owner last examined them.
+
+    A stream is current when its ``through`` equals ``ticks``; any read of
+    a level, a pool length or key bytes that finds it behind first calls
+    the stream's ``settle``, which adds the production of the ticks it
+    missed. A reservation or push adds the stream's ``index`` to ``spent``.
+    A stream made on its own has a clock of its own that never moves.
+    """
+
+    __slots__ = ("ticks", "spent")
+
+    def __init__(self) -> None:
+        self.ticks = 0
+        self.spent: set[int] = set()
+
+
 class KeyStream:
     """One link's key stream, held once and read by both endpoint stores.
 
@@ -200,6 +220,13 @@ class KeyStream:
     before them: the order of calls is the only block order the stream has.
     ``appended_bytes`` counts the logical bytes of both pools, kept as a
     counter because every level reads it.
+
+    Production may also be counted late: ``attach`` ties the stream to a
+    shared ``ProductionClock`` and a ``settle`` callback, and each read of
+    a level, a length or bytes first settles a stream that is behind the
+    clock. The check is an inline compare of ``through`` with the clock, so
+    a current stream pays no call. Reservations and pushes mark the stream
+    on the clock's ``spent`` set.
     """
 
     def __init__(self, preshared: bytes = b"",
@@ -211,8 +238,23 @@ class KeyStream:
         self._source = source
         self._queued = array("Q")                # produced counts not drawn yet
         self._head = 0                           # first of them still to draw
+        self.clock = ProductionClock()
+        self.index = 0
+        self.through = 0                         # the clock tick produced through
         if preshared:
             self.push(preshared)
+
+    def attach(self, clock: ProductionClock, index: int,
+               settle: Callable[[], None]) -> None:
+        """Settle against ``clock``, through ``settle``, and mark spends as
+        ``index``; the stream is current as of the clock's present tick."""
+        self.clock, self.index, self.through = clock, index, clock.ticks
+        self.settle = settle
+
+    def settle(self) -> None:
+        """Bring the stream up to its clock; a stream with no producer
+        attached has missed nothing."""
+        self.through = self.clock.ticks
 
     def _count(self, n_bytes: int) -> None:
         """Grow the logical lengths by a block of ``n_bytes``."""
@@ -240,17 +282,30 @@ class KeyStream:
             head = 0
         self._head = head
 
-    def produce(self, n_bytes: int) -> None:
-        """Add ``n_bytes`` of the link's key source to the stream, undrawn."""
-        if n_bytes <= 0 or self._source is None:
-            raise ValueError("production needs a positive count and a key source")
-        self._count(n_bytes)
-        self._queued.append(n_bytes)
+    def produce(self, *counts: int) -> None:
+        """Add blocks of the link's key source, of ``counts`` bytes each, in
+        order and undrawn."""
+        first = total = 0                        # pool 0 takes each block's larger half
+        for n_bytes in counts:
+            if n_bytes <= 0:
+                raise ValueError("production needs positive counts")
+            first += (n_bytes + 1) // 2
+            total += n_bytes
+        if self._source is None:
+            raise ValueError("production needs a key source")
+        lengths = self.lengths
+        lengths[0] += first
+        lengths[1] += total - first
+        self.appended_bytes += total
+        self._queued.extend(counts)
 
     def push(self, data: bytes) -> None:
         """Append a block of key bytes after all production so far."""
         if not data:
             raise ValueError("a pushed block must be non-empty")
+        if self.through != self.clock.ticks:
+            self.settle()
+        self.clock.spent.add(self.index)
         # every queued count puts at least one byte in pool 0
         self._draw(0, self.lengths[0])
         half = (len(data) + 1) // 2
@@ -260,6 +315,8 @@ class KeyStream:
 
     def read(self, span: Span) -> bytes:
         """The key bytes of ``span``; spans come from the peer, so checked."""
+        if self.through != self.clock.ticks:
+            self.settle()
         pool, start, end = span
         if pool not in (0, 1) or start < 0 or end > self.lengths[pool]:
             raise InsufficientKey(f"span {span} beyond stream")
@@ -278,6 +335,10 @@ class KeyStore:
     is consumed below its cursor and its ledger records each reservation,
     one record per purpose; the peer's pool is consumed where the store
     opened the peer's messages, one merged span set plus its byte count.
+
+    Every read of a level first settles a stream that is behind its clock
+    (``ProductionClock``), written inline so that a current stream costs one
+    compare; every reservation marks the stream as spent on that clock.
     """
 
     def __init__(self, link_id: str, stream: KeyStream, side: int = 0,
@@ -301,7 +362,10 @@ class KeyStore:
 
     @property
     def appended_bytes(self) -> int:
-        return self.stream.appended_bytes
+        stream = self.stream
+        if stream.through != stream.clock.ticks:
+            stream.settle()
+        return stream.appended_bytes
 
     @property
     def ledgered_bytes(self) -> int:
@@ -310,11 +374,17 @@ class KeyStore:
 
     @property
     def available_bytes(self) -> int:
-        return self.stream.appended_bytes - self._cursor - self._opened_bytes
+        stream = self.stream
+        if stream.through != stream.clock.ticks:
+            stream.settle()
+        return stream.appended_bytes - self._cursor - self._opened_bytes
 
     def pool_available(self, pool: int) -> int:
+        stream = self.stream
+        if stream.through != stream.clock.ticks:
+            stream.settle()
         spent = self._cursor if pool == self.side else self._opened_bytes
-        return self.stream.lengths[pool] - spent
+        return stream.lengths[pool] - spent
 
     # -- reservation --------------------------------------------------------
 
@@ -326,10 +396,14 @@ class KeyStore:
         itself. The whole span must fit the direction pool, and so the store,
         whose level is this pool's unspent bytes plus the peer pool's unopened
         ones."""
-        if general_bytes and self.available_bytes - general_bytes < self.auth_reserve:
+        stream, cursor = self.stream, self._cursor
+        if stream.through != stream.clock.ticks:
+            stream.settle()
+        if general_bytes and (stream.appended_bytes - cursor - self._opened_bytes
+                              - general_bytes < self.auth_reserve):
             return (f"{general_bytes} B would breach the {self.auth_reserve} B "
                     "authentication reserve")
-        if self.pool_available(self.side) < total_bytes:
+        if stream.lengths[self.side] - cursor < total_bytes:
             return f"direction pool {self.side} exhausted"
         return None
 
@@ -354,7 +428,9 @@ class KeyStore:
         if auth_bytes:
             self.ledger.append(LedgerRecord(ranges=(side, mid, end), purpose=Purpose.AUTHENTICATE))
         span = (side, start, end)
-        return Reservation(ranges=span, key=self.stream.read(span), purpose=purpose)
+        stream = self.stream
+        stream.clock.spent.add(stream.index)
+        return Reservation(ranges=span, key=stream.read(span), purpose=purpose)
 
     def reserve_exact(self, span: Span, purpose: Purpose) -> Reservation:
         """Claim an explicit span of the peer's pool, mirroring the peer's
@@ -368,6 +444,8 @@ class KeyStore:
             raise ValueError(f"span {span} lies in this store's own pool")
         self._opened.add(start, end)
         self._opened_bytes += end - start
+        stream = self.stream
+        stream.clock.spent.add(stream.index)
         return Reservation(ranges=span, key=key, purpose=purpose)
 
     def spent(self, span: Span) -> bool:

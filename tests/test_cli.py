@@ -48,6 +48,33 @@ def test_missing_scenario_file_exits_2(tmp_path):
                  str(tmp_path / "nope.scn"), "--out", str(tmp_path / "o")]) == 2
 
 
+def _unreadable_file(tmp_path, kind):
+    """A path that cannot be read as a config: a directory, or a file that
+    is not UTF-8 (it starts with a UTF-16 byte-order mark)."""
+    if kind == "directory":
+        path = tmp_path / "a-directory"
+        path.mkdir()
+    else:
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe" + "[scenario] duration=3\n".encode("utf-16-le"))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("command", ["run --scenario", "run --topology", "validate --topology"])
+def test_unreadable_config_file_exits_2(command, kind, tmp_path, capsys):
+    path = _unreadable_file(tmp_path, kind)
+    out = str(tmp_path / "o")
+    argv = {
+        "run --scenario": ["run", "--preset", "vienna", "--scenario", path, "--out", out],
+        "run --topology": ["run", "--topology", path, "--scenario", "baseline", "--out", out],
+        "validate --topology": ["validate", "--topology", path],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and path in err
+
+
 def test_invalid_topology_exits_2(tmp_path):
     bad = tmp_path / "bad.topo"
     bad.write_text(DISCONNECTED)

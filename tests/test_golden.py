@@ -8,7 +8,9 @@ changed and why.
 import hashlib
 
 import pytest
+from invariants import check_run
 
+from qkdnet import cli
 from qkdnet.cli import main
 
 # bundled-style run with classical-channel loss, multipath, no jitter
@@ -78,7 +80,16 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_outputs_match_pinned_digests(name, tmp_path, capsys):
+def test_outputs_match_pinned_digests(name, tmp_path, capsys, monkeypatch):
+    runs = []
+
+    class Checked(cli.Engine):
+        def run(self):
+            report = super().run()
+            runs.append((self, report))
+            return report
+
+    monkeypatch.setattr(cli, "Engine", Checked)
     scenario = name
     if name in WRITTEN:
         scenario = tmp_path / f"{name}.txt"
@@ -92,3 +103,5 @@ def test_outputs_match_pinned_digests(name, tmp_path, capsys):
         for fname in GOLDEN[name]
     }
     assert digests == GOLDEN[name]
+    (engine, report), = runs
+    check_run(engine, report)

@@ -7,7 +7,8 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from invariants import check_run
 
 from qkdnet import q3p
 from qkdnet.harness import (
@@ -23,7 +24,7 @@ from qkdnet.harness import (
     parse_scenario,
     sub_seed,
 )
-from qkdnet.links import LinkState, key_rate
+from qkdnet.links import LinkRuntime, LinkState, key_rate
 from qkdnet.model import PRESETS, load_topology, preset, vienna_preset
 from qkdnet.q3p import (
     AUTH_KEY_BYTES,
@@ -567,7 +568,7 @@ class TestKeyOnFirstRead:
             tracemalloc.stop()
         lrt = eng.links["AB"]
         assert rep.records[0].status is DeliveryStatus.DELIVERED
-        assert eng._tick_count == 10_000
+        assert eng.clock.ticks == 10_000
         assert lrt.runtime.produced_bytes_total == 10_000_000        # 1000 B a tick
         reached = [0, 0]
         for store in lrt.q3p.stores:
@@ -712,9 +713,15 @@ def _last_advertised(log: list) -> dict:
 
 
 def _poll_every_tick(eng: Engine, log: list) -> None:
-    """The reference: every agent is polled on every tick and decides with
-    the origination rule written out, not with the engine's bands."""
+    """The reference: every link produces at every tick, in link order,
+    before the drains, and the tick examines every link; every agent is
+    polled on every tick and decides with the origination rule written out,
+    not with the engine's bands."""
     floor = AUTH_RESERVE_DEFAULT
+    every_link = list(eng.links.values())
+    eng._refresh_eager = lambda: setattr(eng, "_eager", every_link)
+    eng._refresh_eager()
+    eng._due = lambda ticks: every_link
 
     def polling_on_tick(agent):
         last = _last_advertised(log)
@@ -740,11 +747,12 @@ def _poll_every_tick(eng: Engine, log: list) -> None:
 def _move_level(lrt, side: int, target: int) -> None:
     """Move both ends of a link by the same amount, so that the end at
     ``side`` reaches ``target`` if the link's key allows: a pushed block
-    raises both, a spend that the other end mirrors (as a drain's) lowers
-    both."""
+    raises both, as a refill would, and a spend that the other end mirrors
+    (as a drain's) lowers both."""
     delta = target - lrt.q3p.stores[side].available_bytes
     if delta > 0:
         lrt.q3p.push(bytes(delta))
+        lrt.refilled_bytes += delta      # the key conservation check counts it
     for direction in (0, 1):
         sender, peer = lrt.q3p.stores[direction], lrt.q3p.stores[1 - direction]
         n = min(-delta, sender.pool_available(direction))
@@ -773,7 +781,7 @@ def _nudge_to_edges(eng: Engine, log: list, nudges: list) -> None:
     def drains_then_nudges():
         apply_drains()
         last = _last_advertised(log)
-        for link, side, edge, offset in at_tick.get(eng._tick_count, ()):
+        for link, side, edge, offset in at_tick.get(eng.clock.ticks, ()):
             lrt = eng.links[links[link % len(links)]]
             if edge is None:
                 _move_level(lrt, side, offset)
@@ -797,23 +805,40 @@ class TestGatedTick:
         loss=st.sampled_from([0.0, 0.02]),
         jitter_ms=st.sampled_from([0.0, 3.0]),
         events=st.lists(st.tuples(
-            st.sampled_from(["fail", "dos", "refill", "request"]),
+            st.sampled_from(["fail", "dos", "refill", "request", "exchange"]),
             st.integers(0, 59), st.integers(0, 20), st.integers(1, 30),
+            st.integers(0, 99),
         ), max_size=6),
+        link_loss=st.none() | st.tuples(st.integers(0, 20), st.sampled_from([0.0, 0.05])),
+        overrun_ms=st.integers(0, 99),
         daywindow=st.none() | st.tuples(st.integers(0, 30), st.integers(1, 40)),
         nudges=st.lists(st.tuples(
             st.integers(1, 59), st.integers(0, 8), st.integers(0, 1),
             st.none() | st.integers(0, 3000), st.integers(0, 3), st.integers(-1, 1),
         ), max_size=8),
     )
+    # A and B exchange 1 KiB each way 3 ms before a tick: each end's open of
+    # the other's segment spends key only after that tick, and those spends
+    # alone set AB's run minimum
+    @example(name="grid", seed=1, loss=0.0, jitter_ms=0.0, events=[("exchange", 2, 0, 2, 97)],
+             link_loss=None, overrun_ms=0, daywindow=None, nudges=[])
     @settings(max_examples=40, deadline=None)
     def test_gated_tick_originates_as_polling_every_tick(
-            self, name, seed, loss, jitter_ms, events, daywindow, nudges):
+            self, name, seed, loss, jitter_ms, events, link_loss, overrun_ms, daywindow,
+            nudges):
+        # production is lazy and the tick examines only the links that could
+        # have changed; the reference produces on every link at every tick and
+        # polls every agent. Requests start off the tick grid, so that key is
+        # read between ticks, and the run may end off it too
         topo = load_topology(GRID6) if name == "grid" else preset(name)
         links = [link.id for link in topo.links]
         nodes = sorted(topo.nodes)
-        lines = [f"[scenario] duration=6 seed={seed} loss={loss} jitter_ms={jitter_ms}"]
-        for kind, tenth, i, size in events:
+        duration = 6 + overrun_ms / 1000
+        lines = [f"[scenario] duration={duration} seed={seed} loss={loss} "
+                 f"jitter_ms={jitter_ms}"]
+        if link_loss is not None:
+            lines.append(f"[loss] link={links[link_loss[0] % len(links)]} p={link_loss[1]}")
+        for kind, tenth, i, size, offgrid_ms in events:
             t = tenth / 10
             link = links[i % len(links)]
             if kind == "fail":
@@ -824,10 +849,11 @@ class TestGatedTick:
                              f"duration={size / 10}")
             elif kind == "refill":
                 lines.append(f"[event] t={t} kind=refill link={link} bytes={size * 256}")
-            else:
-                src, dst = nodes[i % len(nodes)], nodes[(i + 1) % len(nodes)]
-                lines.append(f"[event] t={t} kind=request src={src} dst={dst} "
-                             f"bytes={size * 512} k={1 + i % 2}")
+            else:   # a request, or an exchange: a request each way at once
+                pair = nodes[i % len(nodes)], nodes[(i + 1) % len(nodes)]
+                for src, dst in (pair, pair[::-1]) if kind == "exchange" else (pair,):
+                    lines.append(f"[event] t={t + offgrid_ms / 1000} kind=request src={src} "
+                                 f"dst={dst} bytes={size * 512} k={1 + i % 2}")
         if daywindow is not None:
             start = daywindow[0] / 10
             lines.append(f"[event] t={start} kind=daywindow start={start} "
@@ -841,6 +867,7 @@ class TestGatedTick:
             if reference:
                 _poll_every_tick(eng, log)
             rep = eng.run()
+            check_run(eng, rep)
             return ([entry[:4] + entry[5:] for entry in log],
                     rep.metrics_csv(), rep.summary_json(), rep.audit_text())
 
@@ -851,7 +878,7 @@ class TestGatedTick:
         on_tick = NodeAgent.on_tick
 
         def counted(agent):
-            polled_ticks.add(agent.engine._tick_count)
+            polled_ticks.add(agent.engine.clock.ticks)
             on_tick(agent)
 
         monkeypatch.setattr(NodeAgent, "on_tick", counted)
@@ -861,5 +888,55 @@ class TestGatedTick:
         eng = Engine(vienna_preset(), parse_scenario("\n".join(lines) + "\n"))
         rep = eng.run()
         assert all(rec.status is DeliveryStatus.DELIVERED for rec in rep.records)
-        assert eng._tick_count == round(120 / PRODUCE_TICK_S)
-        assert 0 < len(polled_ticks) < 0.05 * eng._tick_count
+        assert eng.clock.ticks == round(120 / PRODUCE_TICK_S)
+        assert 0 < len(polled_ticks) < 0.05 * eng.clock.ticks
+
+
+class TestLazyProduction:
+    def test_production_is_entered_only_for_links_that_are_read(self, monkeypatch):
+        # a steady run reads few links per tick: production is brought up to
+        # date on those alone, yet every link ends with the bytes it would
+        # have produced stepped at every tick
+        produce = LinkRuntime.produce
+        calls = []
+
+        def counted(runtime, *args):
+            calls.append(runtime.spec.id)
+            return produce(runtime, *args)
+
+        monkeypatch.setattr(LinkRuntime, "produce", counted)
+        lines = ["[scenario] duration=120 seed=1"]
+        lines += [f"[event] t={t} kind=request src=SIE dst=GUD bytes=1024 k=1"
+                  for t in range(1, 120)]
+        eng = Engine(vienna_preset(), parse_scenario("\n".join(lines) + "\n"))
+        rep = eng.run()
+        assert all(rec.status is DeliveryStatus.DELIVERED for rec in rep.records)
+        ticks = round(120 / PRODUCE_TICK_S)
+        assert len(calls) < 0.25 * ticks * len(eng.links)
+        for link_id, lrt in eng.links.items():
+            eager = LinkRuntime(lrt.spec, lrt.runtime.profile)
+            expected = sum(produce(eager, PRODUCE_TICK_S) for _ in range(ticks))
+            assert lrt.runtime.produced_bytes_total == expected > 0, link_id
+            assert rep.link_stats[link_id]["produced_bytes"] == expected, link_id
+
+
+class TestFinishedRequests:
+    def test_a_final_request_holds_no_fragments(self):
+        # delivered, partial (bob's only access link is cut while the secret
+        # is on its way) and failed (STP cut off before the request) requests
+        eng = Engine(vienna_preset(), parse_scenario(
+            "[scenario] duration=4 seed=1 loss=0.02\n"
+            "[event] t=0.2 kind=fail link=BREIT-STP\n"
+            "[event] t=0.5 kind=request src=SIE dst=GUD bytes=8192 k=2\n"
+            "[event] t=1.0 kind=request src=SIE dst=bob bytes=65536 k=1\n"
+            "[event] t=1.02 kind=fail link=ERD-bob\n"
+            "[event] t=1.5 kind=request src=alice dst=STP bytes=1024 k=1\n"))
+        rep = eng.run()
+        check_run(eng, rep)
+        assert [rec.status for rec in rep.records] == [
+            DeliveryStatus.DELIVERED, DeliveryStatus.PARTIAL, DeliveryStatus.FAILED]
+        for req in eng.requests.values():
+            assert req.final and not req.fragments and not req.received
+        delivered = rep.records[0]
+        assert delivered.secret_at_dst == delivered.secret_at_src
+        assert len(delivered.secret_at_dst) == delivered.n_bytes
