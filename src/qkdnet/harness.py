@@ -2,8 +2,8 @@
 
 Runs a scenario (timed key requests, link failures, DoS drains, refills,
 daylight windows) over a topology. Virtual time only; a fixed production
-tick, fixed per-hop latency plus optional seeded jitter, and one master seed
-split into stable per-purpose streams make every run byte-reproducible.
+tick, fixed per-hop latency plus optional jitter, and one master seed split
+into stable per-purpose and per-link streams make runs byte-reproducible.
 """
 
 from __future__ import annotations
@@ -263,7 +263,8 @@ class _LinkRT:
     the rate of the link's devices whatever its state, and one more byte
     covers rounding. ``wake`` is the earliest tick at which production alone
     could carry an end to its band's ``hi``; ``usable`` is the usability
-    the engine last noted (``Engine._track_usability``)."""
+    the engine last noted (``Engine._track_usability``). ``channel`` is the
+    stream of the link's own frame loss and jitter (``Engine.send_message``)."""
 
     spec: LinkSpec
     runtime: LinkRuntime
@@ -277,14 +278,14 @@ class _LinkRT:
         default_factory=lambda: [(False, 0, 0), (False, 0, 0)])
     usable: bool = True
     wake: int = 0
+    channel: Random | None = None
     tick_bytes: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.tick_bytes = int(self.runtime.key_rate_bps * PRODUCE_TICK_S / 8) + 2
 
-    def settle(self) -> int:
-        """Produce the ticks the link missed, in order, up to the clock of
-        its stream; returns the number of blocks they yielded."""
+    def settle(self) -> None:
+        """Produce the ticks the link missed, in order, up to its stream's clock."""
         stream = self.q3p.stream
         ticks = stream.clock.ticks
         counts: list[int] = []
@@ -296,7 +297,6 @@ class _LinkRT:
             # net of its key cost; its two frames per block (one each way)
             # are only counted
             self.msg_counts["distill"] += 2 * len(counts)
-        return len(counts)
 
 
 @dataclass
@@ -410,8 +410,6 @@ class Engine:
         self._queue: list[tuple[float, int, Event]] = []
         self._order = 0
         self.instances = lsa_instances(topology)
-        self._rng_loss = Random(sub_seed(self.seed, "loss"))
-        self._rng_jitter = Random(sub_seed(self.seed, "jitter"))
         self._rng_secret = Random(sub_seed(self.seed, "secrets"))
         self.msg_counts: Counter = Counter()
         self.clock = ProductionClock()
@@ -427,6 +425,8 @@ class Engine:
                 index=index,
                 msg_counts=self.msg_counts,
             )
+            if lrt.loss > 0 or scenario.jitter_ms > 0:
+                lrt.channel = Random(sub_seed(self.seed, f"channel:{spec.id}"))
             lrt.q3p.stream.attach(self.clock, index, lrt.settle)
             lrt.min_level_seen = lrt.q3p.min_level()
             self.links[spec.id] = lrt
@@ -453,8 +453,8 @@ class Engine:
         # written so that NaN, which fails every comparison, is refused too
         if not 0.0 <= sc.loss_default <= 1.0:
             raise ScenarioError(f"scenario loss {sc.loss_default} outside [0, 1]")
-        if not sc.jitter_ms >= 0.0:
-            raise ScenarioError(f"scenario jitter_ms {sc.jitter_ms} is negative")
+        if not 0.0 <= sc.jitter_ms < float("inf"):
+            raise ScenarioError(f"scenario jitter_ms {sc.jitter_ms} is negative or not finite")
         for link_id, loss in sc.loss_per_link.items():
             if link_id not in self.links:
                 raise ScenarioError(f"loss entry for unknown link {link_id!r}")
@@ -557,8 +557,8 @@ class Engine:
     # -- messaging -----------------------------------------------------------
 
     def send_message(self, link_id: str, from_node: str, msg, meta: dict | None = None) -> bool:
-        """Transmit over a link's classical channel: fixed latency, seeded
-        loss and jitter. Returns False if the message was dropped at send."""
+        """Transmit over a link's classical channel: fixed latency, then loss
+        and jitter drawn from its ``channel``. Returns False if dropped at send."""
         lrt = self.links[link_id]
         if lrt.runtime.status.state is _DOWN:
             self.msg_counts["dropped_link_down"] += 1
@@ -567,7 +567,7 @@ class Engine:
             return False
         latency = HOP_LATENCY_S
         if self.scenario.jitter_ms > 0:
-            latency += self._rng_jitter.uniform(0, self.scenario.jitter_ms / 1000.0)
+            latency += lrt.channel.uniform(0, self.scenario.jitter_ms / 1000.0)
         to_node = lrt.spec.b if from_node == lrt.spec.a else lrt.spec.a
         self._schedule(Event(self.now + latency, EventKind.MSG_ARRIVE, {
             "link": link_id, "to": to_node, "msg": msg, "meta": meta or {},
@@ -575,9 +575,9 @@ class Engine:
         return True
 
     def _lost(self, link_id: str) -> bool:
-        """One seeded loss draw for a frame on a link; counts the frame if lost."""
-        loss = self.links[link_id].loss
-        if loss > 0 and self._rng_loss.random() < loss:
+        """One loss draw from a link's channel stream; counts the frame if lost."""
+        lrt = self.links[link_id]
+        if lrt.loss > 0 and lrt.channel.random() < lrt.loss:
             self.msg_counts["lost"] += 1
             return True
         return False
@@ -636,16 +636,14 @@ class Engine:
 
     def _refresh_eager(self) -> None:
         """The links the tick settles at every tick, in link order, before
-        the drains: a lossy link, whose produced blocks each take two draws
-        from the shared loss stream in tick order, and a restarting one,
-        which comes up inside ``produce`` and must note it at that tick."""
-        restarting = LinkState.RESTARTING
+        the drains: the restarting ones, which come up inside ``produce`` and
+        must note it at that tick; the rest settle when they are read."""
         self._eager = [lrt for lrt in self._link_list
-                       if lrt.loss > 0 or lrt.runtime.status.state is restarting]
+                       if lrt.runtime.status.state is LinkState.RESTARTING]
 
     def _tick(self) -> None:
-        """Settle the eager links (``_refresh_eager``), apply the DoS drains,
-        then examine the links whose state could have changed (``_due``):
+        """Settle the restarting links (``_refresh_eager``), apply the DoS
+        drains, then examine the links whose state could have changed (``_due``):
         read each one's levels once, lower ``min_level_seen``, and check each
         end against the band its last LSA set. A link that is not examined
         was not spent since its last examination and production alone could
@@ -663,14 +661,10 @@ class Engine:
         for lrt in self._eager:
             runtime = lrt.runtime
             was_up = runtime.status.state is _UP
-            blocks = lrt.settle()                    # one tick: at most one block
+            lrt.settle()
             if not was_up and runtime.status.state is _UP:
                 self.link_events.append((self.now, lrt.spec.id, "up"))
                 poll = True
-            if blocks and lrt.loss > 0:
-                # the block's two distillation frames take a loss draw each
-                self._lost(lrt.spec.id)
-                self._lost(lrt.spec.id)
         if poll:
             self._refresh_eager()
         self._apply_drains()

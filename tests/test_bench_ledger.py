@@ -34,7 +34,7 @@ def test_sending_key_bytes_is_the_stores_own_pool_spend():
     assert rep.msg_counts["lost"] > 0
     key_bytes = child.sending_key_bytes(eng)
     # per purpose, so a ledger that files tag key under encryption shows
-    assert key_bytes == {"encrypt": 23552, "authenticate": 134304, "preshared_refill": 16384}
+    assert key_bytes == {"encrypt": 15360, "authenticate": 133696, "preshared_refill": 16384}
     # the logical pool length: a stream draws its bytes only when first read
     own_spend = sum(
         store.stream.lengths[store.side] - store.pool_available(store.side)

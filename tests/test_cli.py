@@ -89,6 +89,7 @@ def test_invalid_topology_exits_2(tmp_path):
     "[scenario] duration=3 seed=1 loss=-0.1\n",
     "[scenario] duration=3 seed=1\n[loss] link=SIE-ERD p=2\n",
     "[scenario] duration=3 seed=1 jitter_ms=-1\n",
+    "[scenario] duration=3 seed=1 jitter_ms=inf\n",
     "[scenario] duration=3 seed=1\n[event] t=1 kind=dos link=SIE-ERD rate=-100 duration=1\n",
     "[scenario] duration=3 seed=1\n[event] t=1 kind=dos link=SIE-ERD rate=100 duration=0\n",
     "[scenario] duration=3 seed=1\n[event] t=1 kind=dos link=SIE-ERD rate=100 duration=-1\n",
@@ -101,10 +102,10 @@ def test_invalid_topology_exits_2(tmp_path):
     "[scenario] duration=3 seed=1\n[event] t=1 kind=request src=alice dst=bob bytes=64 deadline=0\n",
     "[scenario] duration=3 seed=1\n[event] t=1 kind=request src=alice dst=bob bytes=64 deadline=nan\n",
 ], ids=["refill-bytes-0", "refill-bytes-negative", "refill-k-0", "loss-above-1",
-        "loss-negative", "link-loss-above-1", "jitter-negative", "dos-rate-negative",
-        "dos-duration-0", "dos-duration-negative", "duration-nan", "duration-inf",
-        "daywindow-start-nan", "daywindow-end-nan", "daywindow-start-negative",
-        "deadline-negative", "deadline-zero", "deadline-nan"])
+        "loss-negative", "link-loss-above-1", "jitter-negative", "jitter-inf",
+        "dos-rate-negative", "dos-duration-0", "dos-duration-negative", "duration-nan",
+        "duration-inf", "daywindow-start-nan", "daywindow-end-nan",
+        "daywindow-start-negative", "deadline-negative", "deadline-zero", "deadline-nan"])
 def test_out_of_range_scenario_value_exits_2(scenario, tmp_path, capsys):
     scn = tmp_path / "bad.scn"
     scn.write_text(scenario)

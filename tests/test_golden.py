@@ -68,13 +68,13 @@ GOLDEN = {
     },
     "jittered": {
         "metrics.csv": "c4d1397d3380a578161d4ebe3a2e694ff4112eb55a6ee2aa97b5976dfbf2440a",
-        "summary.json": "970028d4606ec45312f47d0a2e0b71f5aa6c10d6d9b3267875f7f08f0fbcf49a",
-        "audit.log": "f340d50b5a79c0b156ddea42f556c5146485cee302810185baa54e3c18dee0b6",
+        "summary.json": "31eac3bb28e57b408751548fde5f8dfecc7f5691946ea00bac4ffb18633aa388",
+        "audit.log": "eb40b5ce21cbc1445d34d6798294d8c242d87108c9edb7a8f9b3e5073629faf4",
     },
     "lossy": {
-        "metrics.csv": "4f64f192e167ca499b94684c5332dc1531865a73418e4e03116d1306cd697809",
-        "summary.json": "824631e4806c100fad7eba3f1ba12ab465a453e3a1eea00532556ca72aded863",
-        "audit.log": "584a751f86f2f991b688f9722b6d624ffb96b92b0c9173a14b38ea4c11074185",
+        "metrics.csv": "7a4052da64cc7492e5c8b0920cec86f837ee2f3ca50395f6d14ae3a964063848",
+        "summary.json": "5d975bcb68d1b3f78a0a5e92c10355afacbc6b6b1f1b4b8172e4c47a37961a47",
+        "audit.log": "79cec2b5593961bc51ed78e6c2925ac6564bc2a813c127cb3aed524498e2494a",
     },
 }
 

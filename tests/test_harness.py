@@ -940,3 +940,63 @@ class TestFinishedRequests:
         delivered = rep.records[0]
         assert delivered.secret_at_dst == delivered.secret_at_src
         assert len(delivered.secret_at_dst) == delivered.n_bytes
+
+
+class _RecordedChannel:
+    """A link's channel stream that logs each value it draws, in order."""
+
+    def __init__(self, rng: Random, log: list) -> None:
+        self._rng, self._log = rng, log
+
+    def random(self) -> float:
+        self._log.append(value := self._rng.random())
+        return value
+
+    def uniform(self, a: float, b: float) -> float:
+        self._log.append(value := self._rng.uniform(a, b))
+        return value
+
+
+class TestChannelStreams:
+    """Each link's frames draw loss and jitter from the link's own stream,
+    and only frames that are sent take a draw."""
+
+    def test_lost_counts_only_frames_that_were_sent(self):
+        # every frame is lost; distillation frames are never sent
+        scenario = parse_scenario("[scenario] duration=3 seed=1 loss=1\n")
+        rep = Engine(vienna_preset(), scenario).run()
+        counts = rep.msg_counts
+        sent = counts.get("routing_sent", 0) + counts.get("lsdb_summaries_sent", 0)
+        assert counts["distill"] > 0
+        assert counts["lost"] == sent > 0
+
+    def test_traffic_on_one_link_leaves_other_links_draws_unchanged(self):
+        # the second run adds a request whose only path is SIE-ERD; every
+        # other link must draw the same loss and jitter values, in order
+        scenario = "[scenario] duration=12 seed=5 loss=0.05 jitter_ms=2\n"
+        extra = "[event] t=2 kind=request src=SIE dst=ERD bytes=1024 k=1\n"
+        runs = []
+        for text in (scenario, scenario + extra):
+            eng = Engine(vienna_preset(), parse_scenario(text))
+            draws = {link_id: [] for link_id in eng.links}
+            for link_id, lrt in eng.links.items():
+                lrt.channel = _RecordedChannel(lrt.channel, draws[link_id])
+            log = _log_originations(eng)
+            rep = eng.run()
+            check_run(eng, rep)
+            runs.append((rep, draws, log))
+        (_, draws_a, log_a), (rep_b, draws_b, log_b) = runs
+        record, = rep_b.records
+        assert record.status is DeliveryStatus.DELIVERED
+        assert set(record.per_link_consumed) == {"SIE-ERD"}
+        # the premise: both runs originate the same LSAs (only SIE-ERD's
+        # advertised level may differ), so every other link sends the same
+        # frames at the same times
+        assert [entry[:5] for entry in log_a] == [entry[:5] for entry in log_b]
+        assert ([entry for entry in log_a if entry[2] != "SIE-ERD"]
+                == [entry for entry in log_b if entry[2] != "SIE-ERD"])
+        assert len(draws_b["SIE-ERD"]) > len(draws_a["SIE-ERD"])
+        for link_id in draws_a:
+            if link_id != "SIE-ERD":
+                assert draws_a[link_id] == draws_b[link_id], link_id
+                assert draws_a[link_id], link_id
