@@ -36,8 +36,6 @@ from .q3p import (
     Purpose,
     Q3PLink,
     ReplayDetected,
-    Reservation,
-    ReservationConsumed,
     TagMismatch,
     authenticate,
     otp_decrypt,
@@ -56,7 +54,6 @@ from .routing import (
 from .transport import (
     DeliveryRecord,
     DeliveryStatus,
-    KeyDeliveryRequest,
     aggregate_rate,
 )
 from .harness import (

@@ -46,7 +46,6 @@ from .routing import (
 from .transport import (
     DeliveryRecord,
     DeliveryStatus,
-    KeyDeliveryRequest,
     LOW_WATER_FACTOR,
     MAX_RETRIES,
     MTU_BYTES,
@@ -309,12 +308,12 @@ class _Drain:
 
 @dataclass
 class _Request:
-    """One delivery request, held once: what was asked, its outcome record,
-    the fragments received at the destination and failed on the way, and
-    the source's fragments and per-path send windows."""
+    """One delivery request, held once: its outcome record (id, ends, size),
+    the paths asked for, the fragments received at the destination and
+    failed on the way, and the source's fragments and per-path send windows."""
 
-    request: KeyDeliveryRequest
     record: DeliveryRecord
+    multipath: int
     exclude: frozenset[str]
     purpose: Purpose
     refill_target: str | None
@@ -536,22 +535,16 @@ class Engine:
                        refill_target: str | None = None) -> int:
         self._next_request_id += 1
         rid = self._next_request_id
-        request = KeyDeliveryRequest(
-            request_id=rid,
-            src=req_payload["src"],
-            dst=req_payload["dst"],
-            n_bytes=req_payload["n_bytes"],
-            multipath=req_payload.get("multipath", 1),
-            deadline_s=req_payload.get("deadline_s"),
-        )
         record = DeliveryRecord(
-            request_id=rid, src=request.src, dst=request.dst,
-            n_bytes=request.n_bytes, started_s=at,
+            request_id=rid, src=req_payload["src"], dst=req_payload["dst"],
+            n_bytes=req_payload["n_bytes"], started_s=at,
         )
-        self.requests[rid] = _Request(request, record, exclude_links, purpose, refill_target)
+        self.requests[rid] = _Request(record, req_payload.get("multipath", 1),
+                                      exclude_links, purpose, refill_target)
         self._schedule(Event(at, EventKind.KEY_REQUEST, {"request_id": rid}))
-        if request.deadline_s is not None:
-            self._schedule(Event(at + request.deadline_s, EventKind.DEADLINE, {"request_id": rid}))
+        deadline_s = req_payload.get("deadline_s")
+        if deadline_s is not None:
+            self._schedule(Event(at + deadline_s, EventKind.DEADLINE, {"request_id": rid}))
         return rid
 
     # -- messaging -----------------------------------------------------------
@@ -725,8 +718,7 @@ class Engine:
                 n = min(n, sender.pool_available(direction), sender.available_bytes)
                 if n <= 0:
                     continue
-                peer.reserve_exact(sender.reserve(n, Purpose.AUTHENTICATE).ranges,
-                                   Purpose.AUTHENTICATE)
+                peer.reserve_exact(sender.reserve(n, Purpose.AUTHENTICATE)[0])
 
     def _settle(self, lrts) -> None:
         """Bring links up to the last tick, and mark them for the next tick
@@ -768,7 +760,7 @@ class Engine:
 
     def _start_request(self, p: dict) -> None:
         req = self.requests[p["request_id"]]
-        self.agents[req.request.src].start_delivery(req)
+        self.agents[req.record.src].start_delivery(req)
 
     def _set_daytime(self, p: dict) -> None:
         self._settle(self._link_list)
@@ -910,7 +902,7 @@ class NodeAgent:
         self.engine = engine
         self.name = name
         self.topology = engine.topology
-        self.db = LinkStateDB(engine.topology, usable_floor=AUTH_RESERVE_DEFAULT)
+        self.db = LinkStateDB(engine.topology)
         self.flood = FloodingState(self.db)
         self.incident = engine.topology.links_at(name)
         self._ends: dict[str, tuple[_LinkRT, int, KeyStore]] = {}
@@ -1023,13 +1015,13 @@ class NodeAgent:
     # -- transport: source side -------------------------------------------------------
 
     def start_delivery(self, req: _Request) -> None:
-        request, rec = req.request, req.record
-        secret = self.engine.draw_secret(request.n_bytes)
+        rec = req.record
+        secret = self.engine.draw_secret(rec.n_bytes)
         rec.secret_at_src = secret
         fragments = split_fragments(secret, MTU_BYTES)
         rec.fragments_total = len(fragments)
         paths = disjoint_paths(
-            self.db, request.src, request.dst, request.multipath,
+            self.db, rec.src, rec.dst, req.multipath,
             self.engine.cost_params, exclude_links=req.exclude,
         )
         if not paths:
@@ -1077,7 +1069,7 @@ class NodeAgent:
             if not self._eligible(link.id, len(hop.fragment)):
                 exclude.add(link.id)
         try:
-            return shortest_path(self.db, self.name, hop.req.request.dst, self.engine.cost_params,
+            return shortest_path(self.db, self.name, hop.req.record.dst, self.engine.cost_params,
                                  exclude_links=frozenset(exclude))
         except NoRoute:
             return None
@@ -1096,7 +1088,7 @@ class NodeAgent:
             out_link = hop.route_links[0]
         lrt, side, _ = self._ends[out_link]
         req = hop.req
-        payload = encode_segment(req.request.request_id, hop.seq, req.record.fragments_total,
+        payload = encode_segment(req.record.request_id, hop.seq, req.record.fragments_total,
                                  hop.fragment)
         try:
             msg = lrt.q3p.seal(
@@ -1126,7 +1118,7 @@ class NodeAgent:
         newer timer supersedes any older one for the same fragment."""
         self._timer_gen += 1
         hop.gen = self._timer_gen
-        rid = hop.req.request.request_id
+        rid = hop.req.record.request_id
         self._relays[(rid, hop.seq)] = hop
         self.engine._schedule(Event(self.engine.now + RETRY_TIMEOUT_S, EventKind.TIMER, {
             "node": self.name, "request_id": rid, "seq": hop.seq, "gen": hop.gen,
@@ -1165,7 +1157,7 @@ class NodeAgent:
     def _free_window(self, hop: _HopState) -> None:
         """At the source, let the next fragment onto the path this one took."""
         req = hop.req
-        if req.request.src != self.name:
+        if req.record.src != self.name:
             return
         path_idx = req.frag_path[hop.seq]
         req.inflight[path_idx] = max(0, req.inflight[path_idx] - 1)

@@ -19,15 +19,17 @@ end)`` in pool offsets. The sender allocates sequentially from its own pool,
 so every reservation is one span, ledgered by the sender alone; the receiver
 burns the exact same span when it opens the message (spans ride along
 in-memory, standing in for the key-synchronization dialogue of a real
-deployment). Messages may arrive in any order; the receiver's opened spans
-reject replays, because each message spends its own one-time key.
+deployment). ``reserve`` returns a span and its bytes, ``reserve_exact``
+takes a span and returns its bytes. Messages may arrive in any order:
+``reserve_exact`` refusing key already consumed is the one replay check.
 
 Every message is keyed and tagged, and spends one span: its first bytes pad
 the encrypted part of the payload, if any, and its last 32 key the tag. The
-sender reserves the span once and the receiver checks and burns it once.
-The sender's ledger still holds one record per purpose, the pad part and
-the tag part, as adjacent sub-spans of that one reservation. Frames that
-need no key, such as transport acks, do not pass through this layer.
+sender reserves the span once and the receiver checks and burns it in one
+``reserve_exact`` call. The sender's ledger still holds one record per
+purpose, the pad part and the tag part, as adjacent sub-spans of that one
+reservation. Frames that need no key, such as transport acks, do not pass
+through this layer.
 
 Each authenticated message is hashed once. ``seal`` keeps the tag key, the
 authenticated bytes and the tag on the message, in a field that is not on
@@ -74,10 +76,6 @@ class InsufficientKey(Q3PError):
     """Not enough unconsumed key; the caller should back off or reroute."""
 
 
-class ReservationConsumed(Q3PError):
-    """A reservation was used a second time."""
-
-
 class LengthMismatch(Q3PError):
     """Key length does not match the data length."""
 
@@ -88,7 +86,8 @@ class TagMismatch(Q3PError):
 
 class ReplayDetected(Q3PError):
     """The message's key is already consumed at the receiver: it was opened
-    before. The opened-span set is the replay check; arrival order is free."""
+    before. ``KeyStore.reserve_exact`` is the replay check; arrival order is
+    free."""
 
 
 class KeyReuseError(Q3PError):
@@ -128,25 +127,6 @@ class LedgerRecord:
         return self.ranges[2] - self.ranges[1]
 
 
-@dataclass(slots=True)
-class Reservation:
-    """A claim on specific key bytes, usable exactly once."""
-
-    ranges: Span
-    key: bytes
-    purpose: Purpose
-    consumed: bool = False
-
-    @property
-    def n_bytes(self) -> int:
-        return len(self.key)
-
-    def consume(self) -> None:
-        if self.consumed:
-            raise ReservationConsumed(f"reservation {self.ranges} already used")
-        self.consumed = True
-
-
 class _IntervalSet:
     """Sorted disjoint half-open intervals with overlap rejection; adjacent
     intervals merge, so spans added in order stay one interval."""
@@ -155,18 +135,15 @@ class _IntervalSet:
         self._starts: list[int] = []
         self._ends: list[int] = []
 
-    def overlaps(self, start: int, end: int) -> bool:
-        """Whether ``[start, end)`` shares a byte with an interval in the set."""
-        i = bisect_right(self._ends, start)
-        return i < len(self._starts) and self._starts[i] < end
-
     def add(self, start: int, end: int) -> None:
-        if end <= start:
-            raise ValueError("empty interval")
+        """Add ``[start, end)``: ``KeyReuseError`` if it shares a byte with
+        an interval in the set, else ``ValueError`` if it is empty."""
         starts, ends = self._starts, self._ends
         i = bisect_right(ends, start)
         if i < len(starts) and starts[i] < end:
             raise KeyReuseError(f"byte range [{start},{end}) overlaps consumed key")
+        if end <= start:
+            raise ValueError("empty interval")
         if i > 0 and ends[i - 1] == start:
             if i < len(starts) and starts[i] == end:     # fills the gap between two
                 ends[i - 1] = ends.pop(i)
@@ -407,10 +384,11 @@ class KeyStore:
             return f"direction pool {self.side} exhausted"
         return None
 
-    def reserve(self, n_bytes: int, purpose: Purpose, auth_bytes: int = 0) -> Reservation:
+    def reserve(self, n_bytes: int, purpose: Purpose,
+                auth_bytes: int = 0) -> tuple[Span, bytes]:
         """Claim the next ``n_bytes + auth_bytes`` of this store's own pool as
         one span: ``n_bytes`` for ``purpose``, then ``auth_bytes`` of
-        authentication key.
+        authentication key. Returns the span and its key bytes.
 
         The ledger gets one record per purpose, as adjacent sub-spans. A
         reservation is taken whole or not at all; ``refusal`` says when not.
@@ -430,12 +408,14 @@ class KeyStore:
         span = (side, start, end)
         stream = self.stream
         stream.clock.spent.add(stream.index)
-        return Reservation(ranges=span, key=stream.read(span), purpose=purpose)
+        return span, stream.read(span)
 
-    def reserve_exact(self, span: Span, purpose: Purpose) -> Reservation:
+    def reserve_exact(self, span: Span) -> bytes:
         """Claim an explicit span of the peer's pool, mirroring the peer's
-        allocation. A span of this store's own pool is spent already below
-        the cursor, and the peer never allocates at or beyond it."""
+        allocation, and return its key bytes. The one replay check: any byte
+        consumed here already (below the cursor, or opened) is a
+        ``KeyReuseError``. A span beyond the stream is ``InsufficientKey``; an
+        empty one, or a fresh one in this store's own pool, ``ValueError``."""
         key = self.stream.read(span)
         pool, start, end = span
         if pool == self.side:
@@ -446,14 +426,7 @@ class KeyStore:
         self._opened_bytes += end - start
         stream = self.stream
         stream.clock.spent.add(stream.index)
-        return Reservation(ranges=span, key=key, purpose=purpose)
-
-    def spent(self, span: Span) -> bool:
-        """Whether any byte of ``span`` is already consumed at this end."""
-        pool, start, end = span
-        if pool == self.side:
-            return start < self._cursor
-        return self._opened.overlaps(start, end)
+        return key
 
     def consumed_ranges(self) -> list[Span]:
         """The own pool's consumed prefix and the peer's opened spans, by pool."""
@@ -651,20 +624,18 @@ class Q3PLink:
             if purpose not in _GENERAL_PURPOSES:
                 raise ValueError(f"purpose {purpose.value} does not permit encryption")
             flags = FLAG_AUTHENTICATED | FLAG_ENCRYPTED
-            res = self.stores[side].reserve(n_enc, purpose, AUTH_KEY_BYTES)
+            span, key = self.stores[side].reserve(n_enc, purpose, AUTH_KEY_BYTES)
         else:
             n_enc = 0
             flags = FLAG_AUTHENTICATED
-            res = self.stores[side].reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
+            span, key = self.stores[side].reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
         counter = (side, channel)
         msg_id = self._next_id.get(counter, 0) + 1
         self._next_id[counter] = msg_id
-        res.consume()
-        key = res.key
         body = payload
         if n_enc:
             body = payload[:clear_len] + otp_encrypt(key[:n_enc], payload[clear_len:])
-        msg = Q3PMessage(self.link_id, side, channel, flags, msg_id, body, None, res.ranges)
+        msg = Q3PMessage(self.link_id, side, channel, flags, msg_id, body, None, span)
         data = msg.header_bytes() + body
         tag_key = key[n_enc:]
         msg.tag = authenticate(data, tag_key)
@@ -674,15 +645,16 @@ class Q3PLink:
     def open(self, side: int, msg: Q3PMessage) -> bytes:
         """Verify, mirror-consume, and decrypt a message at the receiving end.
 
-        A message makes one replay check and one mirror reservation of its
-        span; a replay (key already spent here) reserves nothing. The span is
-        burned before the tag check, so a forged or corrupted message costs
-        the receiver the bytes it names. A message with no span, no tag or no
-        ``FLAG_AUTHENTICATED``, or with a span that is not the peer's key or
-        does not fit the message's flags and length, fails as a tag mismatch
-        on every channel. The sealing end's kept tag stands in for the hash
-        only when the tag key and the rebuilt bytes are byte-identical to the
-        kept ones; the kept field is cleared either way.
+        A message makes one ``reserve_exact`` call on its span, which checks
+        it for replay and burns it in one step; a replay (key already spent
+        here) reserves nothing. The span is burned before the tag check, so a
+        forged or corrupted message costs the receiver the bytes it names. A
+        message with no span, no tag or no ``FLAG_AUTHENTICATED``, or with a
+        span that is not the peer's key or does not fit the message's flags
+        and length, fails as a tag mismatch on every channel. The sealing
+        end's kept tag stands in for the hash only when the tag key and the
+        rebuilt bytes are byte-identical to the kept ones; the kept field is
+        cleared either way.
         """
         if side == msg.sender_side:
             raise ValueError("open must run at the opposite end from seal")
@@ -690,17 +662,13 @@ class Q3PLink:
         span, flags, payload = msg.span, msg.flags, msg.payload
         if span is None:
             raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} names no key span")
-        store = self.stores[side]
-        if store.spent(span):
-            raise ReplayDetected(f"{self.link_id}: msg {msg.msg_id} spends consumed key")
         try:
-            res = store.reserve_exact(span, Purpose.ENCRYPT if flags & FLAG_ENCRYPTED
-                                      else Purpose.AUTHENTICATE)
+            key = self.stores[side].reserve_exact(span)
+        except KeyReuseError as err:
+            raise ReplayDetected(f"{self.link_id}: msg {msg.msg_id} spends consumed key") from err
         except (ValueError, InsufficientKey) as err:
             raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} names key span {span} "
                               f"that is not the peer's key") from err
-        res.consume()
-        key = res.key
         n_enc = len(key) - AUTH_KEY_BYTES
         if msg.tag is None or not flags & FLAG_AUTHENTICATED:
             raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} carries no tag")

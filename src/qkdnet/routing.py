@@ -135,12 +135,11 @@ class LinkStateDB:
     ``usable_levels`` maps each usable link to the lower of its two ends'
     levels and holds no entry for any other link. ``update`` is the only
     writer of ``ads`` and sets the link's entry whenever it installs an
-    advertisement, against the ``usable_floor`` given at construction.
+    advertisement, against the authentication floor ``AUTH_RESERVE_DEFAULT``.
     """
 
-    def __init__(self, topology: Topology, usable_floor: int = AUTH_RESERVE_DEFAULT) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.usable_floor = usable_floor
         self.ads: dict[str, dict[str, LinkStateAd]] = {}
         self.usable_levels: dict[str, int] = {}
 
@@ -154,7 +153,7 @@ class LinkStateDB:
         link = self.topology.link(lsa.link_id)
         both[lsa.origin] = lsa
         a, b = both.get(link.a), both.get(link.b)
-        floor = self.usable_floor
+        floor = AUTH_RESERVE_DEFAULT
         # usable: both ends advertise Up and hold more key than the floor
         if (a is not None and b is not None and a.up and b.up
                 and a.level_bytes > floor and b.level_bytes > floor):

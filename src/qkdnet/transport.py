@@ -33,24 +33,6 @@ class DeliveryStatus(Enum):
     FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class KeyDeliveryRequest:
-    request_id: int
-    src: str
-    dst: str
-    n_bytes: int
-    multipath: int = 1
-    deadline_s: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_bytes <= 0:
-            raise ValueError("n_bytes must be positive")
-        if self.multipath < 1:
-            raise ValueError("multipath must be >= 1")
-        if self.src == self.dst:
-            raise ValueError("src and dst must differ")
-
-
 @dataclass
 class DeliveryRecord:
     """Outcome of one end-to-end delivery."""

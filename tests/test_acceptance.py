@@ -49,7 +49,7 @@ def test_criterion_1_scaling_claim():
 def test_criterion_2_building_block_multipath():
     with criterion(2, "three disjoint routes and series-parallel rate", 1.0):
         topo = building_block_preset()
-        db = LinkStateDB(topo, usable_floor=AUTH_RESERVE_DEFAULT)
+        db = LinkStateDB(topo)
         for link in topo.links:
             for origin in (link.a, link.b):
                 db.update(LinkStateAd(link.id, origin, 1, True, 131072,

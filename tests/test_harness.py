@@ -643,7 +643,7 @@ class TestAcks:
     def test_malformed_ack_frames_are_ignored(self, monkeypatch):
         eng = Engine(load_topology(RING4), parse_scenario("[scenario] duration=1 seed=1\n"))
         agent = eng.agents["N1"]
-        hop = SimpleNamespace(req=SimpleNamespace(request=SimpleNamespace(src="N3")))
+        hop = SimpleNamespace(req=SimpleNamespace(record=SimpleNamespace(src="N3")))
         agent._relays[(7, 0)] = hop
         monkeypatch.setattr(Q3PLink, "open", lambda *args: pytest.fail("ack reached open"))
         ack = encode_ack(7, 0)
@@ -757,8 +757,7 @@ def _move_level(lrt, side: int, target: int) -> None:
         sender, peer = lrt.q3p.stores[direction], lrt.q3p.stores[1 - direction]
         n = min(-delta, sender.pool_available(direction))
         if n > 0:
-            peer.reserve_exact(sender.reserve(n, Purpose.AUTHENTICATE).ranges,
-                               Purpose.AUTHENTICATE)
+            peer.reserve_exact(sender.reserve(n, Purpose.AUTHENTICATE)[0])
             delta += n
 
 

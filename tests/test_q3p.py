@@ -20,7 +20,6 @@ from qkdnet.q3p import (
     Q3PLink,
     Q3PMessage,
     ReplayDetected,
-    ReservationConsumed,
     TagMismatch,
     _poly_tag,
     authenticate,
@@ -35,6 +34,12 @@ RNG = Random(99)
 def store(preshared=0, reserve=0, side=0):
     data = RNG.randbytes(preshared) if preshared else b""
     return KeyStore("L", KeyStream(data), side=side, auth_reserve=reserve)
+
+
+def spent(store, span):
+    """Whether any byte of ``span`` is consumed at ``store``."""
+    pool, start, end = span
+    return any(p == pool and s < end and start < e for p, s, e in store.consumed_ranges())
 
 
 class TestPush:
@@ -105,26 +110,25 @@ class TestReserve:
 
     def test_mirror_consumption_is_range_exact(self):
         a, b = Q3PLink("L", RNG.randbytes(1024), auth_reserve=0).stores
-        res = a.reserve(100, Purpose.ENCRYPT)
-        mirror = b.reserve_exact(res.ranges, Purpose.ENCRYPT)
-        assert mirror.key == res.key
+        span, key = a.reserve(100, Purpose.ENCRYPT)
+        assert b.reserve_exact(span) == key
         assert a.available_bytes == b.available_bytes
 
     def test_double_exact_consumption_raises_key_reuse(self):
         s = store(1024)
-        res = s.reserve(64, Purpose.AUTHENTICATE)
+        span, _ = s.reserve(64, Purpose.AUTHENTICATE)
         with pytest.raises(KeyReuseError):
-            s.reserve_exact(res.ranges, Purpose.AUTHENTICATE)
+            s.reserve_exact(span)
 
     def test_reservation_is_one_span_of_its_own_pool(self):
         data = RNG.randbytes(1000)
         for side in (0, 1):
             s = KeyStore("L", KeyStream(data), side=side, auth_reserve=0)
             s.stream.push(RNG.randbytes(301))
-            first = s.reserve(100, Purpose.ENCRYPT)
-            second = s.reserve(500, Purpose.AUTHENTICATE)   # crosses into block 1's half
-            assert (first.ranges, second.ranges) == ((side, 0, 100), (side, 100, 600))
-            assert first.key + second.key == bytes(s.stream.pools[side][:600])
+            first, key1 = s.reserve(100, Purpose.ENCRYPT)
+            second, key2 = s.reserve(500, Purpose.AUTHENTICATE)   # crosses into block 1's half
+            assert (first, second) == ((side, 0, 100), (side, 100, 600))
+            assert key1 + key2 == bytes(s.stream.pools[side][:600])
             assert [rec.n_bytes for rec in s.ledger] == [100, 500]
 
     def test_overlap_in_either_pool_raises_key_reuse(self):
@@ -132,38 +136,38 @@ class TestReserve:
         # the two spans apart
         a, b = Q3PLink("L", RNG.randbytes(1024), auth_reserve=0).stores
         for sender, receiver in ((a, b), (b, a)):
-            res = sender.reserve(64, Purpose.ENCRYPT)
-            pool, start, end = res.ranges
-            assert not receiver.spent(res.ranges)
-            receiver.reserve_exact(res.ranges, Purpose.ENCRYPT)
+            span, _ = sender.reserve(64, Purpose.ENCRYPT)
+            pool, start, end = span
+            assert not spent(receiver, span)
+            receiver.reserve_exact(span)
             for store in (sender, receiver):
-                assert store.spent((pool, end - 1, end + 8))
-                assert not store.spent((pool, end, end + 8))
+                assert spent(store, (pool, end - 1, end + 8))
+                assert not spent(store, (pool, end, end + 8))
                 with pytest.raises(KeyReuseError):
-                    store.reserve_exact((pool, end - 1, end + 8), Purpose.ENCRYPT)
+                    store.reserve_exact((pool, end - 1, end + 8))
         assert a.ledgered_bytes == b.ledgered_bytes == 128
 
     def test_own_pool_span_beyond_the_cursor_is_refused(self):
         # a peer never allocates in this store's own pool, so a span there
         # at or past the cursor is refused without moving or ledgering anything
         s = store(100)
-        first = s.reserve(10, Purpose.ENCRYPT)
+        first, _ = s.reserve(10, Purpose.ENCRYPT)
         for span in ((0, 10, 20), (0, 30, 40)):
             with pytest.raises(ValueError):
-                s.reserve_exact(span, Purpose.ENCRYPT)
-        assert s.ledgered_bytes == 10 and [r.ranges for r in s.ledger] == [first.ranges]
-        res = s.reserve(30, Purpose.ENCRYPT)
-        assert res.ranges == (0, 10, 40)
-        assert res.key == bytes(s.stream.pools[0][10:40])
+                s.reserve_exact(span)
+        assert s.ledgered_bytes == 10 and [r.ranges for r in s.ledger] == [first]
+        span, key = s.reserve(30, Purpose.ENCRYPT)
+        assert span == (0, 10, 40)
+        assert key == bytes(s.stream.pools[0][10:40])
         assert s.consumed_ranges() == [(0, 0, 40)]
 
     def test_span_beyond_stream_or_empty_is_refused(self):
         s = store(100)
         for span in ((0, 40, 51), (1, -1, 4), (2, 0, 4)):
             with pytest.raises(InsufficientKey):
-                s.reserve_exact(span, Purpose.ENCRYPT)
+                s.reserve_exact(span)
         with pytest.raises(ValueError):
-            s.reserve_exact((0, 8, 8), Purpose.ENCRYPT)
+            s.reserve_exact((0, 8, 8))
         with pytest.raises(ValueError):
             s.reserve(0, Purpose.ENCRYPT)
         assert s.ledgered_bytes == 0 and s.ledger == []
@@ -172,30 +176,21 @@ class TestReserve:
 class TestOtp:
     def test_zero_plaintext_reveals_key(self):
         s = store(1024, reserve=0)
-        res = s.reserve(64, Purpose.ENCRYPT)
-        assert otp_encrypt(res.key, bytes(64)) == res.key
+        _, key = s.reserve(64, Purpose.ENCRYPT)
+        assert otp_encrypt(key, bytes(64)) == key
 
     def test_involution(self):
         s = store(4096, reserve=0)
         plaintext = RNG.randbytes(500)
-        res = s.reserve(500, Purpose.ENCRYPT)
-        ct = otp_encrypt(res.key, plaintext)
-        assert otp_decrypt(res.key, ct) == plaintext
-
-    def test_single_use(self):
-        # the pad takes key bytes; single use is the reservation's
-        s = store(1024, reserve=0)
-        res = s.reserve(16, Purpose.ENCRYPT)
-        otp_encrypt(res.key, bytes(16))
-        res.consume()
-        with pytest.raises(ReservationConsumed):
-            res.consume()
+        _, key = s.reserve(500, Purpose.ENCRYPT)
+        ct = otp_encrypt(key, plaintext)
+        assert otp_decrypt(key, ct) == plaintext
 
     def test_length_mismatch(self):
         s = store(1024, reserve=0)
-        res = s.reserve(16, Purpose.ENCRYPT)
+        _, key = s.reserve(16, Purpose.ENCRYPT)
         with pytest.raises(LengthMismatch):
-            otp_encrypt(res.key, bytes(17))
+            otp_encrypt(key, bytes(17))
 
     def test_purpose_and_length_are_checked_before_use(self):
         # an encryption under authentication key is refused before any key
@@ -231,11 +226,11 @@ class TestAuthentication:
     def test_round_trip(self):
         msg = b"link state: all good"
         link = make_link()
-        res = link.stores[0].reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
-        tag = authenticate(msg, res.key)
-        mirror = link.stores[1].reserve_exact(res.ranges, Purpose.AUTHENTICATE)
-        assert verify(msg, tag, mirror.key)
-        assert not verify(msg + b"!", tag, mirror.key)
+        span, key = link.stores[0].reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
+        tag = authenticate(msg, key)
+        mirror = link.stores[1].reserve_exact(span)
+        assert verify(msg, tag, mirror)
+        assert not verify(msg + b"!", tag, mirror)
 
     def test_bit_flips_rejected(self):
         key = RNG.randbytes(32)
@@ -252,11 +247,11 @@ class TestAuthentication:
 
     def test_key_reuse_blocked_by_ledger(self):
         s = store(1024, reserve=0)
-        res = s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
-        authenticate(b"first", res.key)
+        span, key = s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
+        authenticate(b"first", key)
         with pytest.raises(KeyReuseError):
-            s.reserve_exact(res.ranges, Purpose.AUTHENTICATE)
-        assert s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE).ranges[1] == res.ranges[2]
+            s.reserve_exact(span)
+        assert s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)[0][1] == span[2]
 
     def test_paired_folding_matches_one_block_reference(self):
         p = (1 << 128) - 159
@@ -325,6 +320,23 @@ class TestSealOpen:
             with pytest.raises(ReplayDetected):
                 link.open(1, msg)
         assert receiver.ledgered_bytes == ledgered == link.stores[0].ledgered_bytes
+        assert receiver.consumed_ranges() == ranges
+
+    def test_partial_replay_is_detected_and_spends_nothing(self):
+        # a span that starts one byte inside an opened message's span and
+        # ends in fresh key is a replay, refused whole: none of its fresh
+        # bytes is burned
+        link = make_link()
+        m1 = link.seal(0, Channel.TRANSPORT, b"first" * 8)
+        m2 = link.seal(0, Channel.TRANSPORT, b"second" * 8)
+        link.open(1, m1)
+        receiver = link.stores[1]
+        ledgered, ranges = receiver.ledgered_bytes, receiver.consumed_ranges()
+        pool, _, end = m1.span
+        m2.span = (pool, end - 1, m2.span[2])
+        with pytest.raises(ReplayDetected):
+            link.open(1, m2)
+        assert receiver.ledgered_bytes == ledgered
         assert receiver.consumed_ranges() == ranges
 
     def test_tampered_message_fails_tag(self):
@@ -405,7 +417,7 @@ class TestSealOpen:
             untagged.tag = None
             with pytest.raises(TagMismatch):
                 link.open(1, untagged)
-            assert link.stores[1].spent(untagged.span), channel
+            assert spent(link.stores[1], untagged.span), channel
             ledgered = link.stores[1].ledgered_bytes
             for flags in (0, q3p.FLAG_AUTHENTICATED):
                 bare = Q3PMessage("L", 0, channel, flags, 9, b"ack", bytes(16))
@@ -414,10 +426,10 @@ class TestSealOpen:
             assert link.stores[1].ledgered_bytes == ledgered, channel
 
     def test_one_reservation_and_one_mirror_per_keyed_message(self, monkeypatch):
-        # a message reserves its one span once; the opener checks it once
-        # and mirror-consumes it once
+        # a message reserves its one span once; the opener checks and
+        # mirror-consumes it in one call
         calls = []
-        for name in ("reserve", "reserve_exact", "spent"):
+        for name in ("reserve", "reserve_exact"):
             original = getattr(KeyStore, name)
 
             def counting(self, *args, _name=name, _original=original, **kwargs):
@@ -433,7 +445,7 @@ class TestSealOpen:
                 assert calls == ["reserve"]
                 del calls[:]
                 link.open(1 - side, msg)
-                assert calls == ["spent", "reserve_exact"]
+                assert calls == ["reserve_exact"]
 
     def test_tampered_payload_fails_tag(self):
         link = make_link()
@@ -666,10 +678,10 @@ class TestReserveCursor:
             if size > len(pools[d]) - offset[d]:
                 continue
             want = bytes(pools[d][offset[d] : offset[d] + size])
-            res = stores[d].reserve(size, Purpose.AUTHENTICATE)
-            assert res.ranges == (d, offset[d], offset[d] + size)
-            assert res.key == want
-            assert stores[1 - d].reserve_exact(res.ranges, Purpose.AUTHENTICATE).key == want
+            span, key = stores[d].reserve(size, Purpose.AUTHENTICATE)
+            assert span == (d, offset[d], offset[d] + size)
+            assert key == want
+            assert stores[1 - d].reserve_exact(span) == want
             offset[d] += size
 
 
@@ -751,7 +763,7 @@ class TestLinkStream:
         for msg in opened:
             for store in link.stores:
                 with pytest.raises(KeyReuseError):
-                    store.reserve_exact(msg.span, Purpose.ENCRYPT)
+                    store.reserve_exact(msg.span)
 
 
 _LAZY_OPS = st.lists(
@@ -805,10 +817,10 @@ class TestLazyStream:
                     with pytest.raises(InsufficientKey):
                         sender.reserve(size, Purpose.AUTHENTICATE)
                     continue
-                res = sender.reserve(size, Purpose.AUTHENTICATE)
-                _, start, end = res.ranges
-                assert res.key == bytes(pools[side][start:end])
-                assert receiver.reserve_exact(res.ranges, Purpose.AUTHENTICATE).key == res.key
+                span, key = sender.reserve(size, Purpose.AUTHENTICATE)
+                _, start, end = span
+                assert key == bytes(pools[side][start:end])
+                assert receiver.reserve_exact(span) == key
             else:
                 _, pool, start, length = op
                 start = min(start, len(pools[pool]))

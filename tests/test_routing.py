@@ -41,8 +41,8 @@ from qkdnet.routing import (
 )
 
 
-def saturated_db(topo, level=131072, floor=4096):
-    db = LinkStateDB(topo, usable_floor=floor)
+def saturated_db(topo, level=131072):
+    db = LinkStateDB(topo)
     for link in topo.links:
         rate = topo.profile_of(link).r0_bps
         for origin in (link.a, link.b):
@@ -112,7 +112,7 @@ class TestLinkCost:
         assert not db.usable("L5")
 
     def test_level_at_floor_is_unusable(self):
-        db = saturated_db(building_block_preset(), floor=4096)
+        db = saturated_db(building_block_preset())
         set_level(db, "L5", 4096)
         assert not db.usable("L5")
 
@@ -308,7 +308,7 @@ def _reference_usable(db, link_id):
     pair = _reference_pair(db, link_id)
     if pair is None:
         return False
-    return all(ad.up and ad.level_bytes > db.usable_floor for ad in pair)
+    return all(ad.up and ad.level_bytes > FLOOR for ad in pair)
 
 
 def _reference_min_level(db, link_id):
@@ -409,7 +409,7 @@ def routing_cases(draw):
     """A database over a generated topology: ends missing, down, or at or
     below the floor; equal levels often, so equal costs often."""
     topo = draw(topologies())
-    db = LinkStateDB(topo, usable_floor=FLOOR)
+    db = LinkStateDB(topo)
     uniform = draw(st.booleans())
     for link in topo.links:
         for origin in (link.a, link.b):
@@ -507,7 +507,7 @@ class TestLevelTable:
     @given(topologies(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_table_follows_every_update(self, topo, data):
-        db = LinkStateDB(topo, usable_floor=FLOOR)
+        db = LinkStateDB(topo)
         params = data.draw(_PARAMS)
         link_ids = [l.id for l in topo.links]
         updates = data.draw(st.lists(st.tuples(

@@ -64,7 +64,7 @@ def fault_next(eng, link_id, n, corrupt=False):
 
 
 def saturated_db(topo, level=131072):
-    db = LinkStateDB(topo, usable_floor=4096)
+    db = LinkStateDB(topo)
     for link in topo.links:
         rate = topo.profile_of(link).r0_bps
         for origin in (link.a, link.b):
@@ -128,7 +128,7 @@ class TestAggregateRate:
 
     def test_no_route_is_zero(self):
         topo = building_block_preset()
-        db = LinkStateDB(topo, usable_floor=4096)  # empty db: nothing usable
+        db = LinkStateDB(topo)  # empty db: nothing usable
         assert aggregate_rate(db, "QA", "QB", 3) == 0.0
 
 
