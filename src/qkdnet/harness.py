@@ -314,8 +314,6 @@ class _Request:
 
     record: DeliveryRecord
     multipath: int
-    exclude: frozenset[str]
-    purpose: Purpose
     refill_target: str | None
     final: bool = False
     received: dict[int, bytes] = field(default_factory=dict)   # seq -> fragment
@@ -325,14 +323,23 @@ class _Request:
     inflight: list[int] = field(default_factory=list)          # per path
     frag_path: list[int] = field(default_factory=list)         # seq -> path index
 
+    @property
+    def purpose(self) -> Purpose:
+        """The key purpose of every hop: a refill spends preshared-refill key."""
+        return Purpose.ENCRYPT if self.refill_target is None else Purpose.PRESHARED_REFILL
+
+    @property
+    def exclude(self) -> frozenset[str]:
+        """Links no path may use: a refill does not cross the link it refills."""
+        return frozenset() if self.refill_target is None else frozenset((self.refill_target,))
+
 
 @dataclass(slots=True)
 class _HopState:
     req: _Request
     seq: int
     fragment: bytes
-    route_nodes: tuple[str, ...]   # starting at this node
-    route_links: tuple[str, ...]   # empty while parked: the timer reroutes
+    route_links: tuple[str, ...]   # from this node; empty while parked: the timer reroutes
     attempts: int = 1
     gen: int = 0
 
@@ -530,8 +537,6 @@ class Engine:
     # -- requests ------------------------------------------------------------
 
     def submit_request(self, req_payload: dict, at: float,
-                       exclude_links: frozenset[str] = frozenset(),
-                       purpose: Purpose = Purpose.ENCRYPT,
                        refill_target: str | None = None) -> int:
         self._next_request_id += 1
         rid = self._next_request_id
@@ -539,8 +544,7 @@ class Engine:
             request_id=rid, src=req_payload["src"], dst=req_payload["dst"],
             n_bytes=req_payload["n_bytes"], started_s=at,
         )
-        self.requests[rid] = _Request(record, req_payload.get("multipath", 1),
-                                      exclude_links, purpose, refill_target)
+        self.requests[rid] = _Request(record, req_payload.get("multipath", 1), refill_target)
         self._schedule(Event(at, EventKind.KEY_REQUEST, {"request_id": rid}))
         deadline_s = req_payload.get("deadline_s")
         if deadline_s is not None:
@@ -549,9 +553,13 @@ class Engine:
 
     # -- messaging -----------------------------------------------------------
 
-    def send_message(self, link_id: str, from_node: str, msg, meta: dict | None = None) -> bool:
+    def send_message(self, link_id: str, from_node: str, msg,
+                     route: tuple[str, ...] = ()) -> bool:
         """Transmit over a link's classical channel: fixed latency, then loss
-        and jitter drawn from its ``channel``. Returns False if dropped at send."""
+        and jitter drawn from its ``channel``. ``route`` is the links a
+        transport segment has still to cross past the receiver, empty at its
+        destination and for every other message. Returns False if dropped at
+        send."""
         lrt = self.links[link_id]
         if lrt.runtime.status.state is _DOWN:
             self.msg_counts["dropped_link_down"] += 1
@@ -563,7 +571,7 @@ class Engine:
             latency += lrt.channel.uniform(0, self.scenario.jitter_ms / 1000.0)
         to_node = lrt.spec.b if from_node == lrt.spec.a else lrt.spec.a
         self._schedule(Event(self.now + latency, EventKind.MSG_ARRIVE, {
-            "link": link_id, "to": to_node, "msg": msg, "meta": meta or {},
+            "link": link_id, "to": to_node, "msg": msg, "route": route,
         }))
         return True
 
@@ -788,7 +796,7 @@ class Engine:
         if lrt.runtime.status.state is _DOWN:
             self.msg_counts["dropped_link_down"] += 1
             return
-        self.agents[p["to"]].on_message(link_id, p["msg"], p["meta"])
+        self.agents[p["to"]].on_message(link_id, p["msg"], p["route"])
 
     def _start_refill(self, p: dict) -> None:
         link = self.topology.link(p["link"])
@@ -796,10 +804,7 @@ class Engine:
         self.submit_request(
             {"src": link.a, "dst": link.b, "n_bytes": p["n_bytes"],
              "multipath": p.get("multipath", 2)},
-            at=self.now,
-            exclude_links=frozenset({link.id}),
-            purpose=Purpose.PRESHARED_REFILL,
-            refill_target=link.id,
+            at=self.now, refill_target=link.id,
         )
 
     # -- delivery bookkeeping --------------------------------------------------
@@ -901,7 +906,6 @@ class NodeAgent:
     def __init__(self, engine: Engine, name: str) -> None:
         self.engine = engine
         self.name = name
-        self.topology = engine.topology
         self.db = LinkStateDB(engine.topology)
         self.flood = FloodingState(self.db)
         self.incident = engine.topology.links_at(name)
@@ -987,7 +991,7 @@ class NodeAgent:
 
     # -- message handling -----------------------------------------------------------
 
-    def on_message(self, link_id: str, msg, meta: dict) -> None:
+    def on_message(self, link_id: str, msg, route: tuple[str, ...]) -> None:
         """Handle one arrival: an ack frame (bytes, keyless) or a Q3P message."""
         if isinstance(msg, bytes):
             ack = decode_ack(msg)        # a malformed frame is ignored
@@ -1010,7 +1014,7 @@ class NodeAgent:
         elif msg.channel == Channel.LSDB_SUMMARY:
             self._on_summary(link_id, decode_summary(payload, self.engine.instances))
         elif msg.channel == Channel.TRANSPORT:
-            self._on_segment(link_id, payload, meta)
+            self._on_segment(link_id, payload, route)
 
     # -- transport: source side -------------------------------------------------------
 
@@ -1048,8 +1052,7 @@ class NodeAgent:
         while req.inflight[path_idx] < WINDOW_PER_PATH and req.queues[path_idx]:
             seq = req.queues[path_idx].popleft()
             req.inflight[path_idx] += 1
-            self._send_hop(_HopState(req, seq, req.fragments[seq],
-                                     route_nodes=path.nodes, route_links=path.links))
+            self._send_hop(_HopState(req, seq, req.fragments[seq], path.links))
 
     # -- transport: hop machinery ---------------------------------------------------------
 
@@ -1077,14 +1080,13 @@ class NodeAgent:
     def _send_hop(self, hop: _HopState) -> None:
         """Seal one fragment onto the next link of its route; on any local
         obstacle try one reroute, otherwise park it for the retry timer."""
-        assert hop.route_nodes[0] == self.name
         out_link = hop.route_links[0] if hop.route_links else None
         if out_link is None or not self._eligible(out_link, len(hop.fragment)):
             new_path = self._reroute(hop)
             if new_path is None or not new_path.links:
                 self._park(hop)
                 return
-            hop.route_nodes, hop.route_links = new_path.nodes, new_path.links
+            hop.route_links = new_path.links
             out_link = hop.route_links[0]
         lrt, side, _ = self._ends[out_link]
         req = hop.req
@@ -1102,10 +1104,7 @@ class NodeAgent:
         consumed = req.record.per_link_consumed
         consumed[out_link] = consumed.get(out_link, 0) + msg.key_cost_bytes
         self.engine.msg_counts["transport_sent"] += 1
-        self.engine.send_message(
-            out_link, self.name, msg,
-            meta={"route_nodes": hop.route_nodes[1:], "route_links": hop.route_links[1:]},
-        )
+        self.engine.send_message(out_link, self.name, msg, hop.route_links[1:])
         self._arm_retry(hop)
 
     def _park(self, hop: _HopState) -> None:
@@ -1144,7 +1143,7 @@ class NodeAgent:
             if path is None:
                 self._arm_retry(hop)
                 return
-            hop.route_nodes, hop.route_links = path.nodes, path.links
+            hop.route_links = path.links
         self.engine.msg_counts["retransmissions"] += 1
         self._send_hop(hop)
 
@@ -1163,20 +1162,17 @@ class NodeAgent:
         req.inflight[path_idx] = max(0, req.inflight[path_idx] - 1)
         self._pump(req, path_idx)
 
-    def _on_segment(self, link_id: str, payload: bytes, meta: dict) -> None:
+    def _on_segment(self, link_id: str, payload: bytes, route: tuple[str, ...]) -> None:
         request_id, seq, _, fragment = decode_segment(payload)
         # ack unconditionally so the upstream sender stops retransmitting;
         # an ack is a bare frame that spends no key and bypasses Q3P
         self.engine.msg_counts["acks_sent"] += 1
         self.engine.send_message(link_id, self.name, encode_ack(request_id, seq))
-        route_nodes = tuple(meta.get("route_nodes", ()))
-        route_links = tuple(meta.get("route_links", ()))
         req = self.engine.requests[request_id]
-        if not route_links:
+        if not route:
             self.engine.fragment_delivered(req, seq, fragment)
             return
         # trusted-node relay: the fragment exists in plaintext here between
         # open and re-seal; make that observable
         self.engine.record_exposure(self.name, request_id, len(fragment))
-        self._send_hop(_HopState(req, seq, fragment,
-                                 route_nodes=route_nodes, route_links=route_links))
+        self._send_hop(_HopState(req, seq, fragment, route))

@@ -31,6 +31,11 @@ purpose, the pad part and the tag part, as adjacent sub-spans of that one
 reservation. Frames that need no key, such as transport acks, do not pass
 through this layer.
 
+The span is also the message's identity. The authenticated header carries
+it: magic, version, channel, pool, start, end and payload length. The
+span's length less the 32 tag bytes is the encrypted length, and a span
+moved, trimmed or stretched in flight fails the tag.
+
 Each authenticated message is hashed once. ``seal`` keeps the tag key, the
 authenticated bytes and the tag on the message, in a field that is not on
 the wire. ``open`` takes that tag as its recomputed tag only when the tag
@@ -56,10 +61,8 @@ AUTH_RESERVE_DEFAULT = 4096  # floor held back for authentication only
 
 FRAME_MAGIC = 0x51335021     # "Q3P!"
 FRAME_VERSION = 1
-FLAG_ENCRYPTED = 0x01
-FLAG_AUTHENTICATED = 0x02
 
-_HEADER = struct.Struct(">IBBBQI")
+_HEADER = struct.Struct(">IBBBQQI")     # magic, version, channel, span, payload length
 
 _POLY_PRIME = (1 << 128) - 159  # largest 128-bit prime
 _MASK_128 = (1 << 128) - 1
@@ -532,22 +535,20 @@ def verify(data: bytes, tag: bytes, key: bytes) -> bool:
 class Q3PMessage:
     """A sealed message plus the one key span its opener must mirror-consume.
 
-    ``span`` holds the encryption key of the encrypted part, if any,
-    followed by the 32 tag key bytes. ``seal`` always sets ``span`` and
-    ``tag`` and the ``FLAG_AUTHENTICATED`` flag; ``open`` refuses a message
-    without them. The tag covers ``header_bytes()`` (magic,
-    version, channel, flags, msg id, payload length) followed by the
-    payload. ``sealed_auth`` is not on the wire: it keeps the sealing end's
-    ``(tag key, authenticated bytes, tag)`` until the message is opened, so
-    the receiver can skip the hash when its key and the bytes it received
-    are byte-identical.
+    The span is the message's identity: it holds the encryption key of the
+    encrypted part, if any, followed by the 32 tag key bytes, so its length
+    less 32 is the encrypted length. ``seal`` always sets ``span`` and
+    ``tag``; ``open`` refuses a message without them. The tag covers
+    ``header_bytes()`` (magic, version, channel, span, payload length)
+    followed by the payload, so a span moved, trimmed or stretched in
+    flight fails the tag. ``sealed_auth`` is not on the wire: it keeps the
+    sealing end's ``(tag key, authenticated bytes, tag)`` until the message
+    is opened, so the receiver can skip the hash when its key and the bytes
+    it received are byte-identical.
     """
 
-    link_id: str
     sender_side: int
     channel: Channel
-    flags: int
-    msg_id: int
     payload: bytes                                   # ciphertext when encrypted
     tag: bytes | None
     span: Span | None = None
@@ -560,22 +561,19 @@ class Q3PMessage:
         return 0 if span is None else span[2] - span[1]
 
     def header_bytes(self) -> bytes:
-        return _HEADER.pack(
-            FRAME_MAGIC, FRAME_VERSION, int(self.channel), self.flags,
-            self.msg_id, len(self.payload),
-        )
+        return _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, int(self.channel), *self.span,
+                            len(self.payload))
 
 
 class Q3PLink:
     """The mirrored pair of key stores at the two ends of one link.
 
-    Owns per-channel message-id counters. ``seal`` runs at the sending
-    store, ``open`` at the receiving store; both burn identical spans,
-    so levels stay equal under loss-free histories. Every message is keyed
-    and tagged, on every channel. Messages may be opened in any order: the
-    receiver's opened spans reject replays. ``source`` is the link's key
-    source: ``source(n)`` returns the next ``n`` secret bytes of production
-    (see ``KeyStream``).
+    ``seal`` runs at the sending store, ``open`` at the receiving store;
+    both burn identical spans, so levels stay equal under loss-free
+    histories. Every message is keyed and tagged, on every channel.
+    Messages may be opened in any order: the receiver's opened spans reject
+    replays. ``source`` is the link's key source: ``source(n)`` returns the
+    next ``n`` secret bytes of production (see ``KeyStream``).
     """
 
     def __init__(self, link_id: str, preshared: bytes,
@@ -587,7 +585,6 @@ class Q3PLink:
             KeyStore(link_id, self.stream, 0, auth_reserve),
             KeyStore(link_id, self.stream, 1, auth_reserve),
         )
-        self._next_id: dict[tuple[int, Channel], int] = {}
 
     def push(self, data: bytes) -> None:
         """Append a block of key bytes (a refill) to the stream both endpoint
@@ -623,19 +620,14 @@ class Q3PLink:
         if n_enc > 0:
             if purpose not in _GENERAL_PURPOSES:
                 raise ValueError(f"purpose {purpose.value} does not permit encryption")
-            flags = FLAG_AUTHENTICATED | FLAG_ENCRYPTED
             span, key = self.stores[side].reserve(n_enc, purpose, AUTH_KEY_BYTES)
         else:
             n_enc = 0
-            flags = FLAG_AUTHENTICATED
             span, key = self.stores[side].reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
-        counter = (side, channel)
-        msg_id = self._next_id.get(counter, 0) + 1
-        self._next_id[counter] = msg_id
         body = payload
         if n_enc:
             body = payload[:clear_len] + otp_encrypt(key[:n_enc], payload[clear_len:])
-        msg = Q3PMessage(self.link_id, side, channel, flags, msg_id, body, None, span)
+        msg = Q3PMessage(side, channel, body, None, span)
         data = msg.header_bytes() + body
         tag_key = key[n_enc:]
         msg.tag = authenticate(data, tag_key)
@@ -649,39 +641,37 @@ class Q3PLink:
         it for replay and burns it in one step; a replay (key already spent
         here) reserves nothing. The span is burned before the tag check, so a
         forged or corrupted message costs the receiver the bytes it names. A
-        message with no span, no tag or no ``FLAG_AUTHENTICATED``, or with a
-        span that is not the peer's key or does not fit the message's flags
-        and length, fails as a tag mismatch on every channel. The sealing
-        end's kept tag stands in for the hash only when the tag key and the
-        rebuilt bytes are byte-identical to the kept ones; the kept field is
-        cleared either way.
+        message with no span or no tag, or with a span that is not the
+        peer's key or holds fewer than 32 B or more than 32 B past the
+        payload's length, fails as a tag mismatch on every channel. The tag
+        covers the span, so any other change to it fails the tag. The
+        sealing end's kept tag stands in for the hash only when the tag key
+        and the rebuilt bytes are byte-identical to the kept ones; the kept
+        field is cleared either way.
         """
         if side == msg.sender_side:
             raise ValueError("open must run at the opposite end from seal")
         sealed, msg.sealed_auth = msg.sealed_auth, None
-        span, flags, payload = msg.span, msg.flags, msg.payload
+        span, payload = msg.span, msg.payload
         if span is None:
-            raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} names no key span")
+            raise TagMismatch(f"{self.link_id}: a message names no key span")
         try:
             key = self.stores[side].reserve_exact(span)
         except KeyReuseError as err:
-            raise ReplayDetected(f"{self.link_id}: msg {msg.msg_id} spends consumed key") from err
+            raise ReplayDetected(f"{self.link_id}: span {span} spends consumed key") from err
         except (ValueError, InsufficientKey) as err:
-            raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} names key span {span} "
-                              f"that is not the peer's key") from err
+            raise TagMismatch(f"{self.link_id}: span {span} is not the peer's key") from err
         n_enc = len(key) - AUTH_KEY_BYTES
-        if msg.tag is None or not flags & FLAG_AUTHENTICATED:
-            raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} carries no tag")
-        if n_enc < 0 or n_enc > len(payload) or (n_enc > 0) != bool(flags & FLAG_ENCRYPTED):
-            raise TagMismatch(f"{self.link_id}: msg {msg.msg_id} does not fit its key span")
+        if not 0 <= n_enc <= len(payload):
+            raise TagMismatch(f"{self.link_id}: span {span} does not fit its payload")
         data = msg.header_bytes() + payload
         tag_key = key[n_enc:]
         if sealed is not None and sealed[0] == tag_key and sealed[1] == data:
             tag = sealed[2]
         else:
             tag = _poly_tag(tag_key, data)
-        if not hmac.compare_digest(tag, msg.tag):
-            raise TagMismatch(f"{self.link_id}: tag mismatch on msg {msg.msg_id}")
+        if msg.tag is None or not hmac.compare_digest(tag, msg.tag):
+            raise TagMismatch(f"{self.link_id}: tag mismatch on span {span}")
         if not n_enc:
             return payload
         clear = len(payload) - n_enc

@@ -85,10 +85,10 @@ def test_criterion_3_failover_mid_delivery():
         eng = Engine(topo, parse_scenario(FAILOVER))
         on_cut = []   # arrival times of segments that crossed SIE-ERD
         for agent in eng.agents.values():
-            def watch(link_id, payload, meta, _original=agent._on_segment):
+            def watch(link_id, payload, route, _original=agent._on_segment):
                 if link_id == "SIE-ERD":
                     on_cut.append(eng.now)
-                _original(link_id, payload, meta)
+                _original(link_id, payload, route)
 
             agent._on_segment = watch
         rep = eng.run()
@@ -220,8 +220,8 @@ def test_criterion_9_authentication_soundness():
         for trial in range(10_000):
             key = rng.randbytes(32)
             payload = rng.randbytes(rng.randrange(1, 200))
-            frame = Q3PMessage("L", 0, Channel.TRANSPORT, 0x03, trial + 1, payload,
-                               None).header_bytes() + payload
+            span = (0, trial, trial + len(payload) + 32)
+            frame = Q3PMessage(0, Channel.TRANSPORT, payload, None, span).header_bytes() + payload
             tag = _poly_tag(key, frame)
             blob = bytearray(frame + tag)
             bit = rng.randrange(len(blob) * 8)

@@ -29,7 +29,6 @@ from qkdnet.model import PRESETS, load_topology, preset, vienna_preset
 from qkdnet.q3p import (
     AUTH_KEY_BYTES,
     AUTH_RESERVE_DEFAULT,
-    FLAG_ENCRYPTED,
     Channel,
     Purpose,
     Q3PLink,
@@ -613,16 +612,16 @@ class TestAcks:
             return msg
 
         def opening(self, side, msg):
-            opened.append(msg)
+            opened.append((self.link_id, side, msg))
             return open_(self, side, msg)
 
         monkeypatch.setattr(Q3PLink, "seal", sealing)
         monkeypatch.setattr(Q3PLink, "open", opening)
         send = eng.send_message
 
-        def sending(link_id, from_node, msg, meta=None):
+        def sending(link_id, from_node, msg, route=()):
             frames.append(msg)
-            return send(link_id, from_node, msg, meta)
+            return send(link_id, from_node, msg, route)
 
         eng.send_message = sending
         rep = eng.run()
@@ -630,13 +629,12 @@ class TestAcks:
         acks = [msg for msg in frames if isinstance(msg, bytes)]
         assert len(acks) == rep.msg_counts["acks_sent"] > 0
         assert len(sealed) == len(frames) - len(acks)
-        assert all(not isinstance(msg, bytes) for msg in opened)
+        assert all(not isinstance(msg, bytes) for _, _, msg in opened)
         for link_id, lrt in eng.links.items():
             for side, store in enumerate(lrt.q3p.stores):
                 spent = sum(cost for link, s, cost in sealed if (link, s) == (link_id, side))
                 assert sum(rec.n_bytes for rec in store.ledger) == spent, (link_id, side)
-                spans = {msg.span for msg in opened
-                         if (msg.link_id, 1 - msg.sender_side) == (link_id, side)}
+                spans = {msg.span for link, s, msg in opened if (link, s) == (link_id, side)}
                 burned = sum(end - start for _, start, end in spans)
                 assert store.ledgered_bytes == spent + burned, (link_id, side)
 
@@ -648,27 +646,26 @@ class TestAcks:
         monkeypatch.setattr(Q3PLink, "open", lambda *args: pytest.fail("ack reached open"))
         ack = encode_ack(7, 0)
         for frame in (b"", b"junk", ack[:-1], ack + b"\0", b"\x02" + ack[1:]):
-            agent.on_message("R12", frame, {})
+            agent.on_message("R12", frame, ())
         assert agent._relays == {(7, 0): hop}
         assert eng.msg_counts == Counter()
-        agent.on_message("R12", ack, {})
+        agent.on_message("R12", ack, ())
         assert agent._relays == {}
 
 
 class TestAuthenticatedChannels:
     def test_untagged_transport_message_is_a_tag_failure(self, monkeypatch):
-        # a transport message re-flagged as encrypted only, its span cut to
-        # leave out the tag key, is counted as a tag failure and never
-        # reaches the segment handler
+        # a transport message whose span is cut to leave out the tag key is
+        # counted as a tag failure and never reaches the segment handler
         eng = Engine(load_topology(RING4), parse_scenario("[scenario] duration=1 seed=1\n"))
         reached = []
         monkeypatch.setattr(NodeAgent, "_on_segment",
-                            lambda self, link_id, payload, meta: reached.append(payload))
+                            lambda self, link_id, payload, route: reached.append(payload))
         link = eng.links["R12"].q3p
         msg = link.seal(0, Channel.TRANSPORT, b"s" * 40)
         start = msg.span[1]
-        msg.flags, msg.span = FLAG_ENCRYPTED, (0, start, start + 31)
-        eng.agents["N2"].on_message("R12", msg, {})
+        msg.span = (0, start, start + 31)
+        eng.agents["N2"].on_message("R12", msg, ())
         assert eng.msg_counts["tag_failures"] == 1
         assert reached == []
         assert link.stores[1].consumed_ranges() == [(0, start, start + 31)]

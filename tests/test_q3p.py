@@ -292,13 +292,14 @@ class TestSealOpen:
         assert before - link.stores[0].available_bytes == 32
         assert link.open(1, msg) == msg.payload
 
-    def test_round_trip_all_flag_combinations(self):
+    def test_round_trip_every_channel_with_and_without_encryption(self):
         link = make_link()
         payload = RNG.randbytes(300)
         for channel in Channel:
             for encrypt in (False, True):
                 msg = link.seal(0, channel, payload, encrypt=encrypt)
-                assert msg.flags & q3p.FLAG_AUTHENTICATED and msg.tag is not None
+                assert msg.tag is not None
+                assert msg.key_cost_bytes == (len(payload) if encrypt else 0) + AUTH_KEY_BYTES
                 assert link.open(1, msg) == payload
 
     def test_replay_detected(self):
@@ -340,20 +341,20 @@ class TestSealOpen:
         assert receiver.consumed_ranges() == ranges
 
     def test_tampered_message_fails_tag(self):
-        # the tag covers the payload and every header field; a span moved,
-        # shortened or lengthened keys the tag with other bytes, so the
-        # receiver's hash differs as well
+        # the tag covers the payload and every header field, the span among
+        # them. A span moved, shortened at its end or lengthened also keys
+        # the tag with other bytes; a span trimmed from the front keys it
+        # with the sealed tag key, and only the header tells it apart
         tampers = {
             "payload byte": lambda m: setattr(
                 m, "payload", m.payload[:-1] + bytes([m.payload[-1] ^ 1])),
-            "msg_id": lambda m: setattr(m, "msg_id", 99),
             "channel": lambda m: setattr(m, "channel", Channel.ROUTING),
-            "flag bit": lambda m: setattr(m, "flags", m.flags | 0x04),
             "tag": lambda m: setattr(m, "tag", bytes([m.tag[0] ^ 1]) + m.tag[1:]),
             "span moved": lambda m: setattr(  # the next unspent span of the pool
                 m, "span", (0, m.span[2], 2 * m.span[2])),
             "span shortened": lambda m: setattr(m, "span", (0, 0, m.span[2] - 1)),
             "span lengthened": lambda m: setattr(m, "span", (0, 0, m.span[2] + 1)),
+            "span trimmed from the front": lambda m: setattr(m, "span", (0, 1, m.span[2])),
         }
         for encrypt in (False, True):
             for name, tamper in tampers.items():
@@ -374,42 +375,40 @@ class TestSealOpen:
 
     def test_open_lets_only_tag_and_replay_failures_escape(self):
         # the node agent catches only these two; a span outside the peer's
-        # pool or at odds with the flags and length must not raise anything
+        # pool or at odds with the payload's length must not raise anything
         # else, and a forged message is never accepted: with a tag it fails
         # the tag, without one it fails for want of a tag
         pool_len = len(make_link().stream.pools[0])
-        spans = [None, (0, 0, 40), (0, 0, 72), (1, 0, 40), (2, 0, 40), (-1, 0, 40),
-                 (0, 50, 50), (0, 60, 50), (0, pool_len - 10, pool_len + 10),
+        spans = [None, (0, 0, 40), (0, 0, 72), (0, 10, 72), (1, 0, 40), (2, 0, 40),
+                 (-1, 0, 40), (0, 50, 50), (0, 60, 50), (0, pool_len - 10, pool_len + 10),
                  (0, 0, 3), (0, 0, 31), (0, 0, 73), (0, 0, 500)]
         for encrypt in (False, True):
             for tagged in (False, True):
-                for flags in range(4):
-                    for span in spans:
-                        link = make_link(reserve=0)
-                        msg = link.seal(0, Channel.TRANSPORT, b"z" * 40, encrypt=encrypt)
-                        sealed_span = msg.span
-                        if (msg.flags, msg.span, tagged) == (flags, span, True):
-                            continue
-                        msg.flags, msg.span = flags, span
-                        if not tagged:
-                            msg.tag = None
-                        try:
-                            link.open(1, msg)
-                        except (TagMismatch, ReplayDetected):
-                            continue
-                        pytest.fail(f"forged {flags=} {span=} {tagged=} opened; "
-                                    f"sealed {sealed_span}")
+                for span in spans:
+                    link = make_link(reserve=0)
+                    msg = link.seal(0, Channel.TRANSPORT, b"z" * 40, encrypt=encrypt)
+                    sealed_span = msg.span
+                    if (msg.span, tagged) == (span, True):
+                        continue
+                    msg.span = span
+                    if not tagged:
+                        msg.tag = None
+                    try:
+                        link.open(1, msg)
+                    except (TagMismatch, ReplayDetected):
+                        continue
+                    pytest.fail(f"forged {span=} {tagged=} opened; sealed {sealed_span}")
 
     def test_every_channel_needs_a_tag(self):
-        # a message that clears its tag flag and shortens its span to leave
-        # out the tag key, or drops its tag, is refused on every channel and
-        # costs the receiver the span it names, like any forged tag; one
-        # that names no span at all costs nothing
+        # a message that shortens its span to leave out the tag key, or
+        # drops its tag, is refused on every channel and costs the receiver
+        # the span it names, like any forged tag; one that names no span at
+        # all costs nothing
         for channel in Channel:
             link = make_link(reserve=0)
             msg = link.seal(0, channel, b"t" * 40)
             start = msg.span[1]
-            msg.flags, msg.span = q3p.FLAG_ENCRYPTED, (0, start, start + 31)
+            msg.span = (0, start, start + 31)
             with pytest.raises(TagMismatch):
                 link.open(1, msg)
             assert link.stores[1].consumed_ranges() == [(0, start, start + 31)], channel
@@ -419,10 +418,8 @@ class TestSealOpen:
                 link.open(1, untagged)
             assert spent(link.stores[1], untagged.span), channel
             ledgered = link.stores[1].ledgered_bytes
-            for flags in (0, q3p.FLAG_AUTHENTICATED):
-                bare = Q3PMessage("L", 0, channel, flags, 9, b"ack", bytes(16))
-                with pytest.raises(TagMismatch):
-                    link.open(1, bare)
+            with pytest.raises(TagMismatch):
+                link.open(1, Q3PMessage(0, channel, b"ack", bytes(16)))
             assert link.stores[1].ledgered_bytes == ledgered, channel
 
     def test_one_reservation_and_one_mirror_per_keyed_message(self, monkeypatch):
@@ -872,21 +869,30 @@ class TestKeyAccounting:
 
 class TestWireFrame:
     def test_golden_layout(self):
-        msg = Q3PMessage("L", 0, Channel.TRANSPORT, 0x03, 7, b"ab", bytes(range(16)))
+        # magic, version, channel, the span (pool, start, end), payload length
+        msg = Q3PMessage(0, Channel.TRANSPORT, b"ab", bytes(range(16)), (1, 7, 41))
         header = msg.header_bytes()
-        assert header == struct.pack(">IBBBQI", 0x51335021, 1, 2, 3, 7, 2)
+        assert header == struct.pack(">IBBBQQI", 0x51335021, 1, 2, 1, 7, 41, 2)
         assert header[:4] == b"Q3P!"
-        assert len(header) == 19
+        assert header[6:23] == bytes([1]) + (7).to_bytes(8, "big") + (41).to_bytes(8, "big")
+        assert len(header) == 27
         # the channel byte on the wire, which every tag covers
         assert len(Channel) == 3
         for channel, byte in ((Channel.ROUTING, 1), (Channel.TRANSPORT, 2),
                               (Channel.LSDB_SUMMARY, 4)):
-            assert Q3PMessage("L", 0, channel, 0x02, 7, b"", None).header_bytes()[5] == byte
+            assert Q3PMessage(0, channel, b"", None, (0, 0, 32)).header_bytes()[5] == byte
 
     def test_tag_covers_the_header(self):
-        link = make_link()
-        for field, value in (("msg_id", 99), ("channel", Channel.ROUTING)):
-            msg = link.seal(0, Channel.TRANSPORT, b"h" * 20, encrypt=False)
-            setattr(msg, field, value)
-            with pytest.raises(TagMismatch):
+        # an encrypted message, so that a span one byte shorter at either
+        # end still fits its payload and is refused by the tag alone
+        tampers = {
+            "span start": lambda m: setattr(m, "span", (0, m.span[1] + 1, m.span[2])),
+            "span end": lambda m: setattr(m, "span", (0, m.span[1], m.span[2] - 1)),
+            "channel": lambda m: setattr(m, "channel", Channel.ROUTING),
+        }
+        for name, tamper in tampers.items():
+            link = make_link()
+            msg = link.seal(0, Channel.TRANSPORT, b"h" * 20)
+            tamper(msg)
+            with pytest.raises(TagMismatch, match="tag mismatch"):
                 link.open(1, msg)

@@ -29,10 +29,10 @@ def segment_arrivals(eng):
     (time, link, request id, seq) entry per segment that arrives."""
     arrivals = []
     for agent in eng.agents.values():
-        def watch(link_id, payload, meta, _original=agent._on_segment):
+        def watch(link_id, payload, route, _original=agent._on_segment):
             request_id, seq, _, _ = decode_segment(payload)
             arrivals.append((eng.now, link_id, request_id, seq))
-            _original(link_id, payload, meta)
+            _original(link_id, payload, route)
 
         agent._on_segment = watch
     return arrivals
@@ -51,14 +51,14 @@ def fault_next(eng, link_id, n, corrupt=False):
     original = eng.send_message
     left = [n]
 
-    def faulty(link, from_node, msg, meta=None):
+    def faulty(link, from_node, msg, route=()):
         if link == link_id and channel_of(msg) == Channel.TRANSPORT and left[0] > 0:
             left[0] -= 1
             if not corrupt:
                 eng.msg_counts["lost"] += 1
                 return False
             msg.payload = msg.payload[:-1] + bytes([msg.payload[-1] ^ 1])
-        return original(link, from_node, msg, meta)
+        return original(link, from_node, msg, route)
 
     eng.send_message = faulty
 
@@ -225,10 +225,10 @@ class TestRetransmission:
             fault_next(eng, "L5", 1)
             original = eng.send_message
 
-            def spy(link_id, from_node, msg, meta=None):
+            def spy(link_id, from_node, msg, route=()):
                 if link_id == "L5" and channel_of(msg) == Channel.TRANSPORT:
                     sent_ciphertexts.append((msg.payload, msg.span))
-                return original(link_id, from_node, msg, meta)
+                return original(link_id, from_node, msg, route)
 
             eng.send_message = spy
 
@@ -296,19 +296,19 @@ class TestRetransmission:
         def prep(eng):
             original = eng.send_message
 
-            def lossy(link_id, from_node, msg, meta=None):
+            def lossy(link_id, from_node, msg, route=()):
                 channel = channel_of(msg)
                 if channel is None:
                     seq = decode_ack(msg)[1]
                 elif channel == Channel.TRANSPORT:
                     seq = decode_segment(msg.payload)[1]
                 else:
-                    return original(link_id, from_node, msg, meta)
+                    return original(link_id, from_node, msg, route)
                 key = (link_id, channel, seq)
                 if drops.get(key, 0) > 0:
                     drops[key] -= 1
                     return False
-                return original(link_id, from_node, msg, meta)
+                return original(link_id, from_node, msg, route)
 
             eng.send_message = lossy
 
