@@ -341,7 +341,6 @@ class _HopState:
     fragment: bytes
     route_links: tuple[str, ...]   # from this node; empty while parked: the timer reroutes
     attempts: int = 1
-    gen: int = 0
 
 
 class MetricsReport:
@@ -425,7 +424,7 @@ class Engine:
             lrt = _LinkRT(
                 spec=spec,
                 runtime=LinkRuntime(spec, profile),
-                q3p=Q3PLink(spec.id, self._preshared_bytes(spec),
+                q3p=Q3PLink(spec.id,
                             source=Random(sub_seed(self.seed, f"link:{spec.id}")).randbytes),
                 loss=scenario.loss_for(spec.id),
                 index=index,
@@ -433,6 +432,8 @@ class Engine:
             )
             if lrt.loss > 0 or scenario.jitter_ms > 0:
                 lrt.channel = Random(sub_seed(self.seed, f"channel:{spec.id}"))
+            # the preshared secret is the key source's first block
+            lrt.q3p.stream.produce(spec.preshared_bytes)
             lrt.q3p.stream.attach(self.clock, index, lrt.settle)
             lrt.min_level_seen = lrt.q3p.min_level()
             self.links[spec.id] = lrt
@@ -500,10 +501,6 @@ class Engine:
                                         "and a duration > 0")
         except KeyError as missing:
             raise ScenarioError(f"a scenario event lacks payload key {missing}") from None
-
-    def _preshared_bytes(self, spec: LinkSpec) -> bytes:
-        rng = Random(sub_seed(self.seed, f"preshared:{spec.id}"))
-        return rng.randbytes(spec.preshared_bytes)
 
     # -- queue ---------------------------------------------------------------
 
@@ -751,6 +748,8 @@ class Engine:
     def _restore_link(self, p: dict) -> None:
         link_id = p["link"]
         lrt = self.links[link_id]
+        if lrt.runtime.status.state is not _DOWN:     # only a cut link restarts
+            return
         self._settle((lrt,))
         lrt.runtime.restore()
         self._refresh_eager()
@@ -813,6 +812,7 @@ class Engine:
         if req.final or seq in req.received:
             return
         req.received[seq] = fragment
+        req.failed.discard(seq)
         rec = req.record
         rec.fragments_delivered = len(req.received)
         if rec.fragments_total and len(req.received) == rec.fragments_total:
@@ -822,10 +822,9 @@ class Engine:
         rec = req.record
         if rec.failure_reason is None:
             rec.failure_reason = reason
-        req.failed.add(seq)
-        # a seq another copy delivered counts once
-        done = len(req.failed | req.received.keys())
-        if rec.fragments_total and done >= rec.fragments_total:
+        if seq not in req.received:          # a seq another copy delivered counts once
+            req.failed.add(seq)
+        if rec.fragments_total and len(req.failed) + len(req.received) >= rec.fragments_total:
             self._finalize_record(req, reason=rec.failure_reason)
 
     def _finalize_record(self, req: _Request, reason: str | None) -> None:
@@ -915,7 +914,6 @@ class NodeAgent:
             self._ends[link.id] = (lrt, side, lrt.q3p.stores[side])
         self._lsa_seq: dict[str, int] = {l.id: 0 for l in self.incident}
         self._relays: dict[tuple[int, int], _HopState] = {}   # (request id, seq)
-        self._timer_gen = 0
 
     # -- link-state flooding ------------------------------------------------------
 
@@ -1113,20 +1111,18 @@ class NodeAgent:
         self._arm_retry(hop)
 
     def _arm_retry(self, hop: _HopState) -> None:
-        """Hold a fragment at this node and (re)start its retry timer; a
-        newer timer supersedes any older one for the same fragment."""
-        self._timer_gen += 1
-        hop.gen = self._timer_gen
-        rid = hop.req.record.request_id
-        self._relays[(rid, hop.seq)] = hop
+        """Hold a fragment at this node and start its retry timer, which
+        carries the hop. A hop is re-armed only by its own timer, so it has
+        one timer at most; a newer hop held for the fragment supersedes it."""
+        self._relays[(hop.req.record.request_id, hop.seq)] = hop
         self.engine._schedule(Event(self.engine.now + RETRY_TIMEOUT_S, EventKind.TIMER, {
-            "node": self.name, "request_id": rid, "seq": hop.seq, "gen": hop.gen,
+            "node": self.name, "hop": hop,
         }))
 
     def on_timer(self, p: dict) -> None:
-        key = (p["request_id"], p["seq"])
-        hop = self._relays.get(key)
-        if hop is None or hop.gen != p["gen"]:
+        hop = p["hop"]
+        key = (hop.req.record.request_id, hop.seq)
+        if self._relays.get(key) is not hop:
             return
         if hop.req.final:
             del self._relays[key]

@@ -91,6 +91,9 @@ class LinkRuntime:
         self.status = LinkStatus(LinkState.DOWN)
 
     def restore(self) -> None:
+        """Restart a DOWN link; a link that is not down is left as it is."""
+        if self.status.state is not _DOWN:
+            return
         if self.profile.restart_latency_s <= 0:
             self.status = LinkStatus(LinkState.UP)
         else:

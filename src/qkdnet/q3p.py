@@ -9,7 +9,9 @@ the same message history. Production may be counted late: a stream behind
 its ``ProductionClock`` is settled by the first read of a level, a pool
 length or key bytes, so no reader sees the difference. Produced bytes are
 drawn from the link's key source when a reservation first reads them, so a
-stream holds only the key read so far.
+stream holds only the key read so far. A link's preshared secret, which
+bootstraps authentication, is the first block of its key source: the engine
+queues it before any production, and it is drawn on first read too.
 
 To let both endpoints send concurrently without ever assigning the same key
 bytes twice, each key block is split in half: the first half is appended to
@@ -190,9 +192,10 @@ class KeyStream:
     No ``memoryview`` of a pool may outlive a read, because a ``bytearray``
     with a live export cannot grow.
 
-    Produced key is drawn on first read. ``produce`` only grows the pools'
-    logical ``lengths`` and queues the byte count; ``read`` draws queued
-    counts, oldest first, one ``source(n)`` call each, when a span reaches
+    A stream starts empty. Produced key, the link's preshared block first,
+    is drawn on first read. ``produce`` only grows the pools' logical
+    ``lengths`` and queues the byte count; ``read`` draws queued counts,
+    oldest first, one ``source(n)`` call each, when a span reaches
     past the bytes drawn so far. The draws are the calls an eager stream
     would make at every production tick, in the same order, so every byte is
     the same; the stream holds only the prefix read so far. ``push`` draws
@@ -209,20 +212,16 @@ class KeyStream:
     on the clock's ``spent`` set.
     """
 
-    def __init__(self, preshared: bytes = b"",
-                 source: Callable[[int], bytes] | None = None) -> None:
+    def __init__(self, source: Callable[[int], bytes] | None = None) -> None:
         self.pools = (bytearray(), bytearray())
         self.lengths = [0, 0]                    # logical pool lengths, drawn or not
         self.appended_bytes = 0
-        self.initial_bytes = len(preshared)
         self._source = source
         self._queued = array("Q")                # produced counts not drawn yet
         self._head = 0                           # first of them still to draw
         self.clock = ProductionClock()
         self.index = 0
         self.through = 0                         # the clock tick produced through
-        if preshared:
-            self.push(preshared)
 
     def attach(self, clock: ProductionClock, index: int,
                settle: Callable[[], None]) -> None:
@@ -235,13 +234,6 @@ class KeyStream:
         """Bring the stream up to its clock; a stream with no producer
         attached has missed nothing."""
         self.through = self.clock.ticks
-
-    def _count(self, n_bytes: int) -> None:
-        """Grow the logical lengths by a block of ``n_bytes``."""
-        half = (n_bytes + 1) // 2
-        self.lengths[0] += half
-        self.lengths[1] += n_bytes - half
-        self.appended_bytes += n_bytes
 
     def _draw(self, pool: int, end: int) -> None:
         """Draw queued counts, oldest first, until ``pool`` holds ``end`` bytes."""
@@ -291,7 +283,9 @@ class KeyStream:
         half = (len(data) + 1) // 2
         self.pools[0].extend(data[:half])
         self.pools[1].extend(data[half:])
-        self._count(len(data))
+        self.lengths[0] += half
+        self.lengths[1] += len(data) - half
+        self.appended_bytes += len(data)
 
     def read(self, span: Span) -> bytes:
         """The key bytes of ``span``; spans come from the peer, so checked."""
@@ -335,10 +329,6 @@ class KeyStore:
         self._opened_bytes = 0
 
     # -- levels -------------------------------------------------------------
-
-    @property
-    def initial_bytes(self) -> int:
-        return self.stream.initial_bytes
 
     @property
     def appended_bytes(self) -> int:
@@ -572,15 +562,15 @@ class Q3PLink:
     both burn identical spans, so levels stay equal under loss-free
     histories. Every message is keyed and tagged, on every channel.
     Messages may be opened in any order: the receiver's opened spans reject
-    replays. ``source`` is the link's key source: ``source(n)`` returns the
-    next ``n`` secret bytes of production (see ``KeyStream``).
+    replays. ``source`` is the link's one key source: ``source(n)`` returns
+    the next ``n`` secret bytes of production, the preshared block first
+    (see ``KeyStream``). The stream starts empty.
     """
 
-    def __init__(self, link_id: str, preshared: bytes,
-                 auth_reserve: int = AUTH_RESERVE_DEFAULT,
+    def __init__(self, link_id: str, auth_reserve: int = AUTH_RESERVE_DEFAULT,
                  source: Callable[[int], bytes] | None = None) -> None:
         self.link_id = link_id
-        self.stream = KeyStream(preshared, source)
+        self.stream = KeyStream(source)
         self.stores = (
             KeyStore(link_id, self.stream, 0, auth_reserve),
             KeyStore(link_id, self.stream, 1, auth_reserve),

@@ -231,7 +231,8 @@ def test_criterion_9_authentication_soundness():
                 accepted += 1
         assert accepted == 0
         # and through the full seal/open path
-        link = Q3PLink("L", Random(3).randbytes(131072), auth_reserve=0)
+        link = Q3PLink("L", auth_reserve=0)
+        link.push(Random(3).randbytes(131072))
         rejected = 0
         for trial in range(100):
             msg = link.seal(0, Channel.TRANSPORT, Random(trial).randbytes(50))

@@ -2,15 +2,26 @@
 
 Any change to what a run writes shows up here. A change that alters the
 outputs on purpose records the new digests and says in CHANGES.md what
-changed and why.
+changed and why. Run as a script, this file prints the current digest of
+every golden run in ``GOLDEN``'s layout, ready to paste over it:
+
+    python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
+import sys
+from pathlib import Path
 
 import pytest
+
+if __name__ == "__main__":          # as a script: find the package as pytest does
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from invariants import check_run
 
-from qkdnet import cli
+from qkdnet import cli, harness
 from qkdnet.cli import main
 
 # bundled-style run with classical-channel loss, multipath, no jitter
@@ -79,29 +90,64 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_outputs_match_pinned_digests(name, tmp_path, capsys, monkeypatch):
+OUTPUT_FILES = ("metrics.csv", "summary.json", "audit.log")
+
+
+def run_golden(name: str, tmp_dir: Path):
+    """Run golden scenario ``name`` on the vienna preset in ``tmp_dir``.
+    Returns the sha256 of each output file, the engine and its report."""
     runs = []
 
-    class Checked(cli.Engine):
+    class Recorded(cli.Engine):
         def run(self):
             report = super().run()
             runs.append((self, report))
             return report
 
-    monkeypatch.setattr(cli, "Engine", Checked)
     scenario = name
     if name in WRITTEN:
-        scenario = tmp_path / f"{name}.txt"
+        scenario = tmp_dir / f"{name}.txt"
         scenario.write_text(WRITTEN[name])
-    out = tmp_path / "out"
-    assert main(["run", "--preset", "vienna", "--scenario", str(scenario),
-                 "--out", str(out)]) == 0
-    capsys.readouterr()
-    digests = {
-        fname: hashlib.sha256((out / fname).read_bytes()).hexdigest()
-        for fname in GOLDEN[name]
-    }
-    assert digests == GOLDEN[name]
+    out = tmp_dir / "out"
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(cli, "Engine", Recorded)
+        assert main(["run", "--preset", "vienna", "--scenario", str(scenario),
+                     "--out", str(out)]) == 0
+    digests = {fname: hashlib.sha256((out / fname).read_bytes()).hexdigest()
+               for fname in OUTPUT_FILES}
     (engine, report), = runs
+    return digests, engine, report
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_pinned_digests(name, tmp_path):
+    digests, engine, report = run_golden(name, tmp_path)
+    assert digests == GOLDEN[name]
     check_run(engine, report)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_do_not_depend_on_key_byte_values(name, tmp_path, monkeypatch):
+    # every link's key source, preshared block included, drawn from another
+    # seed: no output may depend on the values of key bytes
+    seeded = harness.sub_seed
+    monkeypatch.setattr(harness, "sub_seed", lambda master, label: seeded(
+        master, "other " + label if label.startswith("link:") else label))
+    digests, _, _ = run_golden(name, tmp_path)
+    assert digests == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        print("GOLDEN = {")
+        for name in GOLDEN:
+            run_dir = Path(tmp) / name
+            run_dir.mkdir()
+            digests, _, _ = run_golden(name, run_dir)
+            print(f'    "{name}": {{')
+            for fname, digest in digests.items():
+                print(f'        "{fname}": "{digest}",')
+            print("    },")
+        print("}")

@@ -281,6 +281,22 @@ class TestEventOrdering:
                  if l == "SIE-ERD" and t == 1.0 and e in ("fail", "restore")]
         assert order == ["fail", "restore"]
 
+    def test_restore_of_a_link_that_is_not_down_changes_nothing(self):
+        # a restore of the working SIE-ERD, and a second restore of ERD-bob
+        # while it restarts (5 s, from t=3), give the run that has neither
+        events = ("[scenario] duration=12 seed=1\n"
+                  "[event] t=2 kind=fail link=ERD-bob\n"
+                  "[event] t=3 kind=restore link=ERD-bob\n"
+                  "[event] t=9 kind=request src=alice dst=bob bytes=4096 k=1\n")
+        extra = ("[event] t=1 kind=restore link=SIE-ERD\n"
+                 "[event] t=5 kind=restore link=ERD-bob\n")
+        plain = Engine(vienna_preset(), parse_scenario(events)).run()
+        rep = Engine(vienna_preset(), parse_scenario(events + extra)).run()
+        assert not any(link == "SIE-ERD" for _, link, _ in rep.link_events)
+        assert (8.0, "ERD-bob", "up") in rep.link_events
+        assert rep.summary_json() == plain.summary_json()
+        assert rep.metrics_csv() == plain.metrics_csv()
+
     def test_events_never_run_out_of_time_order(self):
         topo = vienna_preset()
         eng = Engine(topo, parse_scenario(
@@ -579,12 +595,26 @@ class TestKeyOnFirstRead:
             [tracemalloc.Filter(True, q3p.__file__)]).statistics("filename"))
         assert held < 500_000
 
+    def test_preshared_block_is_drawn_on_first_read(self):
+        # right after construction no stream has drawn a byte: each holds
+        # its preshared block as the first queued block of its key source,
+        # split between the pools as any block is
+        eng = Engine(vienna_preset(), parse_scenario("[scenario] duration=1 seed=1\n"))
+        for lrt in eng.links.values():
+            stream, n = lrt.q3p.stream, lrt.spec.preshared_bytes
+            assert stream.pools == (bytearray(), bytearray())
+            assert stream.lengths == [(n + 1) // 2, n // 2]
+        lrt = eng.links["SIE-ERD"]
+        half = (lrt.spec.preshared_bytes + 1) // 2
+        block = Random(sub_seed(1, "link:SIE-ERD")).randbytes(lrt.spec.preshared_bytes)
+        assert lrt.q3p.stream.read((1, 0, 8)) == block[half : half + 8]
+
     def test_refill_follows_production_on_a_link_without_preshared_key(self):
         # a refill lands after all key produced before it, on a link whose
         # stream began with no preshared block
         eng = Engine(load_topology(RING4), parse_scenario("[scenario] duration=1 seed=1\n"))
         lrt = eng.links["R12"]
-        lrt.q3p = Q3PLink("R12", b"", auth_reserve=0, source=Random(3).randbytes)
+        lrt.q3p = Q3PLink("R12", auth_reserve=0, source=Random(3).randbytes)
         lrt.q3p.stream.produce(10)
         eng._apply_refill("R12", b"\x01" * 8)
         lrt.q3p.stream.produce(4)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from qkdnet.links import (
     LinkRuntime,
     LinkState,
+    LinkStatus,
     key_rate,
     qualifies_for_deployment,
 )
@@ -118,6 +119,16 @@ class TestStatusMachine:
         rt.restore()
         assert rt.status.state is LinkState.UP
 
+    def test_restore_leaves_a_link_that_is_not_down_as_it_is(self):
+        rt = runtime(restart=60.0)
+        rt.restore()
+        assert rt.status == LinkStatus(LinkState.UP)
+        rt.fail()
+        rt.restore()
+        rt.produce(1.0)
+        rt.restore()
+        assert rt.status == LinkStatus(LinkState.RESTARTING, 59.0)
+
     def test_production_resumes_for_step_remainder(self):
         # restart 0.05s inside a 0.1s step: half the step produces
         rt = runtime(length_km=0.0, r0=80000.0, restart=0.05)
@@ -140,11 +151,13 @@ class TestStatusMachine:
 def test_key_order_holds_across_production_and_refill():
     # produced and pushed blocks enter the stream in the order they happen,
     # however late the produced bytes are drawn: each pool is the halves of
-    # the preshared block, the draws and the refills, in that order
+    # the preshared block (the source's first), the draws and the refills,
+    # in that order
     rt = runtime(length_km=0.0, r0=4000.0)
-    stream = KeyStream(b"P" * 6, Random(7).randbytes)
+    stream = KeyStream(Random(7).randbytes)
+    stream.produce(6)
     eager = Random(7)
-    blocks = [b"P" * 6]
+    blocks = [eager.randbytes(6)]
     for step in range(1, 8):
         n_bytes = rt.produce(1.0)
         stream.produce(n_bytes)

@@ -31,9 +31,17 @@ from qkdnet.q3p import (
 RNG = Random(99)
 
 
+def _link(data=b"", reserve=0, source=None):
+    """A link whose stream begins with the block ``data``, pushed."""
+    link = Q3PLink("L", auth_reserve=reserve, source=source)
+    if data:
+        link.push(data)
+    return link
+
+
 def store(preshared=0, reserve=0, side=0):
     data = RNG.randbytes(preshared) if preshared else b""
-    return KeyStore("L", KeyStream(data), side=side, auth_reserve=reserve)
+    return _link(data, reserve).stores[side]
 
 
 def spent(store, span):
@@ -60,7 +68,7 @@ class TestPush:
     def test_link_push_holds_each_block_compactly(self):
         # the stream keeps a block as its bytes in the two pools, with no
         # index per half and no Python object per half or per end
-        link = Q3PLink("L", b"", auth_reserve=0)
+        link = _link()
         n_blocks = 20000
         data = Random(7).randbytes(40 * n_blocks)
         tracemalloc.start()
@@ -95,7 +103,7 @@ class TestReserve:
         s = store(2048, reserve=64)
         for n in (100, 32, 7, 300):
             s.reserve(n, Purpose.AUTHENTICATE)
-            assert s.initial_bytes + 0 - s.ledgered_bytes == s.available_bytes
+            assert s.appended_bytes - s.ledgered_bytes == s.available_bytes
         s.stream.push(RNG.randbytes(512))
         assert s.appended_bytes - s.ledgered_bytes == s.available_bytes
 
@@ -109,7 +117,7 @@ class TestReserve:
             assert p1 != p2 or e1 <= s2
 
     def test_mirror_consumption_is_range_exact(self):
-        a, b = Q3PLink("L", RNG.randbytes(1024), auth_reserve=0).stores
+        a, b = _link(RNG.randbytes(1024), 0).stores
         span, key = a.reserve(100, Purpose.ENCRYPT)
         assert b.reserve_exact(span) == key
         assert a.available_bytes == b.available_bytes
@@ -123,7 +131,7 @@ class TestReserve:
     def test_reservation_is_one_span_of_its_own_pool(self):
         data = RNG.randbytes(1000)
         for side in (0, 1):
-            s = KeyStore("L", KeyStream(data), side=side, auth_reserve=0)
+            s = _link(data).stores[side]
             s.stream.push(RNG.randbytes(301))
             first, key1 = s.reserve(100, Purpose.ENCRYPT)
             second, key2 = s.reserve(500, Purpose.AUTHENTICATE)   # crosses into block 1's half
@@ -134,7 +142,7 @@ class TestReserve:
     def test_overlap_in_either_pool_raises_key_reuse(self):
         # both ends spend their own pool from offset 0: only the pool tells
         # the two spans apart
-        a, b = Q3PLink("L", RNG.randbytes(1024), auth_reserve=0).stores
+        a, b = _link(RNG.randbytes(1024), 0).stores
         for sender, receiver in ((a, b), (b, a)):
             span, _ = sender.reserve(64, Purpose.ENCRYPT)
             pool, start, end = span
@@ -272,7 +280,7 @@ class TestAuthentication:
 
 
 def make_link(preshared=65536, reserve=4096):
-    return Q3PLink("L", Random(5).randbytes(preshared), auth_reserve=reserve)
+    return _link(Random(5).randbytes(preshared), reserve)
 
 
 class TestSealOpen:
@@ -527,20 +535,20 @@ class TestSealOpen:
         assert [span[:2] for span in a.consumed_ranges()] == [(0, 0), (1, 0)]
 
     def test_insufficient_key_signals_backoff(self):
-        link = Q3PLink("L", Random(6).randbytes(8192), auth_reserve=4096)
+        link = _link(Random(6).randbytes(8192), 4096)
         with pytest.raises(InsufficientKey):
             link.seal(0, Channel.TRANSPORT, RNG.randbytes(8000))
 
     def test_auth_only_works_below_the_reserve(self):
         # routing keeps flooding even on a link drained under its floor
-        link = Q3PLink("L", Random(6).randbytes(2048), auth_reserve=4096)
+        link = _link(Random(6).randbytes(2048), 4096)
         msg = link.seal(0, Channel.ROUTING, b"lsa" * 10, encrypt=False)
         assert link.open(1, msg) == b"lsa" * 10
 
     def test_reserve_guarantees_a_message_budget(self):
         # once encryption is refused, the floor still funds at least
         # auth_reserve / 32 authenticated messages across the two directions
-        link = Q3PLink("L", Random(8).randbytes(12288), auth_reserve=4096)
+        link = _link(Random(8).randbytes(12288), 4096)
         side = 0
         while True:
             try:
@@ -564,7 +572,7 @@ class TestSealOpen:
     def test_can_seal_and_seal_share_one_admission_rule(self):
         # can_seal says yes exactly when seal finds the key, and a refusal
         # names the rule that failed: the reserve floor or the direction pool
-        link = Q3PLink("L", Random(6).randbytes(12288), auth_reserve=4096)
+        link = _link(Random(6).randbytes(12288), 4096)
         reasons = set()
         for step in range(600):
             # varied sizes until the floor stops encryption, then tags only
@@ -598,7 +606,7 @@ class TestRandomOperationSequences:
         # ledger never overlaps and accounting stays exact at both ends
         for seed in range(10):
             rng = Random(1000 + seed)
-            link = Q3PLink("L", rng.randbytes(16384), auth_reserve=1024)
+            link = _link(rng.randbytes(16384), 1024)
             pushed = 0
             for _ in range(120):
                 op = rng.random()
@@ -645,7 +653,7 @@ class TestReserveCursor:
         # reference model: each pool is its blocks' halves concatenated, and
         # reservations slice it at a running offset
         data = Random(preshared).randbytes(preshared)
-        stores = Q3PLink("L", data, auth_reserve=0).stores
+        stores = _link(data).stores
         pools = [bytearray(), bytearray()]
         chunk_ends = [[], []]
         offset = [0, 0]
@@ -700,7 +708,7 @@ class TestLinkStream:
         # a sender takes the next bytes of its pool as one span; lost
         # messages are never opened
         data = Random(preshared).randbytes(preshared)
-        link = Q3PLink("L", data, auth_reserve=0)
+        link = _link(data)
         pools = [bytearray(), bytearray()]
         offset = [0, 0]
         ledgered = [0, 0]
@@ -786,7 +794,7 @@ class TestLazyStream:
         # the same source calls in the same order, and appends refills as
         # they come
         data = Random(preshared).randbytes(preshared)
-        link = Q3PLink("L", data, auth_reserve=0, source=Random(seed).randbytes)
+        link = _link(data, source=Random(seed).randbytes)
         stream = link.stream
         eager = Random(seed)
         pools = [bytearray(), bytearray()]
@@ -835,9 +843,9 @@ class TestLazyStream:
 
     def test_production_needs_a_source_and_a_positive_count(self):
         with pytest.raises(ValueError):
-            KeyStream(b"abc").produce(10)
+            KeyStream().produce(10)
         with pytest.raises(ValueError):
-            KeyStream(b"abc", Random(1).randbytes).produce(0)
+            KeyStream(Random(1).randbytes).produce(0)
 
 
 class TestKeyAccounting:
