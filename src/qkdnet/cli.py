@@ -13,12 +13,14 @@ from pathlib import Path
 from . import planner
 from .harness import Engine, ScenarioError, parse_scenario
 from .model import (
+    REQUIRED,
     ParseError,
     PRESETS,
     Topology,
     ValidationError,
     load_topology,
     preset,
+    read_config,
 )
 from .planner import Geometry, PlannerParams
 from .scenarios import BUNDLED, PLANNER_SWEEP, bundled_scenario
@@ -28,6 +30,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_SCENARIO = 3
+
+# the bundled planner parameter line; each key sets the ``plan`` option of
+# its name
+_PLAN_GRAMMAR = {"plan": {
+    "alpha": ("alpha", float, REQUIRED), "r0": ("r0", float, REQUIRED),
+    "device_cost": ("device_cost", float, REQUIRED), "distance": ("distance", float, REQUIRED),
+    "geometry": ("geometry", str, REQUIRED)}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,15 +150,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_plan(args) -> int:
     if args.bundled:
-        # single bundled parameter line in the shared key=value grammar
-        from .model import _parse_lines
-
-        (_, _, fields), = _parse_lines(PLANNER_SWEEP)
-        args.alpha = float(fields["alpha"])
-        args.r0 = float(fields["r0"])
-        args.device_cost = float(fields["device_cost"])
-        args.distance = float(fields["distance"])
-        args.geometry = fields["geometry"]
+        (_, _, row), = read_config(PLANNER_SWEEP, _PLAN_GRAMMAR)
+        vars(args).update(row)
     try:
         params = PlannerParams(
             device_cost=args.device_cost,

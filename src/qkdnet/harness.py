@@ -17,7 +17,7 @@ from enum import Enum
 from random import Random
 
 from .links import LinkRuntime, LinkState
-from .model import LinkSpec, ParseError, Topology
+from .model import REQUIRED, ByKind, LinkSpec, ParseError, Topology, read_config
 from .q3p import (
     AUTH_RESERVE_DEFAULT,
     Channel,
@@ -90,15 +90,6 @@ class EventKind(Enum):
     FINALIZE = "finalize"
 
 
-# the kinds a scenario (or ``Engine.inject``) may carry; the others are the
-# engine's own. A tuple, most common first: its ``in`` tests identity, while
-# hashing an enum member runs Python code
-_SCENARIO_KINDS = (
-    EventKind.KEY_REQUEST, EventKind.LINK_FAIL, EventKind.LINK_RESTORE,
-    EventKind.DOS_DRAIN, EventKind.REFILL, EventKind.DAY_WINDOW,
-)
-
-
 @dataclass(slots=True)
 class Event:
     time_s: float
@@ -119,14 +110,39 @@ class Scenario:
         return self.loss_per_link.get(link_id, self.loss_default)
 
 
-_EVENT_KEYS = {
-    "fail": ("link",),
-    "restore": ("link",),
-    "dos": ("link", "rate", "duration"),
-    "request": ("src", "dst", "bytes"),
-    "daywindow": ("start", "end"),
-    "refill": ("link", "bytes"),
+_AT = {"t": ("time_s", float, REQUIRED)}
+_LINK = ("link", str, REQUIRED)
+
+# an event line's row is its event's "time_s", then its payload
+SCENARIO_GRAMMAR = {
+    "scenario": {
+        "duration": ("duration_s", float, REQUIRED),
+        "seed": ("seed", int, 0),
+        "loss": ("loss_default", float, 0.0),
+        "jitter_ms": ("jitter_ms", float, 0.0),
+    },
+    "loss": {"link": _LINK, "p": ("p", float, REQUIRED)},
+    "event": ByKind({
+        "request": (EventKind.KEY_REQUEST, {
+            **_AT, "src": ("src", str, REQUIRED), "dst": ("dst", str, REQUIRED),
+            "bytes": ("n_bytes", int, REQUIRED), "k": ("multipath", int, 1),
+            "deadline": ("deadline_s", float, None)}),
+        "fail": (EventKind.LINK_FAIL, {**_AT, "link": _LINK}),
+        "restore": (EventKind.LINK_RESTORE, {**_AT, "link": _LINK}),
+        "dos": (EventKind.DOS_DRAIN, {
+            **_AT, "link": _LINK, "rate": ("rate_bytes_per_s", float, REQUIRED),
+            "duration": ("duration_s", float, REQUIRED)}),
+        "refill": (EventKind.REFILL, {
+            **_AT, "link": _LINK, "bytes": ("n_bytes", int, REQUIRED), "k": ("multipath", int, 2)}),
+        "daywindow": (EventKind.DAY_WINDOW, {
+            **_AT, "start": ("start", float, REQUIRED), "end": ("end", float, REQUIRED)}),
+    }),
 }
+
+# the kinds a scenario (or ``Engine.inject``) may carry; the others are the
+# engine's own. A tuple, most common (request, listed first) first: its
+# ``in`` tests identity, while hashing an enum member runs Python code
+_SCENARIO_KINDS = tuple(tag for tag, _ in SCENARIO_GRAMMAR["event"].values())
 
 
 def _check_duration(duration: float | None) -> None:
@@ -154,79 +170,30 @@ def _check_events(events: list[Event], duration: float) -> None:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse the sectioned key-value scenario format.
-
-    Sections: ``[scenario] duration=<f> [seed=<u64>] [loss=<f>] [jitter_ms=<f>]``,
-    ``[loss] link=<id> p=<f>``, and ``[event] t=<f> kind=<k> ...`` where kind is
-    one of fail, restore, dos, request, daywindow, refill.
-    """
-    from .model import _parse_lines  # same line grammar as topology files
-
-    duration = None
-    seed = 0
-    loss_default = 0.0
-    jitter_ms = 0.0
+    """Parse scenario text by ``SCENARIO_GRAMMAR``: one ``[scenario]`` line,
+    at most one ``[loss]`` line per link, and ``[event]`` lines."""
+    head: dict = {}
     loss_per_link: dict[str, float] = {}
     events: list[Event] = []
     try:
-        lines = _parse_lines(text)
+        rows = read_config(text, SCENARIO_GRAMMAR)
     except ParseError as exc:
         raise ScenarioError(str(exc)) from None
-    for lineno, section, fields in lines:
-        try:
-            if section == "scenario":
-                duration = float(fields["duration"])
-                seed = int(fields.get("seed", "0"))
-                loss_default = float(fields.get("loss", "0"))
-                jitter_ms = float(fields.get("jitter_ms", "0"))
-            elif section == "loss":
-                loss_per_link[fields["link"]] = float(fields["p"])
-            elif section == "event":
-                t = float(fields["t"])
-                kind = fields["kind"]
-                if kind not in _EVENT_KEYS:
-                    raise ScenarioError(f"line {lineno}: unknown event kind {kind!r}")
-                for key in _EVENT_KEYS[kind]:
-                    if key not in fields:
-                        raise ScenarioError(f"line {lineno}: {kind} event needs {key!r}")
-                if kind == "fail":
-                    events.append(Event(t, EventKind.LINK_FAIL, {"link": fields["link"]}))
-                elif kind == "restore":
-                    events.append(Event(t, EventKind.LINK_RESTORE, {"link": fields["link"]}))
-                elif kind == "dos":
-                    events.append(Event(t, EventKind.DOS_DRAIN, {
-                        "link": fields["link"],
-                        "rate_bytes_per_s": float(fields["rate"]),
-                        "duration_s": float(fields["duration"]),
-                    }))
-                elif kind == "request":
-                    events.append(Event(t, EventKind.KEY_REQUEST, {
-                        "src": fields["src"],
-                        "dst": fields["dst"],
-                        "n_bytes": int(fields["bytes"]),
-                        "multipath": int(fields.get("k", "1")),
-                        "deadline_s": float(fields["deadline"]) if "deadline" in fields else None,
-                    }))
-                elif kind == "daywindow":
-                    events.append(Event(t, EventKind.DAY_WINDOW, {
-                        "start": float(fields["start"]), "end": float(fields["end"]),
-                    }))
-                elif kind == "refill":
-                    events.append(Event(t, EventKind.REFILL, {
-                        "link": fields["link"],
-                        "n_bytes": int(fields["bytes"]),
-                        "multipath": int(fields.get("k", "2")),
-                    }))
-            else:
-                raise ScenarioError(f"line {lineno}: unknown section [{section}]")
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError(f"line {lineno}: {exc}") from None
+    for lineno, section, row in rows:
+        if section == "loss":
+            if row["link"] in loss_per_link:
+                raise ScenarioError(f"line {lineno}: repeated [loss] for link {row['link']!r}")
+            loss_per_link[row["link"]] = row["p"]
+        elif section == "scenario":
+            if head:
+                raise ScenarioError(f"line {lineno}: repeated [scenario] line")
+            head = row
+        else:   # an event line comes back under its EventKind
+            events.append(Event(row.pop("time_s"), section, row))
+    duration = head.get("duration_s")
     _check_duration(duration)
     _check_events(events, duration)
-    return Scenario(
-        duration_s=duration, seed=seed, events=events,
-        loss_default=loss_default, loss_per_link=loss_per_link, jitter_ms=jitter_ms,
-    )
+    return Scenario(events=events, loss_per_link=loss_per_link, **head)
 
 
 def sub_seed(master: int, label: str) -> int:
@@ -541,7 +508,7 @@ class Engine:
             request_id=rid, src=req_payload["src"], dst=req_payload["dst"],
             n_bytes=req_payload["n_bytes"], started_s=at,
         )
-        self.requests[rid] = _Request(record, req_payload.get("multipath", 1), refill_target)
+        self.requests[rid] = _Request(record, req_payload["multipath"], refill_target)
         self._schedule(Event(at, EventKind.KEY_REQUEST, {"request_id": rid}))
         deadline_s = req_payload.get("deadline_s")
         if deadline_s is not None:
@@ -802,7 +769,7 @@ class Engine:
         self.link_events.append((self.now, link.id, "refill_start"))
         self.submit_request(
             {"src": link.a, "dst": link.b, "n_bytes": p["n_bytes"],
-             "multipath": p.get("multipath", 2)},
+             "multipath": p["multipath"]},
             at=self.now, refill_target=link.id,
         )
 
@@ -912,7 +879,6 @@ class NodeAgent:
         for link in self.incident:
             lrt, side = engine.links[link.id], 0 if name == link.a else 1
             self._ends[link.id] = (lrt, side, lrt.q3p.stores[side])
-        self._lsa_seq: dict[str, int] = {l.id: 0 for l in self.incident}
         self._relays: dict[tuple[int, int], _HopState] = {}   # (request id, seq)
 
     # -- link-state flooding ------------------------------------------------------
@@ -926,11 +892,11 @@ class NodeAgent:
         on the link's record what it said: the up state and the band of
         levels that need no new LSA."""
         lrt, side, store = self._ends[link_id]
-        self._lsa_seq[link_id] += 1
+        held = self.db.ads.get(link_id, {}).get(self.name)    # our last one
         lsa = LinkStateAd(
             link_id=link_id,
             origin=self.name,
-            seq=self._lsa_seq[link_id],
+            seq=held.seq + 1 if held is not None else 1,
             up=lrt.runtime.status.state is _UP,
             level_bytes=store.available_bytes,
             rate_bps=lrt.runtime.rate_bps,

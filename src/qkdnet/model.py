@@ -193,110 +193,133 @@ def validate_topology(topo: Topology) -> None:
 
 
 # --- sectioned key-value config text -------------------------------------
+#
+# A grammar maps each section to its table. A table maps each key to
+# ``(name, convert, default)``: the name its converted value is stored
+# under, the converter, and the value of an absent key, or ``REQUIRED``.
+
+REQUIRED = object()
+
+
+class ByKind(dict):
+    """The table of a section whose lines choose their keys by their
+    ``kind`` key: kind -> ``(tag, table)``. Such a line's row comes back
+    under its kind's tag in place of the section name."""
+
 
 _CLASS_NAMES = {c.value: c for c in LinkClass}
 _KIND_NAMES = {"qbb": NodeKind.QBB, "user": NodeKind.END_USER}
 _BOOL_NAMES = {"true": True, "1": True, "false": False, "0": False}
 
 
+TOPOLOGY_GRAMMAR = {
+    "node": {"name": ("name", str, REQUIRED), "kind": ("kind", _KIND_NAMES.__getitem__, REQUIRED)},
+    "profile": {
+        "id": ("id", str, REQUIRED),
+        "r0_bps": ("r0_bps", float, REQUIRED),
+        "alpha": ("alpha_db_per_km", float, REQUIRED),
+        "max_km": ("max_length_km", float, REQUIRED),
+        "restart_s": ("restart_latency_s", float, REQUIRED),
+        "night_only": ("night_only", lambda value: _BOOL_NAMES[value.lower()], False),
+    },
+    "link": {
+        "id": ("id", str, REQUIRED),
+        "a": ("a", str, REQUIRED),
+        "b": ("b", str, REQUIRED),
+        "km": ("length_km", float, REQUIRED),
+        "profile": ("profile", str, REQUIRED),
+        "class": ("link_class", _CLASS_NAMES.__getitem__, REQUIRED),
+        "preshared": ("preshared_bytes", int, REQUIRED),
+    },
+}
+
+
 def _parse_lines(text: str) -> list[tuple[int, str, dict[str, str]]]:
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        line = raw.strip()
         if not line:
             continue
-        if not line.startswith("["):
+        if line[0] != "[":
             raise ParseError(f"line {lineno}: expected '[section] key=value ...'")
         close = line.find("]")
         if close < 0:
             raise ParseError(f"line {lineno}: unterminated section tag")
-        section = line[1:close].strip()
+        tokens = line[close + 1 :].split()
         fields: dict[str, str] = {}
-        for tok in line[close + 1 :].split():
-            if "=" not in tok:
+        for tok in tokens:
+            key, eq, value = tok.partition("=")
+            if not eq:
                 raise ParseError(f"line {lineno}: bad token {tok!r}")
-            key, value = tok.split("=", 1)
-            if key in fields:
-                raise ParseError(f"line {lineno}: repeated key {key!r}")
             fields[key] = value
-        out.append((lineno, section, fields))
+        if len(fields) < len(tokens):
+            keys = [tok.partition("=")[0] for tok in tokens]
+            repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise ParseError(f"line {lineno}: repeated key {repeated!r}")
+        out.append((lineno, line[1:close].strip(), fields))
     return out
 
 
-def _need(fields: dict[str, str], key: str, lineno: int) -> str:
-    try:
-        return fields[key]
-    except KeyError:
-        raise ParseError(f"line {lineno}: missing key {key!r}") from None
-
-
-def _as_float(value: str, lineno: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"line {lineno}: not a number: {value!r}") from None
-
-
-def _as_int(value: str, lineno: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"line {lineno}: not an integer: {value!r}") from None
+def read_config(text: str, grammar: dict) -> list[tuple[int, object, dict]]:
+    """Read ``[section] key=value ...`` text by ``grammar``: one
+    ``(lineno, section, row)`` per line, ``row`` mapping each name of the
+    section's table to its converted value or its default. A section or key
+    the grammar does not list, a missing required key and a value its
+    converter refuses are a ``ParseError``."""
+    rows = []
+    for lineno, section, fields in _parse_lines(text):
+        table = grammar.get(section)
+        if table is None:
+            raise ParseError(f"line {lineno}: unknown section [{section}]")
+        if type(table) is ByKind:
+            kind = fields.pop("kind", None)
+            if kind not in table:
+                what = "missing key 'kind'" if kind is None else f"unknown {section} kind {kind!r}"
+                raise ParseError(f"line {lineno}: {what}")
+            section, table = table[kind]
+        matched = 0
+        row = {}
+        for key, (name, convert, default) in table.items():
+            value = fields.get(key)
+            if value is None:
+                if default is REQUIRED:
+                    raise ParseError(f"line {lineno}: missing key {key!r}")
+                row[name] = default
+                continue
+            matched += 1
+            if convert is not str:      # str would return the text itself
+                try:
+                    value = convert(value)
+                except (KeyError, ValueError):
+                    raise ParseError(f"line {lineno}: bad value {key}={value}") from None
+            row[name] = value
+        # keys are unique on a line, so a shortfall is a key the table lacks
+        if matched < len(fields):
+            unknown = next(key for key in fields if key not in table)
+            raise ParseError(f"line {lineno}: unknown key {unknown!r}")
+        rows.append((lineno, section, row))
+    return rows
 
 
 def load_topology(config_text: str) -> Topology:
-    """Parse the sectioned key-value topology format and validate the result.
-
-    Grammar (order-insensitive, ``#`` starts a comment)::
-
-        [node] name=<id> kind=qbb|user
-        [profile] id=<id> r0_bps=<f> alpha=<f> max_km=<f> restart_s=<f> [night_only=<b>]
-        [link] id=<id> a=<id> b=<id> km=<f> profile=<id> class=qbb|qan_fiber|qan_freespace preshared=<int>
-    """
+    """Parse topology text by ``TOPOLOGY_GRAMMAR`` (order-insensitive, ``#``
+    starts a comment) and validate the result."""
     nodes: dict[str, NodeKind] = {}
     profiles: dict[str, DeviceProfile] = {}
     links: list[LinkSpec] = []
-    for lineno, section, fields in _parse_lines(config_text):
+    for _, section, row in read_config(config_text, TOPOLOGY_GRAMMAR):
         if section == "node":
-            name = _need(fields, "name", lineno)
-            kind = _need(fields, "kind", lineno)
-            if kind not in _KIND_NAMES:
-                raise ParseError(f"line {lineno}: unknown node kind {kind!r}")
-            if name in nodes:
-                raise ValidationError(f"duplicate node {name}")
-            nodes[name] = _KIND_NAMES[kind]
+            if row["name"] in nodes:
+                raise ValidationError(f"duplicate node {row['name']}")
+            nodes[row["name"]] = row["kind"]
         elif section == "profile":
-            pid = _need(fields, "id", lineno)
-            if pid in profiles:
-                raise ValidationError(f"duplicate profile {pid}")
-            night = fields.get("night_only", "false").lower()
-            if night not in _BOOL_NAMES:
-                raise ParseError(f"line {lineno}: bad night_only {night!r}")
-            profiles[pid] = DeviceProfile(
-                id=pid,
-                r0_bps=_as_float(_need(fields, "r0_bps", lineno), lineno),
-                alpha_db_per_km=_as_float(_need(fields, "alpha", lineno), lineno),
-                max_length_km=_as_float(_need(fields, "max_km", lineno), lineno),
-                restart_latency_s=_as_float(_need(fields, "restart_s", lineno), lineno),
-                night_only=_BOOL_NAMES[night],
-            )
-        elif section == "link":
-            cls = _need(fields, "class", lineno)
-            if cls not in _CLASS_NAMES:
-                raise ParseError(f"line {lineno}: unknown link class {cls!r}")
-            links.append(
-                LinkSpec(
-                    id=_need(fields, "id", lineno),
-                    a=_need(fields, "a", lineno),
-                    b=_need(fields, "b", lineno),
-                    length_km=_as_float(_need(fields, "km", lineno), lineno),
-                    profile=_need(fields, "profile", lineno),
-                    link_class=_CLASS_NAMES[cls],
-                    preshared_bytes=_as_int(_need(fields, "preshared", lineno), lineno),
-                )
-            )
+            if row["id"] in profiles:
+                raise ValidationError(f"duplicate profile {row['id']}")
+            profiles[row["id"]] = DeviceProfile(**row)
         else:
-            raise ParseError(f"line {lineno}: unknown section [{section}]")
+            links.append(LinkSpec(**row))
     topo = Topology(nodes=nodes, links=tuple(links), profiles=profiles)
     validate_topology(topo)
     return topo

@@ -81,37 +81,62 @@ def test_invalid_topology_exits_2(tmp_path):
     assert main(["validate", "--topology", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("scenario", [
-    "[scenario] duration=3 seed=1\n[event] t=1 kind=refill link=SIE-ERD bytes=0\n",
-    "[scenario] duration=3 seed=1\n[event] t=1 kind=refill link=SIE-ERD bytes=-5\n",
-    "[scenario] duration=3 seed=1\n[event] t=1 kind=refill link=SIE-ERD bytes=4096 k=0\n",
-    "[scenario] duration=3 seed=1 loss=1.5\n",
-    "[scenario] duration=3 seed=1 loss=-0.1\n",
-    "[scenario] duration=3 seed=1\n[loss] link=SIE-ERD p=2\n",
-    "[scenario] duration=3 seed=1 jitter_ms=-1\n",
-    "[scenario] duration=3 seed=1 jitter_ms=inf\n",
-    "[scenario] duration=3 seed=1\n[event] t=1 kind=dos link=SIE-ERD rate=-100 duration=1\n",
-    "[scenario] duration=3 seed=1\n[event] t=1 kind=dos link=SIE-ERD rate=100 duration=0\n",
-    "[scenario] duration=3 seed=1\n[event] t=1 kind=dos link=SIE-ERD rate=100 duration=-1\n",
-    "[scenario] duration=nan seed=1\n",
-    "[scenario] duration=inf seed=1\n",
-    "[scenario] duration=3 seed=1\n[event] t=1 kind=daywindow start=nan end=2\n",
-    "[scenario] duration=3 seed=1\n[event] t=1 kind=daywindow start=1 end=nan\n",
-    "[scenario] duration=3 seed=1\n[event] t=1 kind=daywindow start=-1 end=2\n",
-    "[scenario] duration=3 seed=1\n[event] t=1 kind=request src=alice dst=bob bytes=64 deadline=-3\n",
-    "[scenario] duration=3 seed=1\n[event] t=1 kind=request src=alice dst=bob bytes=64 deadline=0\n",
-    "[scenario] duration=3 seed=1\n[event] t=1 kind=request src=alice dst=bob bytes=64 deadline=nan\n",
+def test_misspelled_topology_key_exits_2(tmp_path, capsys):
+    # ``night=true`` for ``night_only=true`` must not load as a day-and-night device
+    bad = tmp_path / "night.topo"
+    bad.write_text(GOOD_TOPO.replace("restart_s=30", "restart_s=30 night=true"))
+    assert main(["validate", "--topology", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "line 2: unknown key 'night'" in err
+
+
+# each case's text, and what its one error line must name ("" for nothing)
+@pytest.mark.parametrize("scenario, names", [
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=refill link=SIE-ERD bytes=0\n", ""),
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=refill link=SIE-ERD bytes=-5\n", ""),
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=refill link=SIE-ERD bytes=4096 k=0\n", ""),
+    ("[scenario] duration=3 seed=1 loss=1.5\n", ""),
+    ("[scenario] duration=3 seed=1 loss=-0.1\n", ""),
+    ("[scenario] duration=3 seed=1\n[loss] link=SIE-ERD p=2\n", ""),
+    ("[scenario] duration=3 seed=1 jitter_ms=-1\n", ""),
+    ("[scenario] duration=3 seed=1 jitter_ms=inf\n", ""),
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=dos link=SIE-ERD rate=-100 duration=1\n", ""),
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=dos link=SIE-ERD rate=100 duration=0\n", ""),
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=dos link=SIE-ERD rate=100 duration=-1\n", ""),
+    ("[scenario] duration=nan seed=1\n", ""),
+    ("[scenario] duration=inf seed=1\n", ""),
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=daywindow start=nan end=2\n", ""),
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=daywindow start=1 end=nan\n", ""),
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=daywindow start=-1 end=2\n", ""),
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=request src=alice dst=bob bytes=64 deadline=-3\n", ""),
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=request src=alice dst=bob bytes=64 deadline=0\n", ""),
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=request src=alice dst=bob bytes=64 deadline=nan\n", ""),
+    ("[scenario] duration=3 sed=1\n", "line 1: unknown key 'sed'"),
+    ("[scenario] duration=3 seed=1 jitter=2\n", "line 1: unknown key 'jitter'"),
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=request src=alice dst=bob bytes=64 kk=3\n",
+     "line 2: unknown key 'kk'"),
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=request src=alice dst=bob bytes=64 deadlin=1\n",
+     "line 2: unknown key 'deadlin'"),
+    ("[scenario] duration=3 seed=1\n[event] t=1 kind=fail link=SIE-ERD k=2\n",
+     "line 2: unknown key 'k'"),
+    ("[scenario] duration=3 seed=1\n[scenari] duration=5\n", "line 2: unknown section [scenari]"),
+    ("[scenario] duration=3 seed=1\n[scenario] duration=5\n", "line 2: repeated [scenario]"),
+    ("[scenario] duration=3 seed=1\n[loss] link=SIE-ERD p=0.1\n[loss] link=SIE-ERD p=0.2\n",
+     "line 3: repeated [loss] for link 'SIE-ERD'"),
 ], ids=["refill-bytes-0", "refill-bytes-negative", "refill-k-0", "loss-above-1",
         "loss-negative", "link-loss-above-1", "jitter-negative", "jitter-inf",
         "dos-rate-negative", "dos-duration-0", "dos-duration-negative", "duration-nan",
         "duration-inf", "daywindow-start-nan", "daywindow-end-nan",
-        "daywindow-start-negative", "deadline-negative", "deadline-zero", "deadline-nan"])
-def test_out_of_range_scenario_value_exits_2(scenario, tmp_path, capsys):
+        "daywindow-start-negative", "deadline-negative", "deadline-zero", "deadline-nan",
+        "scenario-key-sed", "scenario-key-jitter", "request-key-kk", "request-key-deadlin",
+        "fail-key-k", "unknown-section", "repeated-scenario", "repeated-link-loss"])
+def test_out_of_range_scenario_value_exits_2(scenario, names, tmp_path, capsys):
     scn = tmp_path / "bad.scn"
     scn.write_text(scenario)
     assert main(["run", "--preset", "vienna", "--scenario", str(scn),
                  "--out", str(tmp_path / "o")]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and names in err
 
 
 def test_failed_delivery_with_strict_exits_3(tmp_path):

@@ -61,10 +61,28 @@ class TestScenarioParsing:
             "[event] t=4 kind=dos link=R23 rate=1000 duration=1\n"
             "[event] t=5 kind=daywindow start=5 end=6\n"
             "[event] t=6 kind=refill link=R12 bytes=4096\n"
+            "[event] t=7 kind=request src=N2 dst=N4 bytes=64\n"
+            "[event] t=8 kind=refill link=R23 bytes=512 k=3\n"
         )
-        assert sc.duration_s == 10 and sc.seed == 7
+        assert sc.duration_s == 10 and sc.seed == 7 and sc.jitter_ms == 2
         assert sc.loss_for("R12") == 0.2 and sc.loss_for("R34") == 0.05
-        assert len(sc.events) == 6
+        # each kind's renames, conversions and defaults
+        assert [(ev.time_s, ev.kind, ev.payload) for ev in sc.events] == [
+            (1.0, EventKind.KEY_REQUEST, {"src": "N1", "dst": "N3", "n_bytes": 1024,
+                                          "multipath": 2, "deadline_s": 5.0}),
+            (2.0, EventKind.LINK_FAIL, {"link": "R12"}),
+            (3.0, EventKind.LINK_RESTORE, {"link": "R12"}),
+            (4.0, EventKind.DOS_DRAIN, {"link": "R23", "rate_bytes_per_s": 1000.0,
+                                        "duration_s": 1.0}),
+            (5.0, EventKind.DAY_WINDOW, {"start": 5.0, "end": 6.0}),
+            (6.0, EventKind.REFILL, {"link": "R12", "n_bytes": 4096, "multipath": 2}),
+            (7.0, EventKind.KEY_REQUEST, {"src": "N2", "dst": "N4", "n_bytes": 64,
+                                          "multipath": 1, "deadline_s": None}),
+            (8.0, EventKind.REFILL, {"link": "R23", "n_bytes": 512, "multipath": 3}),
+        ]
+        assert all(type(ev.payload[key]) is int for ev in sc.events
+                   for key in ("n_bytes", "multipath") if key in ev.payload)
+        assert type(sc.seed) is int
 
     def test_missing_duration_rejected(self):
         with pytest.raises(ScenarioError):
@@ -461,12 +479,14 @@ class TestFloodingIntegration:
         eng = Engine(topo, parse_scenario("\n".join(lines) + "\n"))
         lossy = eng._lost
         eng._lost = lambda link_id: eng.now <= 8.0 and lossy(link_id)
+        log = _log_originations(eng)
         eng.run()
+        originated = Counter((node, link) for _, node, link, *_ in log)
         recent_ms = (end - 0.5) * 1000
         for origin, agent in eng.agents.items():
             for link in agent.incident:
                 latest = agent.db.ads[link.id][origin]
-                assert latest.seq == agent._lsa_seq[link.id]
+                assert latest.seq == originated[origin, link.id]
                 if latest.timestamp_ms >= recent_ms:
                     continue   # may still be on its way
                 for other in eng.agents.values():
@@ -728,7 +748,8 @@ def _log_originations(eng: Engine) -> list:
     for agent in eng.agents.values():
         def logged(link_id, agent=agent, originate=agent.originate):
             lrt, side, store = agent._ends[link_id]
-            log.append((eng.now, agent.name, link_id, agent._lsa_seq[link_id] + 1,
+            held = agent.db.ads.get(link_id, {}).get(agent.name)
+            log.append((eng.now, agent.name, link_id, held.seq + 1 if held else 1,
                         lrt.runtime.status.state is LinkState.UP, store.available_bytes))
             originate(link_id)
         agent.originate = logged
