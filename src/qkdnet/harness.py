@@ -223,8 +223,10 @@ class _LinkRT:
 
     Production is lazy. ``settle`` brings the link up to the engine's last
     tick; the link's ``KeyStream`` calls it on the first read that finds it
-    behind. ``index`` is the link's place in link order, the mark its spends
-    leave on the engine's clock. ``tick_bytes`` bounds the bytes one tick
+    behind, and hands it the bytes the missed ticks produced and how many
+    of their blocks were odd; the stream derives key from its offset.
+    ``index`` is the link's place in link order, the mark its spends leave
+    on the engine's clock. ``tick_bytes`` bounds the bytes one tick
     can produce: at most ``rate * dt / 8`` plus one byte of carried bits, at
     the rate of the link's devices whatever its state, and one more byte
     covers rounding. ``wake`` is the earliest tick at which production alone
@@ -252,17 +254,17 @@ class _LinkRT:
 
     def settle(self) -> None:
         """Produce the ticks the link missed, in order, up to its stream's clock."""
-        stream = self.q3p.stream
+        stream, runtime = self.q3p.stream, self.runtime
         ticks = stream.clock.ticks
-        counts: list[int] = []
-        self.runtime.produce(PRODUCE_TICK_S, ticks - stream.through, counts)
+        blocks, odd = runtime.produced_blocks, runtime.odd_blocks
+        n_bytes = runtime.produce(PRODUCE_TICK_S, ticks - stream.through)
         stream.through = ticks
-        if counts:
-            stream.produce(*counts)
+        if n_bytes:
+            stream.produce(n_bytes, runtime.odd_blocks - odd)
             # distillation runs inside the link devices and the rate law is
             # net of its key cost; its two frames per block (one each way)
             # are only counted
-            self.msg_counts["distill"] += 2 * len(counts)
+            self.msg_counts["distill"] += 2 * (runtime.produced_blocks - blocks)
 
 
 @dataclass
@@ -391,16 +393,15 @@ class Engine:
             lrt = _LinkRT(
                 spec=spec,
                 runtime=LinkRuntime(spec, profile),
-                q3p=Q3PLink(spec.id,
-                            source=Random(sub_seed(self.seed, f"link:{spec.id}")).randbytes),
+                q3p=Q3PLink(spec.id, seed=sub_seed(self.seed, f"link:{spec.id}")),
                 loss=scenario.loss_for(spec.id),
                 index=index,
                 msg_counts=self.msg_counts,
             )
             if lrt.loss > 0 or scenario.jitter_ms > 0:
                 lrt.channel = Random(sub_seed(self.seed, f"channel:{spec.id}"))
-            # the preshared secret is the key source's first block
-            lrt.q3p.stream.produce(spec.preshared_bytes)
+            # the preshared secret is the link's first block of key
+            lrt.q3p.stream.produce(spec.preshared_bytes, spec.preshared_bytes % 2)
             lrt.q3p.stream.attach(self.clock, index, lrt.settle)
             lrt.min_level_seen = lrt.q3p.min_level()
             self.links[spec.id] = lrt

@@ -1,11 +1,12 @@
 """Per-link secret-key sources: rate-vs-distance law, status machine, and
 bit-exact key production with a fractional-carry accumulator.
 
-A link runtime counts the whole bytes each step produces; it draws no key.
-The link's ``KeyStream`` draws those bytes from the link's key source when a
-reservation first reads them. Production itself may run late: the engine
-advances a link by all the steps it missed when something first reads the
-link's key, and the counts are the same as stepping it at every tick."""
+A link runtime counts the whole bytes each step produces, and the blocks
+and odd-sized blocks they came in; it makes no key. The link's ``KeyStream``
+derives the bytes at an offset from the offset. Production itself may run
+late: the engine advances a link by all the steps it missed when something
+first reads the link's key, and the counts are the same as stepping it at
+every tick."""
 
 from __future__ import annotations
 
@@ -74,6 +75,8 @@ class LinkRuntime:
         self.pending_bits = 0
         self.daytime = False
         self.produced_bytes_total = 0
+        self.produced_blocks = 0                     # steps that yielded bytes
+        self.odd_blocks = 0                          # of them, those of an odd size
         self.key_rate_bps = key_rate(profile, spec.length_km)
 
     @property
@@ -82,10 +85,6 @@ class LinkRuntime:
         if self.status.state is not LinkState.UP or (self.daytime and self.profile.night_only):
             return 0.0
         return self.key_rate_bps
-
-    @property
-    def produced_bits_total(self) -> int:
-        return self.produced_bytes_total * 8 + self.pending_bits
 
     def fail(self) -> None:
         self.status = LinkStatus(LinkState.DOWN)
@@ -99,18 +98,17 @@ class LinkRuntime:
         else:
             self.status = LinkStatus(LinkState.RESTARTING, self.profile.restart_latency_s)
 
-    def produce(self, dt_s: float, ticks: int = 1, counts: list[int] | None = None) -> int:
+    def produce(self, dt_s: float, ticks: int = 1) -> int:
         """Advance the link by ``ticks`` steps of ``dt_s`` each and count the
         whole bytes of fresh key.
 
         Returns the number of bytes produced for BOTH endpoint stores, 0 when
-        the steps yielded less than a byte or the link is not producing. The
-        count of each step that yielded bytes is appended to ``counts``, if
-        given: the link's ``KeyStream`` queues it as one block and draws its
-        bytes later, on first read. This is the one copy of the recurrence:
-        advancing ``n`` steps at once runs the same arithmetic, in the same
-        order, as ``n`` calls of one step, so the counts are the same to the
-        bit.
+        the steps yielded less than a byte or the link is not producing. Each
+        step that yielded bytes is one block: it adds to ``produced_blocks``,
+        and to ``odd_blocks`` when its count is odd. This is the one copy of
+        the recurrence: advancing ``n`` steps at once runs the same
+        arithmetic, in the same order, as ``n`` calls of one step, so the
+        counts are the same to the bit.
         """
         if dt_s <= 0:
             raise ValueError("dt_s must be positive")
@@ -134,7 +132,7 @@ class LinkRuntime:
         step_bits = rate * dt_s
         bits = rate * first
         frac, pending = self.fractional_bits, self.pending_bits
-        produced = 0
+        produced = blocks = odd = 0
         for _ in range(ticks):
             total = bits + frac
             whole = int(total)                       # the floor, as total >= 0
@@ -142,9 +140,11 @@ class LinkRuntime:
             n_bytes, pending = divmod(pending + whole, 8)
             if n_bytes:
                 produced += n_bytes
-                if counts is not None:
-                    counts.append(n_bytes)
+                blocks += 1
+                odd += n_bytes & 1
             bits = step_bits
         self.fractional_bits, self.pending_bits = frac, pending
         self.produced_bytes_total += produced
+        self.produced_blocks += blocks
+        self.odd_blocks += odd
         return produced

@@ -326,23 +326,18 @@ def load_topology(config_text: str) -> Topology:
 
 
 def serialize_topology(topo: Topology) -> str:
-    """Render a topology back to config text (round-trips through load_topology)."""
-    out: list[str] = []
-    for prof in topo.profiles.values():
-        line = (
-            f"[profile] id={prof.id} r0_bps={prof.r0_bps!r} alpha={prof.alpha_db_per_km!r} "
-            f"max_km={prof.max_length_km!r} restart_s={prof.restart_latency_s!r}"
-        )
-        if prof.night_only:
-            line += " night_only=true"
-        out.append(line)
-    for name, kind in topo.nodes.items():
-        out.append(f"[node] name={name} kind={'qbb' if kind is NodeKind.QBB else 'user'}")
-    for link in topo.links:
-        out.append(
-            f"[link] id={link.id} a={link.a} b={link.b} km={link.length_km!r} "
-            f"profile={link.profile} class={link.link_class.value} preshared={link.preshared_bytes}"
-        )
+    """Render a topology back to config text by ``TOPOLOGY_GRAMMAR``
+    (round-trips through load_topology); a key at its default is left out."""
+    rows = {"node": [{"name": name, "kind": kind} for name, kind in topo.nodes.items()],
+            "profile": map(vars, topo.profiles.values()), "link": map(vars, topo.links)}
+    out = []
+    for section, table in TOPOLOGY_GRAMMAR.items():
+        for row in rows[section]:
+            values = [(key, row[name]) for key, (name, _, default) in table.items()
+                      if default is REQUIRED or row[name] != default]
+            # an enum is written as its config name, anything else as itself
+            out.append(f"[{section}] " + " ".join(
+                f"{key}={getattr(value, 'value', value)}" for key, value in values))
     return "\n".join(out) + "\n"
 
 

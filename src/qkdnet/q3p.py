@@ -7,11 +7,11 @@ stores read it; a store holds only its consumption state. Because both ends
 read the same stream, the two stores stay level-equal as long as they see
 the same message history. Production may be counted late: a stream behind
 its ``ProductionClock`` is settled by the first read of a level, a pool
-length or key bytes, so no reader sees the difference. Produced bytes are
-drawn from the link's key source when a reservation first reads them, so a
-stream holds only the key read so far. A link's preshared secret, which
-bootstraps authentication, is the first block of its key source: the engine
-queues it before any production, and it is drawn on first read too.
+length or key bytes, so no reader sees the difference. Produced key bytes
+are a function of their offset, derived from the link's key seed when a
+reservation reads them, so a stream holds no produced key beyond a small
+cache. A link's preshared secret, which bootstraps authentication, is the
+first block of its production: the engine produces it before any tick.
 
 To let both endpoints send concurrently without ever assigning the same key
 bytes twice, each key block is split in half: the first half is appended to
@@ -51,11 +51,12 @@ from __future__ import annotations
 
 import hmac
 import struct
-from array import array
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from hashlib import shake_128
+from operator import itemgetter
 
 AUTH_KEY_BYTES = 32          # key budget per authenticated message
 TAG_BYTES = 16               # tag carried on the wire
@@ -65,6 +66,10 @@ FRAME_MAGIC = 0x51335021     # "Q3P!"
 FRAME_VERSION = 1
 
 _HEADER = struct.Struct(">IBBBQQI")     # magic, version, channel, span, payload length
+
+CHUNK_BYTES = 4096                      # produced key is derived a chunk at a time
+_CHUNK_ID = struct.Struct(">BQ")        # pool, chunk index
+_OFFSET = itemgetter(0)
 
 _POLY_PRIME = (1 << 128) - 159  # largest 128-bit prime
 _MASK_128 = (1 << 128) - 1
@@ -186,23 +191,19 @@ class ProductionClock:
 class KeyStream:
     """One link's key stream, held once and read by both endpoint stores.
 
-    Each block splits in half: the first half is appended to pool 0 (a to b),
-    the second to pool 1 (b to a), so each pool is one contiguous
-    ``bytearray`` and a span ``(pool, start, end)`` addresses its bytes.
-    No ``memoryview`` of a pool may outlive a read, because a ``bytearray``
-    with a live export cannot grow.
-
-    A stream starts empty. Produced key, the link's preshared block first,
-    is drawn on first read. ``produce`` only grows the pools' logical
-    ``lengths`` and queues the byte count; ``read`` draws queued counts,
-    oldest first, one ``source(n)`` call each, when a span reaches
-    past the bytes drawn so far. The draws are the calls an eager stream
-    would make at every production tick, in the same order, so every byte is
-    the same; the stream holds only the prefix read so far. ``push`` draws
-    the whole queue first, so pushed bytes land after all key produced
-    before them: the order of calls is the only block order the stream has.
-    ``appended_bytes`` counts the logical bytes of both pools, kept as a
-    counter because every level reads it.
+    Each block splits in half: the first half, the larger of an odd block,
+    goes to pool 0 (a to b), the second to pool 1 (b to a), and a span
+    ``(pool, start, end)`` addresses a pool's bytes. Produced key is a
+    function of its offset, as in a counter-mode KDF (NIST SP 800-108):
+    chunk ``j`` of pool ``p`` is the first ``CHUNK_BYTES`` of
+    ``shake_128(seed || p || j)``. ``produce`` only grows the pools'
+    ``lengths`` and ``appended_bytes``, the latter a counter because every
+    level reads it. ``read`` derives the chunks a span covers and keeps the
+    last two it derived in each pool. Pushed blocks are real key: each half
+    is kept at the offset where it landed, consecutive pushes as one run,
+    and ``read`` lays the runs over the derived bytes. So a byte reads the
+    same whenever it is read, and a stream holds only its runs and cached
+    chunks.
 
     Production may also be counted late: ``attach`` ties the stream to a
     shared ``ProductionClock`` and a ``settle`` callback, and each read of
@@ -212,13 +213,12 @@ class KeyStream:
     on the clock's ``spent`` set.
     """
 
-    def __init__(self, source: Callable[[int], bytes] | None = None) -> None:
-        self.pools = (bytearray(), bytearray())
-        self.lengths = [0, 0]                    # logical pool lengths, drawn or not
+    def __init__(self, seed: int | None = None) -> None:
+        self.lengths = [0, 0]
         self.appended_bytes = 0
-        self._source = source
-        self._queued = array("Q")                # produced counts not drawn yet
-        self._head = 0                           # first of them still to draw
+        self._seed = None if seed is None else seed.to_bytes(8, "big")
+        self._cache: tuple[dict[int, bytes], ...] = ({}, {})      # chunk index -> chunk
+        self._runs: tuple[list[tuple[int, bytearray]], ...] = ([], [])  # (offset, pushed)
         self.clock = ProductionClock()
         self.index = 0
         self.through = 0                         # the clock tick produced through
@@ -235,41 +235,22 @@ class KeyStream:
         attached has missed nothing."""
         self.through = self.clock.ticks
 
-    def _draw(self, pool: int, end: int) -> None:
-        """Draw queued counts, oldest first, until ``pool`` holds ``end`` bytes."""
-        queued, source, target = self._queued, self._source, self.pools[pool]
-        first, second = self.pools
-        head = self._head
-        while len(target) < end:
-            data = source(queued[head])
-            head += 1
-            half = (len(data) + 1) // 2
-            first += data[:half]
-            second += data[half:]
-        if head == len(queued):
-            del queued[:]
-            head = 0
-        elif head > len(queued) // 2:            # drop the drawn half, amortised O(1)
-            del queued[:head]
-            head = 0
-        self._head = head
+    def _chunk(self, pool: int, j: int) -> bytes:
+        cache = self._cache[pool]
+        if j not in cache:
+            if len(cache) == 2:
+                del cache[next(iter(cache))]
+            cache[j] = shake_128(self._seed + _CHUNK_ID.pack(pool, j)).digest(CHUNK_BYTES)
+        return cache[j]
 
-    def produce(self, *counts: int) -> None:
-        """Add blocks of the link's key source, of ``counts`` bytes each, in
-        order and undrawn."""
-        first = total = 0                        # pool 0 takes each block's larger half
-        for n_bytes in counts:
-            if n_bytes <= 0:
-                raise ValueError("production needs positive counts")
-            first += (n_bytes + 1) // 2
-            total += n_bytes
-        if self._source is None:
-            raise ValueError("production needs a key source")
-        lengths = self.lengths
-        lengths[0] += first
-        lengths[1] += total - first
-        self.appended_bytes += total
-        self._queued.extend(counts)
+    def produce(self, n_bytes: int, n_odd: int) -> None:
+        """Add ``n_bytes`` of produced key, in blocks of which ``n_odd`` have
+        an odd size."""
+        if self._seed is None or n_bytes <= 0 or not 0 <= n_odd <= n_bytes or (n_bytes - n_odd) % 2:
+            raise ValueError("production needs a key seed, a positive count and its odd blocks")
+        self.lengths[0] += (n_bytes + n_odd) // 2
+        self.lengths[1] += (n_bytes - n_odd) // 2
+        self.appended_bytes += n_bytes
 
     def push(self, data: bytes) -> None:
         """Append a block of key bytes after all production so far."""
@@ -278,13 +259,14 @@ class KeyStream:
         if self.through != self.clock.ticks:
             self.settle()
         self.clock.spent.add(self.index)
-        # every queued count puts at least one byte in pool 0
-        self._draw(0, self.lengths[0])
         half = (len(data) + 1) // 2
-        self.pools[0].extend(data[:half])
-        self.pools[1].extend(data[half:])
-        self.lengths[0] += half
-        self.lengths[1] += len(data) - half
+        for pool, part in enumerate((data[:half], data[half:])):
+            runs, at = self._runs[pool], self.lengths[pool]
+            if runs and runs[-1][0] + len(runs[-1][1]) == at:
+                runs[-1][1].extend(part)
+            elif part:
+                runs.append((at, bytearray(part)))
+            self.lengths[pool] = at + len(part)
         self.appended_bytes += len(data)
 
     def read(self, span: Span) -> bytes:
@@ -294,10 +276,27 @@ class KeyStream:
         pool, start, end = span
         if pool not in (0, 1) or start < 0 or end > self.lengths[pool]:
             raise InsufficientKey(f"span {span} beyond stream")
-        data = self.pools[pool]
-        if end > len(data):
-            self._draw(pool, end)
-        return bytes(data[start:end])
+        if end <= start:
+            return b""
+        first, lo = divmod(start, CHUNK_BYTES)
+        hi = lo + end - start
+        runs = self._runs[pool]
+        if not runs and hi <= CHUNK_BYTES:       # the common span: one chunk, nothing pushed
+            chunk = self._cache[pool].get(first) or self._chunk(pool, first)
+            return chunk[lo:hi]
+        i = bisect_right(runs, start, key=_OFFSET) - 1    # the last run from at or before start
+        if i >= 0 and end <= runs[i][0] + len(runs[i][1]):
+            at, run = runs[i]
+            return bytes(run[start - at : end - at])
+        last = first + (hi - 1) // CHUNK_BYTES
+        out = bytearray(b"".join([self._chunk(pool, j) for j in range(first, last + 1)])[lo:hi])
+        for at, run in runs[max(i, 0):]:          # lay the pushed runs over it
+            if at >= end:
+                break
+            a, b = max(start, at), min(end, at + len(run))
+            if a < b:
+                out[a - start : b - start] = run[a - at : b - at]
+        return bytes(out)
 
 
 class KeyStore:
@@ -562,15 +561,15 @@ class Q3PLink:
     both burn identical spans, so levels stay equal under loss-free
     histories. Every message is keyed and tagged, on every channel.
     Messages may be opened in any order: the receiver's opened spans reject
-    replays. ``source`` is the link's one key source: ``source(n)`` returns
-    the next ``n`` secret bytes of production, the preshared block first
-    (see ``KeyStream``). The stream starts empty.
+    replays. ``seed`` is the link's key seed: produced key is derived from
+    it and its offset, the preshared block first (see ``KeyStream``). The
+    stream starts empty.
     """
 
     def __init__(self, link_id: str, auth_reserve: int = AUTH_RESERVE_DEFAULT,
-                 source: Callable[[int], bytes] | None = None) -> None:
+                 seed: int | None = None) -> None:
         self.link_id = link_id
-        self.stream = KeyStream(source)
+        self.stream = KeyStream(seed)
         self.stores = (
             KeyStore(link_id, self.stream, 0, auth_reserve),
             KeyStore(link_id, self.stream, 1, auth_reserve),

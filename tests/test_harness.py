@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from invariants import check_run
+from keyref import derived_pool
 
 from qkdnet import q3p
 from qkdnet.harness import (
@@ -29,6 +30,7 @@ from qkdnet.model import PRESETS, load_topology, preset, vienna_preset
 from qkdnet.q3p import (
     AUTH_KEY_BYTES,
     AUTH_RESERVE_DEFAULT,
+    CHUNK_BYTES,
     Channel,
     Purpose,
     Q3PLink,
@@ -588,62 +590,61 @@ PAIR = """
 class TestKeyOnFirstRead:
     def test_stream_holds_only_the_key_it_drew(self):
         # 10,000 ticks produce 10 MB of key and one late 1 KiB request reads
-        # a little of it: the stream holds the ticks up to the furthest read,
-        # in both pools as a tick fills both, and the key layer's live memory
-        # is a few percent of the key produced (the drawn prefix, a count per
-        # undrawn tick, the ledgers)
-        eng = Engine(load_topology(PAIR), parse_scenario(
-            "[scenario] duration=1000 seed=1\n"
-            "[event] t=999 kind=request src=A dst=B bytes=1024 k=1\n"))
-        tracemalloc.start()
-        try:
-            rep = eng.run()
-            snapshot = tracemalloc.take_snapshot()
-        finally:
-            tracemalloc.stop()
-        lrt = eng.links["AB"]
-        assert rep.records[0].status is DeliveryStatus.DELIVERED
-        assert eng.clock.ticks == 10_000
-        assert lrt.runtime.produced_bytes_total == 10_000_000        # 1000 B a tick
-        reached = [0, 0]
-        for store in lrt.q3p.stores:
-            for pool, _, end in store.consumed_ranges():
-                reached[pool] = max(reached[pool], end)
-        for pool in (0, 1):
-            assert reached[pool] <= len(lrt.q3p.stream.pools[pool]) < max(reached) + 500
-        held = sum(stat.size for stat in snapshot.filter_traces(
-            [tracemalloc.Filter(True, q3p.__file__)]).statistics("filename"))
-        assert held < 500_000
+        # a little of it: whatever the preshared size, the stream holds no
+        # pushed run and at most two derived chunks per pool, and the key
+        # layer's live memory is a few percent of the key produced (the
+        # cached chunks, the ledgers)
+        for preshared in (4096, 131_072):
+            eng = Engine(load_topology(PAIR.replace("preshared=4096", f"preshared={preshared}")),
+                         parse_scenario("[scenario] duration=1000 seed=1\n"
+                                        "[event] t=999 kind=request src=A dst=B bytes=1024 k=1\n"))
+            tracemalloc.start()
+            try:
+                rep = eng.run()
+                snapshot = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+            lrt = eng.links["AB"]
+            assert rep.records[0].status is DeliveryStatus.DELIVERED
+            assert eng.clock.ticks == 10_000
+            assert lrt.runtime.produced_bytes_total == 10_000_000        # 1000 B a tick
+            stream = lrt.q3p.stream
+            assert stream._runs == ([], [])
+            assert all(1 <= len(cache) <= 2 for cache in stream._cache)
+            assert all(len(chunk) == CHUNK_BYTES for cache in stream._cache
+                       for chunk in cache.values())
+            held = sum(stat.size for stat in snapshot.filter_traces(
+                [tracemalloc.Filter(True, q3p.__file__)]).statistics("filename"))
+            assert held < 500_000
 
     def test_preshared_block_is_drawn_on_first_read(self):
-        # right after construction no stream has drawn a byte: each holds
-        # its preshared block as the first queued block of its key source,
-        # split between the pools as any block is
+        # right after construction no stream has derived a byte: each has
+        # its preshared block as its first production, split between the
+        # pools as any block is, and a read derives the chunk it covers
         eng = Engine(vienna_preset(), parse_scenario("[scenario] duration=1 seed=1\n"))
         for lrt in eng.links.values():
             stream, n = lrt.q3p.stream, lrt.spec.preshared_bytes
-            assert stream.pools == (bytearray(), bytearray())
+            assert stream._cache == ({}, {}) and stream._runs == ([], [])
             assert stream.lengths == [(n + 1) // 2, n // 2]
-        lrt = eng.links["SIE-ERD"]
-        half = (lrt.spec.preshared_bytes + 1) // 2
-        block = Random(sub_seed(1, "link:SIE-ERD")).randbytes(lrt.spec.preshared_bytes)
-        assert lrt.q3p.stream.read((1, 0, 8)) == block[half : half + 8]
+        stream = eng.links["SIE-ERD"].q3p.stream
+        assert stream.read((1, 0, 8)) == derived_pool(sub_seed(1, "link:SIE-ERD"), 1, 8)
+        assert [list(cache) for cache in stream._cache] == [[], [0]]
 
     def test_refill_follows_production_on_a_link_without_preshared_key(self):
         # a refill lands after all key produced before it, on a link whose
         # stream began with no preshared block
         eng = Engine(load_topology(RING4), parse_scenario("[scenario] duration=1 seed=1\n"))
         lrt = eng.links["R12"]
-        lrt.q3p = Q3PLink("R12", auth_reserve=0, source=Random(3).randbytes)
-        lrt.q3p.stream.produce(10)
+        lrt.q3p = Q3PLink("R12", auth_reserve=0, seed=3)
+        lrt.q3p.stream.produce(10, 0)
         eng._apply_refill("R12", b"\x01" * 8)
-        lrt.q3p.stream.produce(4)
+        lrt.q3p.stream.produce(4, 0)
         eng._apply_refill("R12", b"\x02" * 8)
-        drawn = Random(3)
-        first, second = drawn.randbytes(10), drawn.randbytes(4)
         stream = lrt.q3p.stream
-        assert stream.read((0, 0, 13)) == first[:5] + b"\x01" * 4 + second[:2] + b"\x02" * 2
-        assert stream.read((1, 0, 13)) == first[5:] + b"\x01" * 4 + second[2:] + b"\x02" * 2
+        for pool in (0, 1):
+            derived = derived_pool(3, pool, 13)
+            assert stream.read((pool, 0, 13)) == \
+                derived[:5] + b"\x01" * 4 + derived[9:11] + b"\x02" * 2
 
 
 class TestAcks:

@@ -1,7 +1,6 @@
 """Link engine: rate law, deployment gate, production conservation."""
 
 import math
-from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +14,8 @@ from qkdnet.links import (
 )
 from qkdnet.model import DeviceProfile, LinkClass, LinkSpec
 from qkdnet.q3p import KeyStream
+
+from keyref import produce_halves, push_halves, reference_pools
 
 
 def profile(r0=10000.0, alpha=0.2, max_km=100.0, restart=30.0, night=False):
@@ -79,7 +80,7 @@ class TestProduction:
         rt = runtime(length_km=0.0, r0=3162.3)
         for _ in range(1000):
             rt.produce(0.001)
-        assert abs(rt.produced_bits_total - 3162) <= 1
+        assert abs(rt.produced_bytes_total * 8 + rt.pending_bits - 3162) <= 1
 
     @given(st.lists(st.floats(min_value=1e-4, max_value=0.5), min_size=1, max_size=60))
     def test_conservation_over_any_partition(self, dts):
@@ -87,7 +88,7 @@ class TestProduction:
         for dt in dts:
             rt.produce(dt)
         expected_bits = 7777.0 * sum(dts)
-        assert abs(rt.produced_bits_total - expected_bits) <= 1.0 + 1e-6
+        assert abs(rt.produced_bytes_total * 8 + rt.pending_bits - expected_bits) <= 1.0 + 1e-6
 
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
@@ -150,24 +151,28 @@ class TestStatusMachine:
 
 def test_key_order_holds_across_production_and_refill():
     # produced and pushed blocks enter the stream in the order they happen,
-    # however late the produced bytes are drawn: each pool is the halves of
-    # the preshared block (the source's first), the draws and the refills,
-    # in that order
-    rt = runtime(length_km=0.0, r0=4000.0)
-    stream = KeyStream(Random(7).randbytes)
-    stream.produce(6)
-    eager = Random(7)
-    blocks = [eager.randbytes(6)]
-    for step in range(1, 8):
-        n_bytes = rt.produce(1.0)
-        stream.produce(n_bytes)
-        blocks.append(eager.randbytes(n_bytes))
-        if step % 3 == 0:
-            refill = bytes([step]) * (5 + step)
+    # however many ticks one settle covers: the link counts its blocks and
+    # odd blocks, and the stream grows each pool by the halves of every
+    # block, so each pushed half lands where an eager split puts it and
+    # produced key is the derived key at its offset
+    rt = runtime(length_km=0.0, r0=4004.0)       # 500 and 501 B blocks in turn
+    step = runtime(length_km=0.0, r0=4004.0)     # the same link, one tick a call
+    stream = KeyStream(7)
+    stream.produce(6, 0)
+    lengths, pushed = [3, 3], []
+    for batch in range(1, 8):
+        blocks, odd = rt.produced_blocks, rt.odd_blocks
+        n_bytes = rt.produce(1.0, ticks=3)
+        stream.produce(n_bytes, rt.odd_blocks - odd)
+        assert rt.produced_blocks - blocks == 3
+        for _ in range(3):
+            produce_halves(lengths, step.produce(1.0))
+        if batch % 3 == 0:
+            refill = bytes([batch]) * (5 + batch)
             stream.push(refill)
-            blocks.append(refill)
-    assert stream.read((1, 0, 8)) == blocks[0][3:] + blocks[1][250:255]
+            push_halves(lengths, refill, pushed)
+        assert stream.lengths == lengths
+    assert rt.odd_blocks == step.odd_blocks > 0
+    pools = reference_pools(7, lengths, pushed)
     for pool in (0, 1):
-        want = b"".join(b[(len(b) + 1) // 2:] if pool else b[:(len(b) + 1) // 2]
-                        for b in blocks)
-        assert stream.read((pool, 0, stream.lengths[pool])) == want
+        assert stream.read((pool, 0, stream.lengths[pool])) == bytes(pools[pool])

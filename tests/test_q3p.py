@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qkdnet import q3p
 from qkdnet.q3p import (
     AUTH_KEY_BYTES,
+    CHUNK_BYTES,
     Channel,
     InsufficientKey,
     KeyReuseError,
@@ -28,12 +29,14 @@ from qkdnet.q3p import (
     verify,
 )
 
+from keyref import derived_pool, produce_halves, push_halves, reference_pools
+
 RNG = Random(99)
 
 
-def _link(data=b"", reserve=0, source=None):
+def _link(data=b"", reserve=0, seed=None):
     """A link whose stream begins with the block ``data``, pushed."""
-    link = Q3PLink("L", auth_reserve=reserve, source=source)
+    link = Q3PLink("L", auth_reserve=reserve, seed=seed)
     if data:
         link.push(data)
     return link
@@ -66,8 +69,9 @@ class TestPush:
         assert s.available_bytes == 800
 
     def test_link_push_holds_each_block_compactly(self):
-        # the stream keeps a block as its bytes in the two pools, with no
-        # index per half and no Python object per half or per end
+        # the stream keeps a block as its bytes: pushes with no production
+        # between them extend one run per pool, with no index per half and
+        # no Python object per half or per end
         link = _link()
         n_blocks = 20000
         data = Random(7).randbytes(40 * n_blocks)
@@ -81,6 +85,8 @@ class TestPush:
             tracemalloc.stop()
         assert link.stores[1].appended_bytes == 40 * n_blocks
         assert used / n_blocks < 64
+        assert [len(runs) for runs in link.stream._runs] == [1, 1]
+        assert link.stream.read((1, 0, 40)) == data[20:40] + data[60:80]
 
 
 class TestReserve:
@@ -129,14 +135,15 @@ class TestReserve:
             s.reserve_exact(span)
 
     def test_reservation_is_one_span_of_its_own_pool(self):
-        data = RNG.randbytes(1000)
+        data, block = RNG.randbytes(1000), RNG.randbytes(301)
+        pool = (data[:500] + block[:151], data[500:] + block[151:])
         for side in (0, 1):
             s = _link(data).stores[side]
-            s.stream.push(RNG.randbytes(301))
+            s.stream.push(block)
             first, key1 = s.reserve(100, Purpose.ENCRYPT)
             second, key2 = s.reserve(500, Purpose.AUTHENTICATE)   # crosses into block 1's half
             assert (first, second) == ((side, 0, 100), (side, 100, 600))
-            assert key1 + key2 == bytes(s.stream.pools[side][:600])
+            assert key1 + key2 == pool[side][:600]
             assert [rec.n_bytes for rec in s.ledger] == [100, 500]
 
     def test_overlap_in_either_pool_raises_key_reuse(self):
@@ -158,7 +165,8 @@ class TestReserve:
     def test_own_pool_span_beyond_the_cursor_is_refused(self):
         # a peer never allocates in this store's own pool, so a span there
         # at or past the cursor is refused without moving or ledgering anything
-        s = store(100)
+        data = RNG.randbytes(100)
+        s = _link(data).stores[0]
         first, _ = s.reserve(10, Purpose.ENCRYPT)
         for span in ((0, 10, 20), (0, 30, 40)):
             with pytest.raises(ValueError):
@@ -166,7 +174,7 @@ class TestReserve:
         assert s.ledgered_bytes == 10 and [r.ranges for r in s.ledger] == [first]
         span, key = s.reserve(30, Purpose.ENCRYPT)
         assert span == (0, 10, 40)
-        assert key == bytes(s.stream.pools[0][10:40])
+        assert key == data[10:40]
         assert s.consumed_ranges() == [(0, 0, 40)]
 
     def test_span_beyond_stream_or_empty_is_refused(self):
@@ -176,6 +184,8 @@ class TestReserve:
                 s.reserve_exact(span)
         with pytest.raises(ValueError):
             s.reserve_exact((0, 8, 8))
+        with pytest.raises(ValueError):                 # a stream with no key at all
+            _link().stores[0].reserve_exact((1, 0, 0))
         with pytest.raises(ValueError):
             s.reserve(0, Purpose.ENCRYPT)
         assert s.ledgered_bytes == 0 and s.ledger == []
@@ -386,7 +396,7 @@ class TestSealOpen:
         # pool or at odds with the payload's length must not raise anything
         # else, and a forged message is never accepted: with a tag it fails
         # the tag, without one it fails for want of a tag
-        pool_len = len(make_link().stream.pools[0])
+        pool_len = make_link().stream.lengths[0]
         spans = [None, (0, 0, 40), (0, 0, 72), (0, 10, 72), (1, 0, 40), (2, 0, 40),
                  (-1, 0, 40), (0, 50, 50), (0, 60, 50), (0, pool_len - 10, pool_len + 10),
                  (0, 0, 3), (0, 0, 31), (0, 0, 73), (0, 0, 500)]
@@ -790,30 +800,22 @@ class TestLazyStream:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 3), preshared=st.integers(0, 40), ops=_LAZY_OPS)
     def test_lazy_stream_reads_what_an_eager_one_holds(self, seed, preshared, ops):
-        # reference: an eager stream draws each produced count at once, with
-        # the same source calls in the same order, and appends refills as
-        # they come
+        # reference: each whole pool built independently from the chunk
+        # function, with every push laid over it where it landed
         data = Random(preshared).randbytes(preshared)
-        link = _link(data, source=Random(seed).randbytes)
+        link = _link(data, seed=seed)
         stream = link.stream
-        eager = Random(seed)
-        pools = [bytearray(), bytearray()]
-
-        def add(block):
-            half = (len(block) + 1) // 2
-            pools[0] += block[:half]
-            pools[1] += block[half:]
-
-        add(data)
+        lengths, pushed = [0, 0], []
+        push_halves(lengths, data, pushed)
         next_id = 1
         for op in ops:
             if op[0] == "produce":
-                stream.produce(op[1])
-                add(eager.randbytes(op[1]))
+                stream.produce(op[1], op[1] % 2)
+                produce_halves(lengths, op[1])
             elif op[0] == "refill":
                 block = Random(1000 + next_id).randbytes(op[1])
                 link.push(block)
-                add(block)
+                push_halves(lengths, block, pushed)
                 next_id += 1
             elif op[0] == "reserve":
                 _, side, size = op
@@ -824,28 +826,135 @@ class TestLazyStream:
                     continue
                 span, key = sender.reserve(size, Purpose.AUTHENTICATE)
                 _, start, end = span
+                pools = reference_pools(seed, lengths, pushed)
                 assert key == bytes(pools[side][start:end])
                 assert receiver.reserve_exact(span) == key
             else:
                 _, pool, start, length = op
-                start = min(start, len(pools[pool]))
-                end = min(start + length, len(pools[pool]))
+                start = min(start, lengths[pool])
+                end = min(start + length, lengths[pool])
+                pools = reference_pools(seed, lengths, pushed)
                 assert stream.read((pool, start, end)) == bytes(pools[pool][start:end])
-            assert stream.lengths == [len(pools[0]), len(pools[1])]
-            assert stream.appended_bytes == len(pools[0]) + len(pools[1])
-            for pool in (0, 1):
-                assert len(stream.pools[pool]) <= len(pools[pool])
+            assert stream.lengths == lengths
+            assert stream.appended_bytes == sum(lengths)
+            assert all(len(cache) <= 2 for cache in stream._cache)
+        pools = reference_pools(seed, lengths, pushed)
         for pool in (0, 1):
-            n = len(pools[pool])
+            n = lengths[pool]
             assert stream.read((pool, 0, n)) == bytes(pools[pool])
             with pytest.raises(InsufficientKey):
                 stream.read((pool, 0, n + 1))
 
     def test_production_needs_a_source_and_a_positive_count(self):
-        with pytest.raises(ValueError):
-            KeyStream().produce(10)
-        with pytest.raises(ValueError):
-            KeyStream(Random(1).randbytes).produce(0)
+        # the source of produced key is the stream's seed; a block count
+        # must match the byte count's parity
+        for seed, n_bytes, n_odd in ((None, 10, 0), (1, 0, 0), (1, 5, 0), (1, 4, 1),
+                                     (1, 3, 5), (1, 3, -1)):
+            with pytest.raises(ValueError):
+                KeyStream(seed).produce(n_bytes, n_odd)
+        stream = KeyStream(1)
+        stream.produce(7, 3)                     # e.g. blocks of 1, 3 and 3 bytes
+        assert stream.lengths == [5, 2]
+
+
+# (pushed?, size): the blocks that fill a stream, large enough to cross
+# several 4 KiB chunks of both pools
+_BLOCKS = st.lists(st.tuples(st.booleans(), st.integers(1, 6000)), min_size=1, max_size=6)
+
+
+def _filled(seed, blocks):
+    """A stream keyed by ``seed`` filled by ``blocks``, and its reference
+    lengths and pushes."""
+    stream, lengths, pushed = KeyStream(seed), [0, 0], []
+    for i, (is_push, size) in enumerate(blocks):
+        if is_push:
+            block = Random(i).randbytes(size)
+            stream.push(block)
+            push_halves(lengths, block, pushed)
+        else:
+            stream.produce(size, size % 2)
+            produce_halves(lengths, size)
+    return stream, lengths, pushed
+
+
+def _span_near_boundary(lengths, pool, boundary, back, length):
+    """A span of ``pool`` that starts ``back`` bytes before a chunk boundary,
+    clipped to the pool."""
+    start = max(0, min(lengths[pool], CHUNK_BYTES * boundary - back))
+    return (pool, start, min(lengths[pool], start + length))
+
+
+class TestOffsetKey:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 3), blocks=_BLOCKS, pool=st.integers(0, 1),
+           boundary=st.integers(1, 3), back=st.integers(0, 100),
+           length=st.integers(1, 9000), cuts=st.lists(st.integers(0, 9000), max_size=6))
+    def test_a_span_read_whole_equals_its_pieces(self, seed, blocks, pool, boundary, back,
+                                                 length, cuts):
+        stream, lengths, pushed = _filled(seed, blocks)
+        span = _span_near_boundary(lengths, pool, boundary, back, length)
+        _, start, end = span
+        points = sorted({start, end, *(start + c for c in cuts if start + c < end)})
+        pieces = [stream.read((pool, a, b)) for a, b in zip(points, points[1:])]
+        whole = stream.read(span)
+        assert whole == b"".join(pieces)
+        assert whole == bytes(reference_pools(seed, lengths, pushed)[pool][start:end])
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 3), blocks=_BLOCKS, more=_BLOCKS, pool=st.integers(0, 1),
+           boundary=st.integers(1, 3), back=st.integers(0, 100), length=st.integers(1, 9000),
+           reads=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 20000),
+                                    st.integers(1, 5000)), max_size=8))
+    def test_a_byte_reads_the_same_whenever_it_is_read(self, seed, blocks, more, pool,
+                                                       boundary, back, length, reads):
+        stream, lengths, _ = _filled(seed, blocks)
+        span = _span_near_boundary(lengths, pool, boundary, back, length)
+        before = stream.read(span)
+        for i, (is_push, size) in enumerate(more):
+            if is_push:
+                stream.push(Random(100 + i).randbytes(size))
+            else:
+                stream.produce(size, size % 2)
+        for other, start, n in reads:            # other reads move the chunk cache
+            start = min(start, stream.lengths[other])
+            stream.read((other, start, min(stream.lengths[other], start + n)))
+        assert stream.read(span) == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 3), produced=st.integers(0, 2 * CHUNK_BYTES + 200),
+           size=st.integers(1, 3000))
+    def test_a_pushed_block_reads_back_exactly(self, seed, produced, size):
+        # a block pushed after ``produced`` bytes; either half may straddle
+        # a chunk boundary of its pool
+        stream = KeyStream(seed)
+        if produced:
+            stream.produce(produced, produced % 2)
+        at = list(stream.lengths)
+        block = Random(size).randbytes(size)
+        stream.push(block)
+        half = (size + 1) // 2
+        assert stream.read((0, at[0], at[0] + half)) == block[:half]
+        assert stream.read((1, at[1], at[1] + size - half)) == block[half:]
+        for pool in (0, 1):                      # the produced key around it is untouched
+            derived = derived_pool(seed, pool, at[pool])
+            assert stream.read((pool, 0, stream.lengths[pool])) == \
+                derived + (block[:half] if pool == 0 else block[half:])
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 3), blocks=_BLOCKS,
+           sizes=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 5000)), max_size=8))
+    def test_both_stores_get_the_same_bytes_for_a_span(self, seed, blocks, sizes):
+        stream, lengths, pushed = _filled(seed, blocks)
+        stores = (KeyStore("L", stream, 0, 0), KeyStore("L", stream, 1, 0))
+        pools = reference_pools(seed, lengths, pushed)
+        for side, size in sizes:
+            sender, receiver = stores[side], stores[1 - side]
+            if size > sender.pool_available(side):
+                continue
+            span, key = sender.reserve(size, Purpose.ENCRYPT)
+            _, start, end = span
+            assert key == bytes(pools[side][start:end])
+            assert receiver.reserve_exact(span) == key
 
 
 class TestKeyAccounting:
