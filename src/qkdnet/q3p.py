@@ -21,9 +21,10 @@ end)`` in pool offsets. The sender allocates sequentially from its own pool,
 so every reservation is one span, ledgered by the sender alone; the receiver
 burns the exact same span when it opens the message (spans ride along
 in-memory, standing in for the key-synchronization dialogue of a real
-deployment). ``reserve`` returns a span and its bytes, ``reserve_exact``
-takes a span and returns its bytes. Messages may arrive in any order:
-``reserve_exact`` refusing key already consumed is the one replay check.
+deployment). ``reserve`` returns a span and its bytes; ``reserve_exact``
+takes a span and burns it without reading its bytes. Messages may arrive in
+any order: ``reserve_exact`` refusing key already consumed is the one replay
+check.
 
 Every message is keyed and tagged, and spends one span: its first bytes pad
 the encrypted part of the payload, if any, and its last 32 key the tag. The
@@ -38,13 +39,14 @@ it: magic, version, channel, pool, start, end and payload length. The
 span's length less the 32 tag bytes is the encrypted length, and a span
 moved, trimmed or stretched in flight fails the tag.
 
-Each authenticated message is hashed once. ``seal`` keeps the tag key, the
-authenticated bytes and the tag on the message, in a field that is not on
-the wire. ``open`` takes that tag as its recomputed tag only when the tag
-key of the span it burned and the bytes it rebuilt from the message as
-received are byte-identical to the kept ones. The tag is a pure function of
-key and bytes, so ``open`` accepts and rejects exactly the messages a full
-recomputation would.
+The receiver reads key only for a message that changed in flight. ``seal``
+keeps a record, not on the wire, of the wire fields it produced (channel,
+span, payload, tag) and of the plaintext. ``open`` burns the span, and when
+every wire field of the message as received equals the record, it returns
+the kept plaintext. Both ends read the one stream, and a byte reads the same
+whenever it is read, so a full check of such a message would read the
+sealing key, rebuild the sealed bytes and accept them. Any other message
+takes the full path: read the span's key, hash, compare the tag, decrypt.
 """
 
 from __future__ import annotations
@@ -269,13 +271,18 @@ class KeyStream:
             self.lengths[pool] = at + len(part)
         self.appended_bytes += len(data)
 
-    def read(self, span: Span) -> bytes:
-        """The key bytes of ``span``; spans come from the peer, so checked."""
+    def check(self, span: Span) -> None:
+        """Settle, and refuse a span beyond the stream: spans come from the peer."""
         if self.through != self.clock.ticks:
             self.settle()
         pool, start, end = span
         if pool not in (0, 1) or start < 0 or end > self.lengths[pool]:
             raise InsufficientKey(f"span {span} beyond stream")
+
+    def read(self, span: Span) -> bytes:
+        """The key bytes of ``span``, checked."""
+        self.check(span)
+        pool, start, end = span
         if end <= start:
             return b""
         first, lo = divmod(start, CHUNK_BYTES)
@@ -402,13 +409,15 @@ class KeyStore:
         stream.clock.spent.add(stream.index)
         return span, stream.read(span)
 
-    def reserve_exact(self, span: Span) -> bytes:
-        """Claim an explicit span of the peer's pool, mirroring the peer's
-        allocation, and return its key bytes. The one replay check: any byte
-        consumed here already (below the cursor, or opened) is a
-        ``KeyReuseError``. A span beyond the stream is ``InsufficientKey``; an
-        empty one, or a fresh one in this store's own pool, ``ValueError``."""
-        key = self.stream.read(span)
+    def reserve_exact(self, span: Span) -> None:
+        """Burn an explicit span of the peer's pool, mirroring the peer's
+        allocation. It reads no key bytes: a caller that needs them reads
+        ``stream.read(span)``. The one replay check: any byte consumed here
+        already (below the cursor, or opened) is a ``KeyReuseError``. A span
+        beyond the stream is ``InsufficientKey``; an empty one, or a fresh one
+        in this store's own pool, ``ValueError``."""
+        stream = self.stream
+        stream.check(span)
         pool, start, end = span
         if pool == self.side:
             if start < self._cursor:
@@ -416,9 +425,7 @@ class KeyStore:
             raise ValueError(f"span {span} lies in this store's own pool")
         self._opened.add(start, end)
         self._opened_bytes += end - start
-        stream = self.stream
         stream.clock.spent.add(stream.index)
-        return key
 
     def consumed_ranges(self) -> list[Span]:
         """The own pool's consumed prefix and the peer's opened spans, by pool."""
@@ -530,10 +537,10 @@ class Q3PMessage:
     ``tag``; ``open`` refuses a message without them. The tag covers
     ``header_bytes()`` (magic, version, channel, span, payload length)
     followed by the payload, so a span moved, trimmed or stretched in
-    flight fails the tag. ``sealed_auth`` is not on the wire: it keeps the
-    sealing end's ``(tag key, authenticated bytes, tag)`` until the message
-    is opened, so the receiver can skip the hash when its key and the bytes
-    it received are byte-identical.
+    flight fails the tag. ``_sealed`` is not on the wire: it keeps the
+    sealing end's ``(channel, span, payload, tag, plaintext)`` until the
+    message is opened, so the receiver need read no key for a message whose
+    wire fields all still equal what ``seal`` produced.
     """
 
     sender_side: int
@@ -541,7 +548,7 @@ class Q3PMessage:
     payload: bytes                                   # ciphertext when encrypted
     tag: bytes | None
     span: Span | None = None
-    sealed_auth: tuple[bytes, bytes, bytes] | None = field(
+    _sealed: tuple[Channel, Span, bytes, bytes, bytes] | None = field(
         default=None, repr=False, compare=False)
 
     @property
@@ -617,10 +624,8 @@ class Q3PLink:
         if n_enc:
             body = payload[:clear_len] + otp_encrypt(key[:n_enc], payload[clear_len:])
         msg = Q3PMessage(side, channel, body, None, span)
-        data = msg.header_bytes() + body
-        tag_key = key[n_enc:]
-        msg.tag = authenticate(data, tag_key)
-        msg.sealed_auth = (tag_key, data, msg.tag)
+        msg.tag = authenticate(msg.header_bytes() + body, key[n_enc:])
+        msg._sealed = (channel, span, body, msg.tag, payload)
         return msg
 
     def open(self, side: int, msg: Q3PMessage) -> bytes:
@@ -628,37 +633,36 @@ class Q3PLink:
 
         A message makes one ``reserve_exact`` call on its span, which checks
         it for replay and burns it in one step; a replay (key already spent
-        here) reserves nothing. The span is burned before the tag check, so a
-        forged or corrupted message costs the receiver the bytes it names. A
-        message with no span or no tag, or with a span that is not the
-        peer's key or holds fewer than 32 B or more than 32 B past the
-        payload's length, fails as a tag mismatch on every channel. The tag
-        covers the span, so any other change to it fails the tag. The
-        sealing end's kept tag stands in for the hash only when the tag key
-        and the rebuilt bytes are byte-identical to the kept ones; the kept
-        field is cleared either way.
+        here) reserves nothing. The span is burned before the tag is judged,
+        so a forged or corrupted message costs the receiver the bytes it
+        names. A message with no span or no tag, or with a span that is not
+        the peer's key or holds fewer than 32 B or more than 32 B past the
+        payload's length, fails as a tag mismatch on every channel. A message
+        whose channel, span, payload and tag all equal the sealing end's
+        record returns the sealed plaintext and reads no key; any other is
+        checked in full, and the tag covers the span, so any change to it
+        fails the tag. The record is cleared either way.
         """
         if side == msg.sender_side:
             raise ValueError("open must run at the opposite end from seal")
-        sealed, msg.sealed_auth = msg.sealed_auth, None
+        sealed, msg._sealed = msg._sealed, None
         span, payload = msg.span, msg.payload
         if span is None:
             raise TagMismatch(f"{self.link_id}: a message names no key span")
+        store = self.stores[side]
         try:
-            key = self.stores[side].reserve_exact(span)
+            store.reserve_exact(span)
         except KeyReuseError as err:
             raise ReplayDetected(f"{self.link_id}: span {span} spends consumed key") from err
         except (ValueError, InsufficientKey) as err:
             raise TagMismatch(f"{self.link_id}: span {span} is not the peer's key") from err
-        n_enc = len(key) - AUTH_KEY_BYTES
+        n_enc = span[2] - span[1] - AUTH_KEY_BYTES
         if not 0 <= n_enc <= len(payload):
             raise TagMismatch(f"{self.link_id}: span {span} does not fit its payload")
-        data = msg.header_bytes() + payload
-        tag_key = key[n_enc:]
-        if sealed is not None and sealed[0] == tag_key and sealed[1] == data:
-            tag = sealed[2]
-        else:
-            tag = _poly_tag(tag_key, data)
+        if sealed is not None and sealed[:4] == (msg.channel, span, payload, msg.tag):
+            return sealed[4]
+        key = store.stream.read(span)
+        tag = _poly_tag(key[n_enc:], msg.header_bytes() + payload)
         if msg.tag is None or not hmac.compare_digest(tag, msg.tag):
             raise TagMismatch(f"{self.link_id}: tag mismatch on span {span}")
         if not n_enc:

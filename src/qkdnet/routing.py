@@ -194,20 +194,6 @@ class LinkStateDB:
             return 0.0
         return min(ad.rate_bps for ad in pair)
 
-    def link_cost(self, link_id: str, params: RouteCostParams | None = None) -> float:
-        level = self.usable_levels.get(link_id)
-        if level is None:
-            return math.inf
-        return (params or RouteCostParams()).step_cost(level)
-
-    def snapshot(self) -> dict[tuple[str, str], tuple[int, bool, int]]:
-        """(link, origin) -> (seq, up, level); used by convergence tests."""
-        out = {}
-        for link_id, both in self.ads.items():
-            for origin, ad in both.items():
-                out[(link_id, origin)] = (ad.seq, ad.up, ad.level_bytes)
-        return out
-
 
 @dataclass(frozen=True)
 class Path:

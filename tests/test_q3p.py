@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+from hashlib import shake_128
 from random import Random
 
 import pytest
@@ -125,7 +126,8 @@ class TestReserve:
     def test_mirror_consumption_is_range_exact(self):
         a, b = _link(RNG.randbytes(1024), 0).stores
         span, key = a.reserve(100, Purpose.ENCRYPT)
-        assert b.reserve_exact(span) == key
+        b.reserve_exact(span)
+        assert b.stream.read(span) == key
         assert a.available_bytes == b.available_bytes
 
     def test_double_exact_consumption_raises_key_reuse(self):
@@ -246,7 +248,8 @@ class TestAuthentication:
         link = make_link()
         span, key = link.stores[0].reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
         tag = authenticate(msg, key)
-        mirror = link.stores[1].reserve_exact(span)
+        link.stores[1].reserve_exact(span)
+        mirror = link.stores[1].stream.read(span)
         assert verify(msg, tag, mirror)
         assert not verify(msg + b"!", tag, mirror)
 
@@ -291,6 +294,26 @@ class TestAuthentication:
 
 def make_link(preshared=65536, reserve=4096):
     return _link(Random(5).randbytes(preshared), reserve)
+
+
+# one changed value for each wire field of a sealed message
+_TAMPERS = {
+    "channel": lambda m: Channel.ROUTING if m.channel != Channel.ROUTING else Channel.TRANSPORT,
+    "span": lambda m: (m.span[0], m.span[1] + 1, m.span[2]),     # trimmed from the front
+    "payload": lambda m: m.payload[:-1] + bytes([m.payload[-1] ^ 1]),
+    "tag": lambda m: bytes([m.tag[0] ^ 1]) + m.tag[1:],
+}
+
+
+def _equal_copy(value):
+    """An equal value that is not the same object, where the type allows."""
+    if isinstance(value, Channel):
+        return int(value)
+    if isinstance(value, tuple):
+        return tuple(list(value))
+    if isinstance(value, bytes):
+        return bytes(bytearray(value))
+    return value
 
 
 class TestSealOpen:
@@ -462,19 +485,63 @@ class TestSealOpen:
                 link.open(1 - side, msg)
                 assert calls == ["reserve_exact"]
 
-    def test_tampered_payload_fails_tag(self):
+    @pytest.mark.parametrize("field", sorted(_TAMPERS))
+    def test_tampered_payload_fails_tag(self, field):
+        # any one wire field changed in flight takes the full check and
+        # fails the tag; the failed message costs the receiver the span it
+        # names, and its whole key when that span is the sealed one
         link = make_link()
         msg = link.seal(0, Channel.TRANSPORT, b"y" * 40)
-        msg.payload = msg.payload[:-1] + bytes([msg.payload[-1] ^ 1])
+        setattr(msg, field, _TAMPERS[field](msg))
         with pytest.raises(TagMismatch):
             link.open(1, msg)
-        # the failed message costs its whole key at both ends
         a, b = link.stores
-        assert a.ledgered_bytes == b.ledgered_bytes == 40 + AUTH_KEY_BYTES
-        assert sorted(a.consumed_ranges()) == sorted(b.consumed_ranges())
+        assert a.consumed_ranges() == [(0, 0, 40 + AUTH_KEY_BYTES)]
+        assert b.consumed_ranges() == [msg.span]
+        if field != "span":
+            assert b.ledgered_bytes == 40 + AUTH_KEY_BYTES
+
+    @pytest.mark.parametrize("field", sorted(_TAMPERS))
+    def test_a_field_replaced_by_an_equal_copy_still_opens(self, field):
+        link = make_link()
+        msg = link.seal(0, Channel.TRANSPORT, b"y" * 40)
+        setattr(msg, field, _equal_copy(getattr(msg, field)))
+        assert link.open(1, msg) == b"y" * 40
+        assert link.stores[1].ledgered_bytes == 40 + AUTH_KEY_BYTES
+
+    def test_an_unaltered_message_opens_without_reading_key(self, monkeypatch):
+        # the receiver burns the span and returns the sealed plaintext: no
+        # key read, so no chunk derived, though the cache no longer holds it
+        link = _link(seed=1)
+        link.stream.produce(4 * CHUNK_BYTES, 0)
+        msg = link.seal(0, Channel.TRANSPORT, b"p" * 100)
+        tampered = link.seal(0, Channel.TRANSPORT, b"q" * 100)
+        tampered.tag = _TAMPERS["tag"](tampered)
+        reads, derived = [], []
+        read = KeyStream.read
+
+        def counted_read(self, span):
+            reads.append(span)
+            return read(self, span)
+
+        def counted_derivation(data):
+            derived.append(data)
+            return shake_128(data)
+
+        monkeypatch.setattr(KeyStream, "read", counted_read)
+        monkeypatch.setattr(q3p, "shake_128", counted_derivation)
+        for cache in link.stream._cache:
+            cache.clear()
+        assert link.open(1, msg) == b"p" * 100
+        assert (reads, derived) == ([], [])
+        assert link.stores[1].consumed_ranges() == [msg.span]
+        # a changed message is checked in full: it reads its span's key
+        with pytest.raises(TagMismatch):
+            link.open(1, tampered)
+        assert reads == [tampered.span] and len(derived) == 1
 
     def test_each_authenticated_message_is_hashed_once(self, monkeypatch):
-        # the receiver takes the sealing end's tag for identical key and bytes
+        # the sealing end hashes; the receiver of an unaltered message does not
         calls = []
 
         def counting(key, data):
@@ -610,6 +677,88 @@ class TestSealOpen:
         assert link.open(1, msg) == payload
 
 
+_HISTORY = st.lists(
+    st.one_of(
+        # (seal, side, size, clear bytes, encrypt?, channel)
+        st.tuples(st.just("seal"), st.integers(0, 1), st.integers(0, 120),
+                  st.integers(0, 30), st.booleans(), st.sampled_from(Channel)),
+        # (open, which sealed message, what to change, how): reopening a
+        # message is a replay; "copy" swaps every wire field for an equal copy
+        st.tuples(st.just("open"), st.integers(0, 30),
+                  st.sampled_from([None, None, "copy", "channel", "span", "payload", "tag"]),
+                  st.integers(0, 1 << 16)),
+    ),
+    max_size=40,
+)
+
+
+def _changed(msg, field, how):
+    """A drawn replacement for one wire field: it may equal the old value."""
+    if field == "channel":
+        return list(Channel)[how % len(Channel)]
+    if field == "span":
+        pool, start, end = msg.span
+        d = how // 4 % 81 - 40
+        return ((pool, start + d, end), (pool, start, end + d),
+                (pool, start + d, end + d), (1 - pool, start, end))[how % 4]
+    if field == "payload":
+        if not msg.payload or how % 3 == 0:
+            return msg.payload + bytes([how % 256])
+        wire = bytearray(msg.payload)
+        wire[how % len(wire)] ^= how // len(wire) % 255 + 1
+        return bytes(wire[: len(wire) - how % 3 + 1])     # flipped, maybe cut short
+    if how % 3 == 0:
+        return None
+    return bytes([msg.tag[0] ^ (how % 255 + 1)]) + msg.tag[1:]
+
+
+class TestOpenWithoutKey:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 3), history=_HISTORY)
+    def test_the_sealed_record_opens_as_the_full_check_would(self, seed, history):
+        # two twin links see the same history; on the second every message
+        # is opened with its sealed record dropped, so it takes the full
+        # check: read the key, hash, compare the tag, decrypt
+        twins = (_link(seed=seed), _link(seed=seed))
+        for link in twins:
+            link.stream.produce(9000, 0)
+        sent = []
+        for op in history:
+            if op[0] == "seal":
+                _, side, size, clear, encrypt, channel = op
+                payload = Random(size).randbytes(size)
+                pair = [link.seal(side, channel, payload, encrypt=encrypt,
+                                  clear_len=min(clear, size)) for link in twins]
+                assert pair[0] == pair[1]
+                pair[1]._sealed = None
+                sent.append([pair, payload, False])
+                continue
+            _, which, field, how = op
+            if not sent:
+                continue
+            pair, payload, changed = entry = sent[which % len(sent)]
+            if field == "copy":
+                for name in _TAMPERS:
+                    setattr(pair[0], name, _equal_copy(getattr(pair[0], name)))
+            elif field is not None and pair[0].tag is not None:
+                value = _changed(pair[0], field, how)
+                entry[2] = changed = changed or value != getattr(pair[0], field)
+                for msg in pair:
+                    setattr(msg, field, value)
+            outcomes = []
+            for link, msg in zip(twins, pair):
+                try:
+                    outcomes.append(link.open(1 - msg.sender_side, msg))
+                except q3p.Q3PError as err:
+                    outcomes.append(type(err))
+            assert outcomes[0] == outcomes[1]
+            if not changed and outcomes[0] is not ReplayDetected:
+                assert outcomes[0] == payload
+            state = [[(s.consumed_ranges(), s.ledgered_bytes, s.available_bytes)
+                      for s in link.stores] for link in twins]
+            assert state[0] == state[1]
+
+
 class TestRandomOperationSequences:
     def test_invariants_hold_under_random_traffic(self):
         # arbitrary interleaving of pushes and bidirectional seals: the
@@ -696,7 +845,8 @@ class TestReserveCursor:
             span, key = stores[d].reserve(size, Purpose.AUTHENTICATE)
             assert span == (d, offset[d], offset[d] + size)
             assert key == want
-            assert stores[1 - d].reserve_exact(span) == want
+            stores[1 - d].reserve_exact(span)
+            assert stores[1 - d].stream.read(span) == want
             offset[d] += size
 
 
@@ -828,7 +978,8 @@ class TestLazyStream:
                 _, start, end = span
                 pools = reference_pools(seed, lengths, pushed)
                 assert key == bytes(pools[side][start:end])
-                assert receiver.reserve_exact(span) == key
+                receiver.reserve_exact(span)
+                assert receiver.stream.read(span) == key
             else:
                 _, pool, start, length = op
                 start = min(start, lengths[pool])
@@ -954,7 +1105,8 @@ class TestOffsetKey:
             span, key = sender.reserve(size, Purpose.ENCRYPT)
             _, start, end = span
             assert key == bytes(pools[side][start:end])
-            assert receiver.reserve_exact(span) == key
+            receiver.reserve_exact(span)
+            assert receiver.stream.read(span) == key
 
 
 class TestKeyAccounting:

@@ -90,25 +90,26 @@ class TestSummaryCodec:
         db = saturated_db(topo)
         set_level(db, "L2", 500, seq=7)
         held = decode_summary(encode_summary(db.lsas()), lsa_instances(topo))
-        assert held == {key: seq for key, (seq, _, _) in db.snapshot().items()}
+        assert held == {(link_id, origin): ad.seq
+                        for link_id, both in db.ads.items() for origin, ad in both.items()}
         assert held[("L2", "QC")] == 7 and len(held) == 2 * len(topo.links)
 
 
 class TestLinkCost:
     def test_saturated_is_pure_hop_cost(self):
         db = saturated_db(building_block_preset())
-        assert db.link_cost("L5", RouteCostParams(target_level_bytes=65536)) == 1.0
+        assert RouteCostParams(target_level_bytes=65536).step_cost(db.usable_levels["L5"]) == 1.0
 
     def test_half_depleted_costs_one_and_a_half(self):
         db = saturated_db(building_block_preset())
         params = RouteCostParams(target_level_bytes=65536)
         set_level(db, "L5", 32768)
-        assert db.link_cost("L5", params) == pytest.approx(1.5)
+        assert params.step_cost(db.usable_levels["L5"]) == pytest.approx(1.5)
 
     def test_down_end_is_unusable(self):
         db = saturated_db(building_block_preset())
         db.update(LinkStateAd("L5", "QA", 2, False, 131072, 8000.0, 0))
-        assert db.link_cost("L5") == float("inf")
+        assert "L5" not in db.usable_levels
         assert not db.usable("L5")
 
     def test_level_at_floor_is_unusable(self):
@@ -119,7 +120,7 @@ class TestLinkCost:
     def test_zero_target_degrades_to_hop_count(self):
         db = saturated_db(building_block_preset())
         params = RouteCostParams(target_level_bytes=0)
-        assert db.link_cost("L5", params) == 1.0
+        assert params.step_cost(db.usable_levels["L5"]) == 1.0
 
 
 class TestRouteCostParams:
@@ -176,14 +177,13 @@ class TestShortestPath:
     def test_draining_one_link_never_lowers_other_path_costs(self):
         db = saturated_db(building_block_preset())
         params = RouteCostParams(target_level_bytes=131072)
-        costs_before = {l.id: db.link_cost(l.id, params) for l in db.topology.links}
-        set_level(db, "L1", 1000)
+        costs_before = {lid: params.step_cost(level) for lid, level in db.usable_levels.items()}
+        assert set(costs_before) == {l.id for l in db.topology.links}
+        set_level(db, "L1", 1000)        # below the floor: L1 leaves the table
+        assert "L1" not in db.usable_levels
         for link_id, before in costs_before.items():
-            after = db.link_cost(link_id, params)
-            if link_id == "L1":
-                assert after > before
-            else:
-                assert after == before
+            if link_id != "L1":
+                assert params.step_cost(db.usable_levels[link_id]) == before
 
 
 def brute_force_disjoint(topo, db, src, dst, anchors):
@@ -468,7 +468,7 @@ class TestRoutesMatchReference:
             if any(topo.kind(n) is NodeKind.END_USER and n not in (src, dst)
                    for n in (link.a, link.b)):
                 continue  # end-users other than the endpoints relay nothing
-            w = db.link_cost(link.id, params)
+            w = params.step_cost(db.usable_levels[link.id])
             if g.has_edge(link.a, link.b):
                 w = min(w, g[link.a][link.b]["weight"])  # cheapest parallel link
             g.add_edge(link.a, link.b, weight=w)
@@ -483,7 +483,7 @@ class TestRoutesMatchReference:
             assert want is None
             return
         assert want is not None
-        assert sum(db.link_cost(l, params) for l in path.links) == pytest.approx(
+        assert sum(params.step_cost(db.usable_levels[l]) for l in path.links) == pytest.approx(
             want, rel=1e-9, abs=1e-9)
 
 
@@ -492,7 +492,7 @@ class TestLevelTable:
         db = saturated_db(vienna_preset())
         set_level(db, "SIE-ERD", 8192)
         calls = []
-        for name in ("pair", "usable", "min_level", "link_cost"):
+        for name in ("pair", "usable", "min_level"):
             original = getattr(LinkStateDB, name)
 
             def counted(self, *args, _name=name, _original=original, **kwargs):
@@ -523,5 +523,7 @@ class TestLevelTable:
             for lid in link_ids:
                 assert db.usable(lid) is _reference_usable(db, lid)
                 assert db.min_level(lid) == _reference_min_level(db, lid)
-                assert db.link_cost(lid, params) == _reference_link_cost(db, lid, params)
-                assert db.link_cost(lid) == _reference_link_cost(db, lid)
+                level = db.usable_levels.get(lid)
+                for p in (params, RouteCostParams()):
+                    want = _reference_link_cost(db, lid, p)
+                    assert want == (math.inf if level is None else p.step_cost(level))
