@@ -4,8 +4,9 @@ quantum-key-distribution networks.
 Layers, bottom up: per-link key production (:mod:`qkdnet.links`), mirrored
 key stores with one-time-pad discipline and message authentication
 (:mod:`qkdnet.q3p`), key-aware link-state routing (:mod:`qkdnet.routing`),
-hop-by-hop end-to-end secret transport (:mod:`qkdnet.transport`), a
-discrete-event engine (:mod:`qkdnet.harness`), and a cost planner
+hop-by-hop end-to-end secret transport (:mod:`qkdnet.transport`), the
+scenario model, parser, checks and bundled scripts (:mod:`qkdnet.scenarios`),
+a discrete-event engine (:mod:`qkdnet.harness`), and a cost planner
 (:mod:`qkdnet.planner`).
 """
 
@@ -56,16 +57,16 @@ from .transport import (
     DeliveryStatus,
     aggregate_rate,
 )
-from .harness import (
-    Engine,
+from .scenarios import (
+    BUNDLED,
     Event,
     EventKind,
-    MetricsReport,
     Scenario,
     ScenarioError,
-    TimeTravel,
+    bundled_scenario,
     parse_scenario,
 )
+from .harness import Engine, MetricsReport, TimeTravel
 from .planner import (
     Geometry,
     PlannerParams,
@@ -75,6 +76,5 @@ from .planner import (
     relaxed_optimum_km,
     scaling_table,
 )
-from .scenarios import BUNDLED, bundled_scenario
 
 __version__ = "0.1.0"

@@ -11,32 +11,16 @@ import sys
 from pathlib import Path
 
 from . import planner
-from .harness import Engine, ScenarioError, parse_scenario
-from .model import (
-    REQUIRED,
-    ParseError,
-    PRESETS,
-    Topology,
-    ValidationError,
-    load_topology,
-    preset,
-    read_config,
-)
+from .harness import Engine
+from .model import ParseError, PRESETS, Topology, ValidationError, load_topology, preset
 from .planner import Geometry, PlannerParams
-from .scenarios import BUNDLED, PLANNER_SWEEP, bundled_scenario
+from .scenarios import BUNDLED, PLANNER_SWEEP, ScenarioError, bundled_scenario, parse_scenario
 from .transport import DeliveryStatus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_SCENARIO = 3
-
-# the bundled planner parameter line; each key sets the ``plan`` option of
-# its name
-_PLAN_GRAMMAR = {"plan": {
-    "alpha": ("alpha", float, REQUIRED), "r0": ("r0", float, REQUIRED),
-    "device_cost": ("device_cost", float, REQUIRED), "distance": ("distance", float, REQUIRED),
-    "geometry": ("geometry", str, REQUIRED)}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -150,8 +134,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_plan(args) -> int:
     if args.bundled:
-        (_, _, row), = read_config(PLANNER_SWEEP, _PLAN_GRAMMAR)
-        vars(args).update(row)
+        vars(args).update(PLANNER_SWEEP)
     try:
         params = PlannerParams(
             device_cost=args.device_cost,

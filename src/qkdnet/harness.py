@@ -13,11 +13,10 @@ import heapq
 import json
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
-from enum import Enum
 from random import Random
 
 from .links import LinkRuntime, LinkState
-from .model import REQUIRED, ByKind, LinkSpec, ParseError, Topology, read_config
+from .model import LinkSpec, Topology
 from .q3p import (
     AUTH_RESERVE_DEFAULT,
     Channel,
@@ -43,6 +42,8 @@ from .routing import (
     lsa_instances,
     shortest_path,
 )
+from .scenarios import Event, EventKind, Scenario, ScenarioError, check_event, check_scenario
+from .scenarios import parse_scenario  # noqa: F401  (the scenario names stay importable here)
 from .transport import (
     DeliveryRecord,
     DeliveryStatus,
@@ -68,132 +69,8 @@ _UP, _DOWN = LinkState.UP, LinkState.DOWN  # enum member lookups are slow on CPy
 SEGMENT_CLEAR_LEN = 18  # request id + seq + total + length travel unencrypted
 
 
-class ScenarioError(Exception):
-    """Malformed or inconsistent scenario."""
-
-
 class TimeTravel(Exception):
     """An event was injected with a timestamp in the simulated past."""
-
-
-class EventKind(Enum):
-    PRODUCE_TICK = "produce_tick"
-    MSG_ARRIVE = "msg_arrive"
-    LINK_FAIL = "link_fail"
-    LINK_RESTORE = "link_restore"
-    DOS_DRAIN = "dos_drain"
-    KEY_REQUEST = "key_request"
-    DAY_WINDOW = "day_window"
-    REFILL = "refill"
-    TIMER = "timer"
-    DEADLINE = "deadline"
-    FINALIZE = "finalize"
-
-
-@dataclass(slots=True)
-class Event:
-    time_s: float
-    kind: EventKind
-    payload: dict
-
-
-@dataclass
-class Scenario:
-    duration_s: float
-    seed: int = 0
-    events: list[Event] = field(default_factory=list)
-    loss_default: float = 0.0
-    loss_per_link: dict[str, float] = field(default_factory=dict)
-    jitter_ms: float = 0.0
-
-    def loss_for(self, link_id: str) -> float:
-        return self.loss_per_link.get(link_id, self.loss_default)
-
-
-_AT = {"t": ("time_s", float, REQUIRED)}
-_LINK = ("link", str, REQUIRED)
-
-# an event line's row is its event's "time_s", then its payload
-SCENARIO_GRAMMAR = {
-    "scenario": {
-        "duration": ("duration_s", float, REQUIRED),
-        "seed": ("seed", int, 0),
-        "loss": ("loss_default", float, 0.0),
-        "jitter_ms": ("jitter_ms", float, 0.0),
-    },
-    "loss": {"link": _LINK, "p": ("p", float, REQUIRED)},
-    "event": ByKind({
-        "request": (EventKind.KEY_REQUEST, {
-            **_AT, "src": ("src", str, REQUIRED), "dst": ("dst", str, REQUIRED),
-            "bytes": ("n_bytes", int, REQUIRED), "k": ("multipath", int, 1),
-            "deadline": ("deadline_s", float, None)}),
-        "fail": (EventKind.LINK_FAIL, {**_AT, "link": _LINK}),
-        "restore": (EventKind.LINK_RESTORE, {**_AT, "link": _LINK}),
-        "dos": (EventKind.DOS_DRAIN, {
-            **_AT, "link": _LINK, "rate": ("rate_bytes_per_s", float, REQUIRED),
-            "duration": ("duration_s", float, REQUIRED)}),
-        "refill": (EventKind.REFILL, {
-            **_AT, "link": _LINK, "bytes": ("n_bytes", int, REQUIRED), "k": ("multipath", int, 2)}),
-        "daywindow": (EventKind.DAY_WINDOW, {
-            **_AT, "start": ("start", float, REQUIRED), "end": ("end", float, REQUIRED)}),
-    }),
-}
-
-# the kinds a scenario (or ``Engine.inject``) may carry; the others are the
-# engine's own. A tuple, most common (request, listed first) first: its
-# ``in`` tests identity, while hashing an enum member runs Python code
-_SCENARIO_KINDS = tuple(tag for tag, _ in SCENARIO_GRAMMAR["event"].values())
-
-
-def _check_duration(duration: float | None) -> None:
-    """Refuse a missing, NaN, infinite, zero or negative scenario duration."""
-    # written so that NaN, which fails every comparison, is refused too
-    if duration is None or not 0.0 < duration < float("inf"):
-        raise ScenarioError("scenario needs a positive finite duration")
-
-
-def _check_events(events: list[Event], duration: float) -> None:
-    """Refuse an event outside [0, duration], a daywindow that is not
-    0 <= start <= end, and a request deadline that is not finite and > 0."""
-    # written so that NaN, which fails every comparison, is refused too
-    request, daywindow = EventKind.KEY_REQUEST, EventKind.DAY_WINDOW
-    for ev in events:
-        t, kind, p = ev.time_s, ev.kind, ev.payload
-        if not 0.0 <= t <= duration:
-            raise ScenarioError(f"event at t={t} outside [0, {duration}]")
-        if kind is request:
-            deadline = p.get("deadline_s")
-            if deadline is not None and not 0.0 < deadline < float("inf"):
-                raise ScenarioError(f"request at t={t} needs a finite deadline > 0")
-        elif kind is daywindow and not 0.0 <= p["start"] <= p["end"]:
-            raise ScenarioError(f"daywindow at t={t} needs 0 <= start <= end")
-
-
-def parse_scenario(text: str) -> Scenario:
-    """Parse scenario text by ``SCENARIO_GRAMMAR``: one ``[scenario]`` line,
-    at most one ``[loss]`` line per link, and ``[event]`` lines."""
-    head: dict = {}
-    loss_per_link: dict[str, float] = {}
-    events: list[Event] = []
-    try:
-        rows = read_config(text, SCENARIO_GRAMMAR)
-    except ParseError as exc:
-        raise ScenarioError(str(exc)) from None
-    for lineno, section, row in rows:
-        if section == "loss":
-            if row["link"] in loss_per_link:
-                raise ScenarioError(f"line {lineno}: repeated [loss] for link {row['link']!r}")
-            loss_per_link[row["link"]] = row["p"]
-        elif section == "scenario":
-            if head:
-                raise ScenarioError(f"line {lineno}: repeated [scenario] line")
-            head = row
-        else:   # an event line comes back under its EventKind
-            events.append(Event(row.pop("time_s"), section, row))
-    duration = head.get("duration_s")
-    _check_duration(duration)
-    _check_events(events, duration)
-    return Scenario(events=events, loss_per_link=loss_per_link, **head)
 
 
 def sub_seed(master: int, label: str) -> int:
@@ -239,7 +116,6 @@ class _LinkRT:
     q3p: Q3PLink
     loss: float
     index: int
-    msg_counts: Counter
     min_level_seen: int = 0
     refilled_bytes: int = 0
     advertised: list[tuple[bool, int, int]] = field(
@@ -256,15 +132,11 @@ class _LinkRT:
         """Produce the ticks the link missed, in order, up to its stream's clock."""
         stream, runtime = self.q3p.stream, self.runtime
         ticks = stream.clock.ticks
-        blocks, odd = runtime.produced_blocks, runtime.odd_blocks
+        odd = runtime.odd_blocks
         n_bytes = runtime.produce(PRODUCE_TICK_S, ticks - stream.through)
         stream.through = ticks
         if n_bytes:
             stream.produce(n_bytes, runtime.odd_blocks - odd)
-            # distillation runs inside the link devices and the rate law is
-            # net of its key cost; its two frames per block (one each way)
-            # are only counted
-            self.msg_counts["distill"] += 2 * (runtime.produced_blocks - blocks)
 
 
 @dataclass
@@ -322,7 +194,13 @@ class MetricsReport:
         self.records = [engine.requests[i].record for i in sorted(engine.requests)]
         self.exposures = engine.exposures
         self.link_events = engine.link_events
-        self.msg_counts = dict(sorted(engine.msg_counts.items()))
+        # distillation runs inside the link devices and the rate law is net
+        # of its key cost: its two frames per produced block (one each way)
+        # are only counted, from the settled links
+        counts = Counter(engine.msg_counts)
+        if distill := 2 * sum(lrt.runtime.produced_blocks for lrt in engine.links.values()):
+            counts["distill"] = distill
+        self.msg_counts = dict(sorted(counts.items()))
         self.link_stats = {}
         for link_id in sorted(engine.links):
             lrt = engine.links[link_id]
@@ -376,6 +254,7 @@ class Engine:
     """Single-threaded event loop owning all link and node state."""
 
     def __init__(self, topology: Topology, scenario: Scenario, seed: int | None = None) -> None:
+        check_scenario(scenario, topology)
         self.topology = topology
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
@@ -396,7 +275,6 @@ class Engine:
                 q3p=Q3PLink(spec.id, seed=sub_seed(self.seed, f"link:{spec.id}")),
                 loss=scenario.loss_for(spec.id),
                 index=index,
-                msg_counts=self.msg_counts,
             )
             if lrt.loss > 0 or scenario.jitter_ms > 0:
                 lrt.channel = Random(sub_seed(self.seed, f"channel:{spec.id}"))
@@ -418,57 +296,6 @@ class Engine:
         self._started = False
         self._finalized = False
         self._last_sample_time = None
-        self._validate_scenario()
-
-    def _validate_scenario(self) -> None:
-        """Reject references to nodes or links the topology does not have,
-        and values no run can honour."""
-        sc = self.scenario
-        _check_duration(sc.duration_s)
-        # written so that NaN, which fails every comparison, is refused too
-        if not 0.0 <= sc.loss_default <= 1.0:
-            raise ScenarioError(f"scenario loss {sc.loss_default} outside [0, 1]")
-        if not 0.0 <= sc.jitter_ms < float("inf"):
-            raise ScenarioError(f"scenario jitter_ms {sc.jitter_ms} is negative or not finite")
-        for link_id, loss in sc.loss_per_link.items():
-            if link_id not in self.links:
-                raise ScenarioError(f"loss entry for unknown link {link_id!r}")
-            if not 0.0 <= loss <= 1.0:
-                raise ScenarioError(f"loss p={loss} for link {link_id!r} outside [0, 1]")
-        self._check_scenario_events(sc.events)
-
-    def _check_scenario_events(self, events: list[Event]) -> None:
-        """Refuse scenario events that ``_check_events`` refuses against the
-        scenario duration, and those that are not of a scenario kind, lack a
-        payload key, name a node or link the topology does not have, or
-        carry values no run can honour."""
-        links, nodes = self.links, self.topology.nodes
-        request, refill, dos = EventKind.KEY_REQUEST, EventKind.REFILL, EventKind.DOS_DRAIN
-        try:
-            _check_events(events, self.scenario.duration_s)
-            for ev in events:
-                p = ev.payload
-                kind = ev.kind
-                if kind not in _SCENARIO_KINDS:
-                    raise ScenarioError(f"event at t={ev.time_s} has non-scenario kind {kind}")
-                if "link" in p and p["link"] not in links:
-                    raise ScenarioError(f"event at t={ev.time_s} names unknown link {p['link']!r}")
-                if kind is request:
-                    for end in (p["src"], p["dst"]):
-                        if end not in nodes:
-                            raise ScenarioError(
-                                f"request at t={ev.time_s} names unknown node {end!r}")
-                    if p["src"] == p["dst"]:
-                        raise ScenarioError(f"request at t={ev.time_s} has src == dst")
-                if (kind is request or kind is refill) and (
-                        p["n_bytes"] <= 0 or p["multipath"] < 1):
-                    raise ScenarioError(f"event at t={ev.time_s} has invalid size or k")
-                if kind is dos and not (
-                        0 <= p["rate_bytes_per_s"] < float("inf") and p["duration_s"] > 0):
-                    raise ScenarioError(f"dos at t={ev.time_s} needs a finite rate >= 0 "
-                                        "and a duration > 0")
-        except KeyError as missing:
-            raise ScenarioError(f"a scenario event lacks payload key {missing}") from None
 
     # -- queue ---------------------------------------------------------------
 
@@ -478,9 +305,9 @@ class Engine:
 
     def inject(self, event: Event) -> None:
         """Queue an externally supplied scenario event, checked as the
-        scenario's own events are and queued as ``run`` queues them; the
-        past is immutable."""
-        self._check_scenario_events([event])
+        scenario's own events are (``check_event``) and queued as ``run``
+        queues them; the past is immutable."""
+        check_event(event, self.topology, self.scenario.duration_s)
         p = event.payload
         first = p["start"] if event.kind is EventKind.DAY_WINDOW else event.time_s
         if first < self.now:
@@ -691,7 +518,7 @@ class Engine:
                 n = min(n, sender.pool_available(direction), sender.available_bytes)
                 if n <= 0:
                     continue
-                peer.reserve_exact(sender.reserve(n, Purpose.AUTHENTICATE)[0])
+                peer.reserve_exact(sender.reserve(n, Purpose.AUTHENTICATE))
 
     def _settle(self, lrts) -> None:
         """Bring links up to the last tick, and mark them for the next tick

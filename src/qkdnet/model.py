@@ -110,6 +110,9 @@ class Topology:
     def link(self, link_id: str) -> LinkSpec:
         return self._by_id[link_id]
 
+    def has_link(self, link_id: str) -> bool:
+        return link_id in self._by_id
+
     def profile_of(self, link: LinkSpec | str) -> DeviceProfile:
         if isinstance(link, str):
             link = self._by_id[link]

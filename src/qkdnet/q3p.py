@@ -21,10 +21,11 @@ end)`` in pool offsets. The sender allocates sequentially from its own pool,
 so every reservation is one span, ledgered by the sender alone; the receiver
 burns the exact same span when it opens the message (spans ride along
 in-memory, standing in for the key-synchronization dialogue of a real
-deployment). ``reserve`` returns a span and its bytes; ``reserve_exact``
-takes a span and burns it without reading its bytes. Messages may arrive in
-any order: ``reserve_exact`` refusing key already consumed is the one replay
-check.
+deployment). ``reserve`` returns a span and ``reserve_exact`` takes one;
+neither reads key bytes, so a caller that needs them reads
+``stream.read(span)``, and a spend that needs none (a DoS drain) derives
+none. Messages may arrive in any order: ``reserve_exact`` refusing key
+already consumed is the one replay check.
 
 Every message is keyed and tagged, and spends one span: its first bytes pad
 the encrypted part of the payload, if any, and its last 32 key the tag. The
@@ -384,10 +385,11 @@ class KeyStore:
         return None
 
     def reserve(self, n_bytes: int, purpose: Purpose,
-                auth_bytes: int = 0) -> tuple[Span, bytes]:
+                auth_bytes: int = 0) -> Span:
         """Claim the next ``n_bytes + auth_bytes`` of this store's own pool as
         one span: ``n_bytes`` for ``purpose``, then ``auth_bytes`` of
-        authentication key. Returns the span and its key bytes.
+        authentication key. Returns the span; it reads no key bytes, so a
+        caller that needs them reads ``stream.read(span)``.
 
         The ledger gets one record per purpose, as adjacent sub-spans. A
         reservation is taken whole or not at all; ``refusal`` says when not.
@@ -404,10 +406,9 @@ class KeyStore:
         self.ledger.append(LedgerRecord(ranges=(side, start, mid), purpose=purpose))
         if auth_bytes:
             self.ledger.append(LedgerRecord(ranges=(side, mid, end), purpose=Purpose.AUTHENTICATE))
-        span = (side, start, end)
         stream = self.stream
         stream.clock.spent.add(stream.index)
-        return span, stream.read(span)
+        return side, start, end
 
     def reserve_exact(self, span: Span) -> None:
         """Burn an explicit span of the peer's pool, mirroring the peer's
@@ -616,10 +617,11 @@ class Q3PLink:
         if n_enc > 0:
             if purpose not in _GENERAL_PURPOSES:
                 raise ValueError(f"purpose {purpose.value} does not permit encryption")
-            span, key = self.stores[side].reserve(n_enc, purpose, AUTH_KEY_BYTES)
+            span = self.stores[side].reserve(n_enc, purpose, AUTH_KEY_BYTES)
         else:
             n_enc = 0
-            span, key = self.stores[side].reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
+            span = self.stores[side].reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
+        key = self.stream.read(span)
         body = payload
         if n_enc:
             body = payload[:clear_len] + otp_encrypt(key[:n_enc], payload[clear_len:])

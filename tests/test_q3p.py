@@ -125,14 +125,15 @@ class TestReserve:
 
     def test_mirror_consumption_is_range_exact(self):
         a, b = _link(RNG.randbytes(1024), 0).stores
-        span, key = a.reserve(100, Purpose.ENCRYPT)
+        span = a.reserve(100, Purpose.ENCRYPT)
+        key = a.stream.read(span)
         b.reserve_exact(span)
         assert b.stream.read(span) == key
         assert a.available_bytes == b.available_bytes
 
     def test_double_exact_consumption_raises_key_reuse(self):
         s = store(1024)
-        span, _ = s.reserve(64, Purpose.AUTHENTICATE)
+        span = s.reserve(64, Purpose.AUTHENTICATE)
         with pytest.raises(KeyReuseError):
             s.reserve_exact(span)
 
@@ -142,10 +143,10 @@ class TestReserve:
         for side in (0, 1):
             s = _link(data).stores[side]
             s.stream.push(block)
-            first, key1 = s.reserve(100, Purpose.ENCRYPT)
-            second, key2 = s.reserve(500, Purpose.AUTHENTICATE)   # crosses into block 1's half
+            first = s.reserve(100, Purpose.ENCRYPT)
+            second = s.reserve(500, Purpose.AUTHENTICATE)   # crosses into block 1's half
             assert (first, second) == ((side, 0, 100), (side, 100, 600))
-            assert key1 + key2 == pool[side][:600]
+            assert s.stream.read(first) + s.stream.read(second) == pool[side][:600]
             assert [rec.n_bytes for rec in s.ledger] == [100, 500]
 
     def test_overlap_in_either_pool_raises_key_reuse(self):
@@ -153,7 +154,7 @@ class TestReserve:
         # the two spans apart
         a, b = _link(RNG.randbytes(1024), 0).stores
         for sender, receiver in ((a, b), (b, a)):
-            span, _ = sender.reserve(64, Purpose.ENCRYPT)
+            span = sender.reserve(64, Purpose.ENCRYPT)
             pool, start, end = span
             assert not spent(receiver, span)
             receiver.reserve_exact(span)
@@ -169,14 +170,14 @@ class TestReserve:
         # at or past the cursor is refused without moving or ledgering anything
         data = RNG.randbytes(100)
         s = _link(data).stores[0]
-        first, _ = s.reserve(10, Purpose.ENCRYPT)
+        first = s.reserve(10, Purpose.ENCRYPT)
         for span in ((0, 10, 20), (0, 30, 40)):
             with pytest.raises(ValueError):
                 s.reserve_exact(span)
         assert s.ledgered_bytes == 10 and [r.ranges for r in s.ledger] == [first]
-        span, key = s.reserve(30, Purpose.ENCRYPT)
+        span = s.reserve(30, Purpose.ENCRYPT)
         assert span == (0, 10, 40)
-        assert key == data[10:40]
+        assert s.stream.read(span) == data[10:40]
         assert s.consumed_ranges() == [(0, 0, 40)]
 
     def test_span_beyond_stream_or_empty_is_refused(self):
@@ -196,19 +197,19 @@ class TestReserve:
 class TestOtp:
     def test_zero_plaintext_reveals_key(self):
         s = store(1024, reserve=0)
-        _, key = s.reserve(64, Purpose.ENCRYPT)
+        key = s.stream.read(s.reserve(64, Purpose.ENCRYPT))
         assert otp_encrypt(key, bytes(64)) == key
 
     def test_involution(self):
         s = store(4096, reserve=0)
         plaintext = RNG.randbytes(500)
-        _, key = s.reserve(500, Purpose.ENCRYPT)
+        key = s.stream.read(s.reserve(500, Purpose.ENCRYPT))
         ct = otp_encrypt(key, plaintext)
         assert otp_decrypt(key, ct) == plaintext
 
     def test_length_mismatch(self):
         s = store(1024, reserve=0)
-        _, key = s.reserve(16, Purpose.ENCRYPT)
+        key = s.stream.read(s.reserve(16, Purpose.ENCRYPT))
         with pytest.raises(LengthMismatch):
             otp_encrypt(key, bytes(17))
 
@@ -246,8 +247,8 @@ class TestAuthentication:
     def test_round_trip(self):
         msg = b"link state: all good"
         link = make_link()
-        span, key = link.stores[0].reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
-        tag = authenticate(msg, key)
+        span = link.stores[0].reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
+        tag = authenticate(msg, link.stores[0].stream.read(span))
         link.stores[1].reserve_exact(span)
         mirror = link.stores[1].stream.read(span)
         assert verify(msg, tag, mirror)
@@ -268,11 +269,11 @@ class TestAuthentication:
 
     def test_key_reuse_blocked_by_ledger(self):
         s = store(1024, reserve=0)
-        span, key = s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
-        authenticate(b"first", key)
+        span = s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)
+        authenticate(b"first", s.stream.read(span))
         with pytest.raises(KeyReuseError):
             s.reserve_exact(span)
-        assert s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)[0][1] == span[2]
+        assert s.reserve(AUTH_KEY_BYTES, Purpose.AUTHENTICATE)[1] == span[2]
 
     def test_paired_folding_matches_one_block_reference(self):
         p = (1 << 128) - 159
@@ -842,9 +843,9 @@ class TestReserveCursor:
             if size > len(pools[d]) - offset[d]:
                 continue
             want = bytes(pools[d][offset[d] : offset[d] + size])
-            span, key = stores[d].reserve(size, Purpose.AUTHENTICATE)
+            span = stores[d].reserve(size, Purpose.AUTHENTICATE)
             assert span == (d, offset[d], offset[d] + size)
-            assert key == want
+            assert stores[d].stream.read(span) == want
             stores[1 - d].reserve_exact(span)
             assert stores[1 - d].stream.read(span) == want
             offset[d] += size
@@ -974,7 +975,8 @@ class TestLazyStream:
                     with pytest.raises(InsufficientKey):
                         sender.reserve(size, Purpose.AUTHENTICATE)
                     continue
-                span, key = sender.reserve(size, Purpose.AUTHENTICATE)
+                span = sender.reserve(size, Purpose.AUTHENTICATE)
+                key = sender.stream.read(span)
                 _, start, end = span
                 pools = reference_pools(seed, lengths, pushed)
                 assert key == bytes(pools[side][start:end])
@@ -1102,7 +1104,8 @@ class TestOffsetKey:
             sender, receiver = stores[side], stores[1 - side]
             if size > sender.pool_available(side):
                 continue
-            span, key = sender.reserve(size, Purpose.ENCRYPT)
+            span = sender.reserve(size, Purpose.ENCRYPT)
+            key = sender.stream.read(span)
             _, start, end = span
             assert key == bytes(pools[side][start:end])
             receiver.reserve_exact(span)

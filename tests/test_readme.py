@@ -5,8 +5,8 @@ as the grammar tables hold them."""
 import re
 from pathlib import Path
 
-from qkdnet.harness import SCENARIO_GRAMMAR, parse_scenario
 from qkdnet.model import REQUIRED, TOPOLOGY_GRAMMAR, ByKind, load_topology
+from qkdnet.scenarios import SCENARIO_GRAMMAR, parse_scenario
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 LIBRARY = README[README.index("## Library use"):README.index("## Config formats")]
