@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+from array import array
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from random import Random
@@ -192,7 +193,8 @@ class MetricsReport:
         self.seed = engine.seed
         self.samples = engine.samples
         self.records = [engine.requests[i].record for i in sorted(engine.requests)]
-        self.exposures = engine.exposures
+        self._exposure_columns = (engine.exposure_times, engine.exposure_nodes,
+                                  engine.exposure_requests, engine.exposure_bytes)
         self.link_events = engine.link_events
         # distillation runs inside the link devices and the rate law is net
         # of its key cost: its two frames per produced block (one each way)
@@ -221,6 +223,12 @@ class MetricsReport:
                 bits = rec.n_bytes * 8
                 self.delivered_bps[pair] = self.delivered_bps.get(pair, 0.0) + bits / self.duration_s
 
+    @property
+    def exposures(self) -> list[tuple[float, str, int, int]]:
+        """Each plaintext exposure at a relay as ``(time, node, request id,
+        bytes)``, rebuilt from the engine's columns."""
+        return list(zip(*self._exposure_columns))
+
     def metrics_csv(self) -> str:
         rows = ["time_s,link_id,level_bytes,rate_bps"]
         for t, link_id, level, rate in self.samples:
@@ -238,14 +246,14 @@ class MetricsReport:
                 {"time_s": t, "link": l, "event": e} for t, l, e in self.link_events
             ],
             "message_counts": self.msg_counts,
-            "exposure_count": len(self.exposures),
+            "exposure_count": len(self._exposure_columns[0]),   # the times column
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def audit_text(self) -> str:
         lines = [
             f"t={t:.6f} node={node} request={req} plaintext_bytes={n}"
-            for t, node, req, n in self.exposures
+            for t, node, req, n in zip(*self._exposure_columns)
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -291,7 +299,11 @@ class Engine:
         self._next_request_id = 0
         self._drains: list[_Drain] = []
         self.samples: list[tuple[float, str, int, float]] = []
-        self.exposures: list[tuple[float, str, int, int]] = []
+        # plaintext exposures at relays, as columns: time, node, request id, bytes
+        self.exposure_times = array("d")
+        self.exposure_nodes: list[str] = []
+        self.exposure_requests = array("q")
+        self.exposure_bytes = array("q")
         self.link_events: list[tuple[float, str, str]] = []
         self._started = False
         self._finalized = False
@@ -639,9 +651,10 @@ class Engine:
             rec.status = DeliveryStatus.FAILED
             rec.failure_reason = rec.failure_reason or reason
         req.final = True
-        # nothing reads a final request's fragments again
+        # nothing reads a final request's fragments or send queues again
         req.fragments.clear()
         req.received.clear()
+        req.queues = []
         if rec.status is DeliveryStatus.DELIVERED and req.refill_target:
             self._apply_refill(req.refill_target, rec.secret_at_dst)
 
@@ -655,7 +668,10 @@ class Engine:
         self._track_usability()
 
     def record_exposure(self, node: str, request_id: int, n_bytes: int) -> None:
-        self.exposures.append((self.now, node, request_id, n_bytes))
+        self.exposure_times.append(self.now)
+        self.exposure_nodes.append(node)
+        self.exposure_requests.append(request_id)
+        self.exposure_bytes.append(n_bytes)
 
     def draw_secret(self, n: int) -> bytes:
         return self._rng_secret.randbytes(n)

@@ -30,10 +30,12 @@ already consumed is the one replay check.
 Every message is keyed and tagged, and spends one span: its first bytes pad
 the encrypted part of the payload, if any, and its last 32 key the tag. The
 sender reserves the span once and the receiver checks and burns it in one
-``reserve_exact`` call. The sender's ledger still holds one record per
+``reserve_exact`` call. The sender's ledger still accounts one part per
 purpose, the pad part and the tag part, as adjacent sub-spans of that one
-reservation. Frames that need no key, such as transport acks, do not pass
-through this layer.
+reservation. It is stored as two columns, each part's end offset and its
+purpose, because each part starts where the one before it ended; it is read
+as records (``KeyStore.ledger``), rebuilt from the columns. Frames that need
+no key, such as transport acks, do not pass through this layer.
 
 The span is also the message's identity. The authenticated header carries
 it: magic, version, channel, pool, start, end and payload length. The
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import hmac
 import struct
+from array import array
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -122,6 +125,10 @@ class Purpose(str, Enum):
 # Purposes that must not dip the store below its authentication reserve.
 _GENERAL_PURPOSES = (Purpose.ENCRYPT, Purpose.PRESHARED_REFILL)
 
+# A ledger part's purpose is stored as its index in ``_PURPOSES``.
+_PURPOSES = tuple(Purpose)
+_PURPOSE_CODE = {purpose: code for code, purpose in enumerate(_PURPOSES)}
+
 
 # A span ``(pool, start, end)``: bytes ``[start, end)`` of one direction
 # pool. A plain tuple, so it hashes and compares equal at both ends.
@@ -130,7 +137,8 @@ Span = tuple[int, int, int]
 
 @dataclass(slots=True)
 class LedgerRecord:
-    """One reservation from a store's own pool: the span it spent and on what."""
+    """One part of a reservation from a store's own pool: the span it spent
+    and on what. ``KeyStore.ledger`` builds these from its columns."""
 
     ranges: Span
     purpose: Purpose
@@ -313,9 +321,15 @@ class KeyStore:
     The stream is held once per link (``KeyStream``); both stores are given
     it and read it. ``side`` 0 sits at the link's ``a`` endpoint and spends
     pool 0 (a to b); side 1 spends pool 1. A store holds each spent span once: its own pool
-    is consumed below its cursor and its ledger records each reservation,
-    one record per purpose; the peer's pool is consumed where the store
+    is consumed below its cursor and its ledger accounts each reservation,
+    one part per purpose; the peer's pool is consumed where the store
     opened the peer's messages, one merged span set plus its byte count.
+
+    The ledger is stored as two columns that ``reserve`` appends: each
+    part's end offset in the own pool (``array("q")``) and its purpose code
+    (``bytearray``), about 9 B per part. The parts tile the consumed prefix
+    in order, the first from 0, so the end offsets fix every span.
+    ``ledger`` reads them as ``LedgerRecord``s.
 
     Every read of a level first settles a stream that is behind its clock
     (``ProductionClock``), written inline so that a current stream costs one
@@ -330,7 +344,8 @@ class KeyStore:
         self.side = side
         self.auth_reserve = auth_reserve
         self.stream = stream
-        self.ledger: list[LedgerRecord] = []
+        self._part_ends = array("q")             # ledger: each part's end in pool ``side``
+        self._part_purposes = bytearray()        # ledger: each part's purpose code
         self._cursor = 0                         # next offset to reserve in pool ``side``
         self._opened = _IntervalSet()            # spans of the peer's pool opened here
         self._opened_bytes = 0
@@ -363,6 +378,16 @@ class KeyStore:
         spent = self._cursor if pool == self.side else self._opened_bytes
         return stream.lengths[pool] - spent
 
+    @property
+    def ledger(self) -> list[LedgerRecord]:
+        """One record per reserved part, in order, rebuilt from the columns:
+        each part starts where the one before it ended, the first at 0."""
+        side, start, records = self.side, 0, []
+        for end, code in zip(self._part_ends, self._part_purposes):
+            records.append(LedgerRecord((side, start, end), _PURPOSES[code]))
+            start = end
+        return records
+
     # -- reservation --------------------------------------------------------
 
     def refusal(self, general_bytes: int, total_bytes: int) -> str | None:
@@ -391,7 +416,7 @@ class KeyStore:
         authentication key. Returns the span; it reads no key bytes, so a
         caller that needs them reads ``stream.read(span)``.
 
-        The ledger gets one record per purpose, as adjacent sub-spans. A
+        The ledger gets one part per purpose, as adjacent sub-spans. A
         reservation is taken whole or not at all; ``refusal`` says when not.
         """
         if n_bytes <= 0 or auth_bytes < 0:
@@ -403,9 +428,11 @@ class KeyStore:
         side, start = self.side, self._cursor
         mid = start + n_bytes
         self._cursor = end = mid + auth_bytes
-        self.ledger.append(LedgerRecord(ranges=(side, start, mid), purpose=purpose))
+        self._part_ends.append(mid)
+        self._part_purposes.append(_PURPOSE_CODE[purpose])
         if auth_bytes:
-            self.ledger.append(LedgerRecord(ranges=(side, mid, end), purpose=Purpose.AUTHENTICATE))
+            self._part_ends.append(end)
+            self._part_purposes.append(_PURPOSE_CODE[Purpose.AUTHENTICATE])
         stream = self.stream
         stream.clock.spent.add(stream.index)
         return side, start, end

@@ -17,6 +17,7 @@ from qkdnet.q3p import (
     KeyReuseError,
     KeyStore,
     KeyStream,
+    LedgerRecord,
     LengthMismatch,
     Purpose,
     Q3PLink,
@@ -122,6 +123,31 @@ class TestReserve:
         assert all(start < end for _, start, end in spans)
         for (p1, s1, e1), (p2, s2, e2) in zip(spans, spans[1:]):
             assert p1 != p2 or e1 <= s2
+
+    def test_ledger_holds_each_part_in_under_40_bytes(self):
+        # 10,000 reservations of a pad part and a 32 B tag part each, made
+        # twice: the measured store keeps nothing else, and the spans the
+        # other store returns rebuild the records its ledger must read back
+        data = RNG.randbytes(1_600_000)
+        measured, kept = _link(data).stores[0], _link(data).stores[0]
+        sizes = [40 + i % 7 for i in range(10_000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in sizes:
+                measured.reserve(n, Purpose.ENCRYPT, AUTH_KEY_BYTES)
+            used = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert used / (2 * len(sizes)) < 40
+        spans = [kept.reserve(n, Purpose.ENCRYPT, AUTH_KEY_BYTES) for n in sizes]
+        want = []
+        for side, start, end in spans:
+            mid = end - AUTH_KEY_BYTES
+            want += [LedgerRecord((side, start, mid), Purpose.ENCRYPT),
+                     LedgerRecord((side, mid, end), Purpose.AUTHENTICATE)]
+        assert kept.ledger == want
+        assert measured.ledger == want
 
     def test_mirror_consumption_is_range_exact(self):
         a, b = _link(RNG.randbytes(1024), 0).stores
