@@ -13,7 +13,9 @@ import heapq
 import json
 from array import array
 from collections import Counter, defaultdict, deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from random import Random
 
 from .links import LinkRuntime, LinkState
@@ -44,7 +46,6 @@ from .routing import (
     shortest_path,
 )
 from .scenarios import Event, EventKind, Scenario, ScenarioError, check_event, check_scenario
-from .scenarios import parse_scenario  # noqa: F401  (the scenario names stay importable here)
 from .transport import (
     DeliveryRecord,
     DeliveryStatus,
@@ -68,6 +69,7 @@ SUMMARY_S = 10.0
 SAMPLE_PERIOD_S = 1.0
 _UP, _DOWN = LinkState.UP, LinkState.DOWN  # enum member lookups are slow on CPython 3.11
 SEGMENT_CLEAR_LEN = 18  # request id + seq + total + length travel unencrypted
+_JOIN_BATCH = 4096      # pieces of an output file joined at a time
 
 
 class TimeTravel(Exception):
@@ -185,13 +187,30 @@ class _HopState:
     attempts: int = 1
 
 
+def _joined(pieces: Iterable[str]) -> str:
+    """Join ``pieces`` ``_JOIN_BATCH`` at a time, then join the batches: a
+    file is held as short strings only one batch at a time."""
+    pieces = iter(pieces)
+    batches = []
+    while batch := list(islice(pieces, _JOIN_BATCH)):
+        batches.append("".join(batch))
+    return "".join(batches)
+
+
 class MetricsReport:
-    """Everything observed during a run; serializes deterministically."""
+    """Everything observed during a run; serializes deterministically.
+
+    Each of the three files is built from its pieces a batch at a time
+    (``_joined``): formatting one holds its batches and the joined file, not
+    a short string for every line or JSON token. The per-second samples stay
+    in the engine's columns (``Engine._sample``) and the exposures in its
+    four columns; ``samples`` and ``exposures`` rebuild their tuples when
+    read."""
 
     def __init__(self, engine: "Engine") -> None:
         self.duration_s = engine.scenario.duration_s
         self.seed = engine.seed
-        self.samples = engine.samples
+        self._sample_columns = (engine.sample_times, engine.sample_links)
         self.records = [engine.requests[i].record for i in sorted(engine.requests)]
         self._exposure_columns = (engine.exposure_times, engine.exposure_nodes,
                                   engine.exposure_requests, engine.exposure_bytes)
@@ -224,19 +243,32 @@ class MetricsReport:
                 self.delivered_bps[pair] = self.delivered_bps.get(pair, 0.0) + bits / self.duration_s
 
     @property
+    def samples(self) -> list[tuple[float, str, int, float]]:
+        """Each link's level and rate once a second as ``(time, link, level,
+        rate)``, links in id order at each time, rebuilt from the columns."""
+        return list(self._sample_rows())
+
+    def _sample_rows(self) -> Iterator[tuple[float, str, int, float]]:
+        times, links = self._sample_columns
+        for i, t in enumerate(times):
+            for link_id, levels, rates in links:
+                yield t, link_id, levels[i], rates[i]
+
+    @property
     def exposures(self) -> list[tuple[float, str, int, int]]:
         """Each plaintext exposure at a relay as ``(time, node, request id,
         bytes)``, rebuilt from the engine's columns."""
         return list(zip(*self._exposure_columns))
 
     def metrics_csv(self) -> str:
-        rows = ["time_s,link_id,level_bytes,rate_bps"]
-        for t, link_id, level, rate in self.samples:
-            rows.append(f"{t:.3f},{link_id},{level},{rate!r}")
-        return "\n".join(rows) + "\n"
+        rows = (f"{t:.3f},{link_id},{level},{rate!r}\n"
+                for t, link_id, level, rate in self._sample_rows())
+        return _joined(chain(("time_s,link_id,level_bytes,rate_bps\n",), rows))
 
     def summary_json(self) -> str:
-        doc = {
+        # the encoder holds the document only until it has yielded its last
+        # piece, so the report's request dicts are freed before the last join
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode({
             "duration_s": self.duration_s,
             "seed": self.seed,
             "requests": [rec.summary() for rec in self.records],
@@ -247,15 +279,14 @@ class MetricsReport:
             ],
             "message_counts": self.msg_counts,
             "exposure_count": len(self._exposure_columns[0]),   # the times column
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        })
+        return _joined(chain(chunks, ("\n",)))
 
     def audit_text(self) -> str:
-        lines = [
-            f"t={t:.6f} node={node} request={req} plaintext_bytes={n}"
+        return _joined(
+            f"t={t:.6f} node={node} request={req} plaintext_bytes={n}\n"
             for t, node, req, n in zip(*self._exposure_columns)
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        )
 
 
 class Engine:
@@ -298,7 +329,10 @@ class Engine:
         self.requests: dict[int, _Request] = {}
         self._next_request_id = 0
         self._drains: list[_Drain] = []
-        self.samples: list[tuple[float, str, int, float]] = []
+        # per-second samples, as columns: the times, then for each link in
+        # id order its id, levels and rates
+        self.sample_times = array("d")
+        self.sample_links = [(link_id, array("q"), array("d")) for link_id in sorted(self.links)]
         # plaintext exposures at relays, as columns: time, node, request id, bytes
         self.exposure_times = array("d")
         self.exposure_nodes: list[str] = []
@@ -698,11 +732,11 @@ class Engine:
         if self._last_sample_time == self.now:
             return
         self._last_sample_time = self.now
-        for link_id in sorted(self.links):
+        self.sample_times.append(self.now)
+        for link_id, levels, rates in self.sample_links:
             lrt = self.links[link_id]
-            self.samples.append(
-                (self.now, link_id, lrt.q3p.min_level(), lrt.runtime.rate_bps)
-            )
+            levels.append(lrt.q3p.min_level())
+            rates.append(lrt.runtime.rate_bps)
 
 
 class NodeAgent:

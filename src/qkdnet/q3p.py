@@ -210,7 +210,9 @@ class KeyStream:
     ``shake_128(seed || p || j)``. ``produce`` only grows the pools'
     ``lengths`` and ``appended_bytes``, the latter a counter because every
     level reads it. ``read`` derives the chunks a span covers and keeps the
-    last two it derived in each pool. Pushed blocks are real key: each half
+    last one it derived in each pool: a pool is read at its sender's
+    cursor, which only moves forward (a receiver reads key only to open an
+    altered message). Pushed blocks are real key: each half
     is kept at the offset where it landed, consecutive pushes as one run,
     and ``read`` lays the runs over the derived bytes. So a byte reads the
     same whenever it is read, and a stream holds only its runs and cached
@@ -249,8 +251,7 @@ class KeyStream:
     def _chunk(self, pool: int, j: int) -> bytes:
         cache = self._cache[pool]
         if j not in cache:
-            if len(cache) == 2:
-                del cache[next(iter(cache))]
+            cache.clear()
             cache[j] = shake_128(self._seed + _CHUNK_ID.pack(pool, j)).digest(CHUNK_BYTES)
         return cache[j]
 

@@ -180,13 +180,8 @@ class LinkStateDB:
         return link_id in self.usable_levels
 
     def min_level(self, link_id: str) -> int:
-        level = self.usable_levels.get(link_id)
-        if level is not None:
-            return level
-        pair = self.pair(link_id)
-        if pair is None:
-            return 0
-        return min(ad.level_bytes for ad in pair)
+        """The lower advertised level of a usable link; paths hold no other."""
+        return self.usable_levels[link_id]
 
     def min_rate(self, link_id: str) -> float:
         pair = self.pair(link_id)

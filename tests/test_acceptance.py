@@ -12,8 +12,9 @@ from random import Random
 import networkx as nx
 import pytest
 
+from qkdnet import parse_scenario
 from qkdnet.cli import main
-from qkdnet.harness import Engine, parse_scenario
+from qkdnet.harness import Engine
 from qkdnet.links import qualifies_for_deployment
 from qkdnet.model import DeviceProfile, building_block_preset, vienna_preset
 from qkdnet.planner import (

@@ -6,7 +6,8 @@ change to what the ledgers hold cannot shift the metric unnoticed."""
 import importlib.util
 from pathlib import Path
 
-from qkdnet.harness import Engine, parse_scenario
+from qkdnet import parse_scenario
+from qkdnet.harness import Engine
 from qkdnet.model import vienna_preset
 
 CHILD = Path(__file__).resolve().parent.parent / "bench" / "child.py"

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from invariants import check_run
 from keyref import derived_pool
 
-from qkdnet import harness, q3p, scenarios
+from qkdnet import harness, parse_scenario, q3p, scenarios
 from qkdnet.harness import (
     PRODUCE_TICK_S,
     SUMMARY_S,
@@ -22,7 +22,6 @@ from qkdnet.harness import (
     Scenario,
     ScenarioError,
     TimeTravel,
-    parse_scenario,
     sub_seed,
 )
 from qkdnet.links import LinkRuntime, LinkState, key_rate
@@ -112,7 +111,7 @@ class TestScenarioParsing:
     def test_harness_scenario_names_are_the_scenario_modules(self):
         # bench/child.py counts submitted requests by identity against
         # qkdnet.harness.EventKind; a second class would count none
-        for name in ("EventKind", "Event", "Scenario", "ScenarioError", "parse_scenario"):
+        for name in ("EventKind", "Event", "Scenario", "ScenarioError"):
             assert getattr(harness, name) is getattr(scenarios, name), name
 
     def test_engine_rejects_unknown_references(self):
@@ -550,6 +549,36 @@ class TestReportShape:
         assert doc["requests"][0]["status"] == "delivered"
         assert doc["requests"][0]["ends_match"] is True
         assert "SIE-ERD" in doc["link_stats"]
+
+    def test_files_are_built_without_a_string_per_piece(self):
+        # 400 requests of four fragments along a five-node line of fast
+        # links: each fragment is exposed at three relays, more lines than
+        # one join batch. Joining every JSON token or audit line at once held
+        # about 7x the summary and 4.1x the audit log; batched joins hold
+        # about 3.3x and 3x
+        topo = ["[profile] id=fast r0_bps=2000000 alpha=0.2 max_km=60 restart_s=30"]
+        topo += [f"[node] name=L{i} kind=qbb" for i in range(5)]
+        topo += [f"[link] id=L{i}-L{i + 1} a=L{i} b=L{i + 1} km=1 profile=fast class=qbb "
+                 "preshared=131072" for i in range(4)]
+        lines = ["[scenario] duration=22 seed=1"]
+        lines += [f"[event] t={i / 20} kind=request src=L0 dst=L4 bytes=4096 k=1"
+                  for i in range(400)]
+        rep = Engine(load_topology("\n".join(topo) + "\n"),
+                     parse_scenario("\n".join(lines) + "\n")).run()
+        assert len(rep.records) == 400
+        assert len(rep.exposures) > harness._JOIN_BATCH
+        for build, bound in ((rep.summary_json, 5.0), (rep.audit_text, 3.5)):
+            tracemalloc.start()
+            try:
+                text = build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak / len(text) < bound, build.__name__
+        rows = [row.split(",") for row in rep.metrics_csv().splitlines()[1:]]
+        assert rep.samples == [(float(t), link_id, int(level), float(rate))
+                               for t, link_id, level, rate in rows]
+        assert len(rep.samples) == 23 * 4             # t = 0, 1, ..., 22
 
 
 class TestReordering:

@@ -522,7 +522,10 @@ class TestLevelTable:
             assert db.update(LinkStateAd(link_id, origin, seq, up, level, 1.0, 0)) is newer
             for lid in link_ids:
                 assert db.usable(lid) is _reference_usable(db, lid)
-                assert db.min_level(lid) == _reference_min_level(db, lid)
+                if _reference_usable(db, lid):
+                    assert db.min_level(lid) == _reference_min_level(db, lid)
+                else:
+                    assert lid not in db.usable_levels
                 level = db.usable_levels.get(lid)
                 for p in (params, RouteCostParams()):
                     want = _reference_link_cost(db, lid, p)

@@ -1,7 +1,8 @@
 """Hop-by-hop transport: accounting, multipath split, retransmission with
 fresh key, refill of a drained pre-shared secret."""
 
-from qkdnet.harness import Engine, parse_scenario
+from qkdnet import parse_scenario
+from qkdnet.harness import Engine
 from qkdnet.model import building_block_preset, vienna_preset
 from qkdnet.q3p import Channel
 from qkdnet.routing import LinkStateAd, LinkStateDB
