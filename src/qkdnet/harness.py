@@ -41,7 +41,6 @@ from .routing import (
     decode_lsa,
     decode_summary,
     encode_lsa,
-    encode_summary,
     lsa_instances,
     shortest_path,
 )
@@ -67,6 +66,8 @@ PRODUCE_TICK_S = 0.1
 HOP_LATENCY_S = 0.005
 SUMMARY_S = 10.0
 SAMPLE_PERIOD_S = 1.0
+_SUMMARY_TICKS = round(SUMMARY_S / PRODUCE_TICK_S)
+_SAMPLE_TICKS = round(SAMPLE_PERIOD_S / PRODUCE_TICK_S)
 _UP, _DOWN = LinkState.UP, LinkState.DOWN  # enum member lookups are slow on CPython 3.11
 SEGMENT_CLEAR_LEN = 18  # request id + seq + total + length travel unencrypted
 _JOIN_BATCH = 4096      # pieces of an output file joined at a time
@@ -299,6 +300,7 @@ class Engine:
         self.seed = scenario.seed if seed is None else seed
         self.cost_params = RouteCostParams()
         self.now = 0.0
+        self._last_tick = round(scenario.duration_s / PRODUCE_TICK_S)
         self._queue: list[tuple[float, int, Event]] = []
         self._order = 0
         self.instances = lsa_instances(topology)
@@ -469,7 +471,7 @@ class Engine:
         """Queue the run's production tick ``i``, if it has one. Order 0 puts
         it first at its time: a tick at time t covers the interval ending at
         t, so state changes scheduled at t apply to later intervals."""
-        if i <= round(self.scenario.duration_s / PRODUCE_TICK_S):
+        if i <= self._last_tick:
             self._schedule(Event(round(i * PRODUCE_TICK_S, 6), EventKind.PRODUCE_TICK, {}),
                            order=0)
 
@@ -492,12 +494,17 @@ class Engine:
         (``NodeAgent.on_tick``, in node order) only when an end left its
         band or a link came up during production. Usability is judged from
         the examined levels unless an agent was polled or a summary was sent,
-        either of which may have spent key since; then over all links."""
+        either of which may have spent key since; then over all links.
+
+        A tick with no eager link, no drain, nothing spent, no wake and no
+        summary or sample due examines nothing and polls no one, so it
+        returns once the drains are applied."""
         clock = self.clock
         clock.ticks = ticks = clock.ticks + 1
         self._queue_tick(ticks + 1)
         poll = False
-        for lrt in self._eager:
+        eager = self._eager
+        for lrt in eager:
             runtime = lrt.runtime
             was_up = runtime.status.state is _UP
             lrt.settle()
@@ -507,8 +514,12 @@ class Engine:
         if poll:
             self._refresh_eager()
         self._apply_drains()
-        examined = []
+        summary = ticks % _SUMMARY_TICKS == 0
+        sample = ticks % _SAMPLE_TICKS == 0
         wakes = self._wakes
+        if not (eager or self._drains or clock.spent or ticks in wakes or summary or sample):
+            return
+        examined = []
         for lrt in self._due(ticks):
             a, b = lrt.q3p.stores
             level_a, level_b = a.available_bytes, b.available_bytes
@@ -528,12 +539,11 @@ class Engine:
         if poll:
             for agent in self.agents.values():
                 agent.on_tick()
-        summary = ticks % round(SUMMARY_S / PRODUCE_TICK_S) == 0
         if summary:
             for agent in self.agents.values():
                 agent.send_summary()
         self._track_usability(None if poll or summary else examined)
-        if ticks % round(SAMPLE_PERIOD_S / PRODUCE_TICK_S) == 0:
+        if sample:
             self._sample()
 
     def _due(self, ticks: int) -> list[_LinkRT]:
@@ -783,10 +793,10 @@ class NodeAgent:
         self.flood.accept(lsa)
         lrt.advertised[side] = (lsa.up, *_band(lsa.level_bytes))
         self.engine.clock.spent.add(lrt.index)       # its band moved: examine it
-        self._flood_out(lsa, arrived_on=None)
+        self._flood_out(encode_lsa(lsa), arrived_on=None)
 
-    def _flood_out(self, lsa: LinkStateAd, arrived_on: str | None) -> None:
-        payload = encode_lsa(lsa)
+    def _flood_out(self, payload: bytes, arrived_on: str | None) -> None:
+        """Send one encoded LSA on every incident link but the one it came on."""
         for link in self.incident:
             if link.id != arrived_on:
                 self._send_routing(link.id, Channel.ROUTING, payload)
@@ -794,7 +804,7 @@ class NodeAgent:
     def send_summary(self, links: tuple[LinkSpec, ...] = ()) -> None:
         """Send each neighbour (over ``links``, default all incident links)
         one authenticated frame listing every LSA this node holds."""
-        payload = encode_summary(self.db.lsas())
+        payload = self.db.summary()
         for link in links or self.incident:
             self._send_routing(link.id, Channel.LSDB_SUMMARY, payload)
 
@@ -850,11 +860,12 @@ class NodeAgent:
             self.engine.msg_counts["replay_drops"] += 1
             return
         if msg.channel == Channel.ROUTING:
-            lsa = decode_lsa(payload, self.engine.instances)
-            if self.flood.accept(lsa):
-                self._flood_out(lsa, arrived_on=link_id)
+            if self.flood.accept(decode_lsa(payload, self.engine.instances)):
+                self._flood_out(payload, arrived_on=link_id)
         elif msg.channel == Channel.LSDB_SUMMARY:
-            self._on_summary(link_id, decode_summary(payload, self.engine.instances))
+            # a summary equal to our own lacks nothing we hold
+            if payload != self.db.summary():
+                self._on_summary(link_id, decode_summary(payload, self.engine.instances))
         elif msg.channel == Channel.TRANSPORT:
             self._on_segment(link_id, payload, route)
 

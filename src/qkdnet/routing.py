@@ -12,12 +12,18 @@ neighbour one authenticated frame listing ``(instance hash, seq)`` for every
 LSA in its database, and a node that receives one sends back every LSA the
 summary lacks or holds older. That one path repairs lost LSAs, LSAs skipped
 for lack of key and cuts healed by a restore, at a constant 32 bytes of
-authentication key per link direction per period.
+authentication key per link direction per period. A summary lists its
+entries in instance-hash order, as a CSNP lists LSP IDs in order, so two
+databases that hold the same LSAs give equal bytes, and a node that
+receives a summary equal to its own has nothing to send back.
 
 Each node's database keeps one number per link beside the advertisements:
 the lower of the two ends' levels when the link is usable, set when an
 advertisement is installed. Path search reads that table and never
-re-derives an advertisement pair on an edge."""
+re-derives an advertisement pair on an edge. Everything derived from the
+database (its summary and every path search's answer) is kept until the
+database next installs an advertisement, as OSPF recomputes routes only
+when its LSDB changes (RFC 2328 §16)."""
 
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cache
 from heapq import heappop, heappush
 from typing import Iterable
 
@@ -52,8 +59,10 @@ class LinkStateAd:
     timestamp_ms: int
 
 
+@cache
 def lsa_instance_hash(link_id: str, origin: str) -> int:
-    """32-bit identifier of one (link, advertising end) instance."""
+    """32-bit identifier of one (link, advertising end) instance, computed
+    once per instance."""
     return zlib.crc32(f"{link_id}/{origin}".encode())
 
 
@@ -136,12 +145,17 @@ class LinkStateDB:
     levels and holds no entry for any other link. ``update`` is the only
     writer of ``ads`` and sets the link's entry whenever it installs an
     advertisement, against the authentication floor ``AUTH_RESERVE_DEFAULT``.
+    Every install also drops what was derived from the database before it:
+    the summary payload (``summary``) and ``routes``, the answers of
+    ``shortest_path`` (a ``Path``, or None for ``NoRoute``) by query.
     """
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
         self.ads: dict[str, dict[str, LinkStateAd]] = {}
         self.usable_levels: dict[str, int] = {}
+        self.routes: dict[tuple, Path | None] = {}
+        self._summary: bytes | None = None
 
     def update(self, lsa: LinkStateAd) -> bool:
         """Install if strictly newer than the held instance; returns whether
@@ -152,6 +166,8 @@ class LinkStateDB:
             return False
         link = self.topology.link(lsa.link_id)
         both[lsa.origin] = lsa
+        self.routes.clear()
+        self._summary = None
         a, b = both.get(link.a), both.get(link.b)
         floor = AUTH_RESERVE_DEFAULT
         # usable: both ends advertise Up and hold more key than the floor
@@ -166,6 +182,15 @@ class LinkStateDB:
         """Every held advertisement, in installation order."""
         for both in self.ads.values():
             yield from both.values()
+
+    def summary(self) -> bytes:
+        """The summary payload (``encode_summary``) of every held
+        advertisement, in instance-hash order: databases holding the same
+        (instance, seq) set give equal bytes. Built once per install."""
+        if self._summary is None:
+            self._summary = encode_summary(sorted(
+                self.lsas(), key=lambda lsa: lsa_instance_hash(lsa.link_id, lsa.origin)))
+        return self._summary
 
     def pair(self, link_id: str) -> tuple[LinkStateAd, LinkStateAd] | None:
         link = self.topology.link(link_id)
@@ -224,10 +249,27 @@ def shortest_path(
     order alone settles ties: an entry is (cost, node sequence, link
     sequence), and no two entries are equal because each node expands once,
     so the pop order does not depend on the order neighbours are pushed in.
+    The answer depends on nothing but the query and that table, so it is
+    kept in ``db.routes`` until the database next installs an advertisement.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
     params = params or RouteCostParams()
+    query = (src, dst, frozenset(exclude_links), frozenset(exclude_nodes),
+             params.hop_cost, params.scarcity_weight, params.target_level_bytes)
+    try:
+        path = db.routes[query]
+    except KeyError:
+        path = db.routes[query] = _search(db, src, dst, params, exclude_links, exclude_nodes)
+    if path is None:
+        raise NoRoute(f"no usable path {src} -> {dst}")
+    return path
+
+
+def _search(db: LinkStateDB, src: str, dst: str, params: RouteCostParams,
+            exclude_links: frozenset[str] | set[str],
+            exclude_nodes: frozenset[str] | set[str]) -> Path | None:
+    """``shortest_path``'s search itself; None when there is no route."""
     topo = db.topology
     kinds = topo.nodes
     levels = db.usable_levels
@@ -255,7 +297,7 @@ def shortest_path(
                 continue
             heappush(heap, (cost + step_cost(level),
                             nodes + (neighbor,), link_ids + (link.id,)))
-    raise NoRoute(f"no usable path {src} -> {dst}")
+    return None
 
 
 def _collapse_user(topo: Topology, node: str) -> tuple[str, str | None]:

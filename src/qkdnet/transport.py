@@ -10,6 +10,7 @@ and the series-parallel rate calculation.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -53,8 +54,6 @@ class DeliveryRecord:
     failure_reason: str | None = None
 
     def summary(self) -> dict:
-        import hashlib
-
         return {
             "request_id": self.request_id,
             "src": self.src,

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from invariants import check_run
 from keyref import derived_pool
 
-from qkdnet import harness, parse_scenario, q3p, scenarios
+from qkdnet import harness, parse_scenario, q3p, routing, scenarios
 from qkdnet.harness import (
     PRODUCE_TICK_S,
     SUMMARY_S,
@@ -462,6 +462,44 @@ class TestFloodingIntegration:
         assert held[0][("R23", "N3")][0] == 2     # the drain's advertisement
         assert held[0][("R34", "N3")][1] is False
 
+    @staticmethod
+    def _converged_ring() -> Engine:
+        eng = Engine(load_topology(RING4), parse_scenario("[scenario] duration=2 seed=1\n"))
+        eng.run()
+        return eng
+
+    @staticmethod
+    def _summary_to_n1(eng: Engine, summary: bytes) -> tuple[list, list]:
+        """Seal ``summary`` at N2 and hand it to N1 over R12; return the
+        frames N1 sent in reply, as (link, channel, payload), and whether
+        each of N1's stores reserved key."""
+        n1 = eng.agents["N1"]
+        sent = []
+        eng.send_message = lambda link_id, _, msg, route=(): sent.append(
+            (link_id, msg.channel, msg.payload))
+        ledgers = [len(store.ledger) for _, _, store in n1._ends.values()]
+        msg = eng.links["R12"].q3p.seal(1, Channel.LSDB_SUMMARY, summary, encrypt=False)
+        n1.on_message("R12", msg, ())
+        spent = [len(store.ledger) != n for (_, _, store), n in zip(n1._ends.values(), ledgers)]
+        return sent, spent
+
+    def test_summary_equal_to_our_own_sends_nothing(self, monkeypatch):
+        eng = self._converged_ring()
+        summary = eng.agents["N2"].db.summary()
+        assert summary == eng.agents["N1"].db.summary()
+        monkeypatch.setattr(harness, "decode_summary", None)   # not even decoded
+        sent, spent = self._summary_to_n1(eng, summary)
+        assert sent == [] and not any(spent)
+
+    def test_summary_lacking_an_lsa_gets_exactly_that_lsa(self):
+        eng = self._converged_ring()
+        lsas = list(eng.agents["N2"].db.lsas())
+        lacking = lsas[5]
+        sent, spent = self._summary_to_n1(
+            eng, routing.encode_summary(lsa for lsa in lsas if lsa is not lacking))
+        assert sent == [("R12", Channel.ROUTING, routing.encode_lsa(lacking))]
+        assert spent == [link.id == "R12" for link in eng.agents["N1"].incident]
+
     @given(
         name=st.sampled_from(sorted(PRESETS)),
         loss=st.floats(0.0, 0.05),
@@ -804,18 +842,21 @@ def _last_advertised(log: list) -> dict:
     return {(node, link): (up, level) for _, node, link, _, up, level in log}
 
 
-def _poll_every_tick(eng: Engine, log: list) -> None:
+def _poll_every_tick(eng: Engine, log: list) -> set:
     """The reference: every link produces at every tick, in link order,
     before the drains, and the tick examines every link; every agent is
     polled on every tick and decides with the origination rule written out,
-    not with the engine's bands."""
+    not with the engine's bands. Returns the set of ticks at which agents
+    were polled, filled as the run goes."""
     floor = AUTH_RESERVE_DEFAULT
+    polled = set()
     every_link = list(eng.links.values())
     eng._refresh_eager = lambda: setattr(eng, "_eager", every_link)
     eng._refresh_eager()
     eng._due = lambda ticks: every_link
 
     def polling_on_tick(agent):
+        polled.add(eng.clock.ticks)
         last = _last_advertised(log)
         for link_id, (lrt, _, store) in agent._ends.items():
             up = lrt.runtime.status.state is LinkState.UP
@@ -834,6 +875,7 @@ def _poll_every_tick(eng: Engine, log: list) -> None:
         for lrt in eng.links.values():   # an empty band: the tick polls the agents
             lrt.advertised[:] = [(False, 0, 0), (False, 0, 0)]
     eng._apply_drains = drains_then_empty_bands
+    return polled
 
 
 def _move_level(lrt, side: int, target: int) -> None:
@@ -956,13 +998,29 @@ class TestGatedTick:
             log = _log_originations(eng)
             _nudge_to_edges(eng, log, nudges)
             if reference:
-                _poll_every_tick(eng, log)
+                polled = _poll_every_tick(eng, log)
             rep = eng.run()
             check_run(eng, rep)
+            if reference:
+                # an idle tick's early return must not weaken the reference
+                assert polled == set(range(1, eng.clock.ticks + 1))
             return ([entry[:4] + entry[5:] for entry in log],
                     rep.metrics_csv(), rep.summary_json(), rep.audit_text())
 
         assert run(reference=False) == run(reference=True)
+
+    def test_quiet_run_dispatches_every_tick_and_works_in_few(self):
+        # an idle tick still runs, and so still counts in ``clock.ticks``,
+        # but returns once the drains are applied, before examining links
+        eng = Engine(vienna_preset(), parse_scenario("[scenario] duration=60 seed=1\n"))
+        kinds, worked = Counter(), []
+        dispatch, due = eng._dispatch, eng._due
+        eng._dispatch = lambda event: (kinds.update([event.kind]), dispatch(event))
+        eng._due = lambda ticks: (worked.append(ticks), due(ticks))[1]
+        eng.run()
+        assert kinds[EventKind.PRODUCE_TICK] == eng.clock.ticks == round(60 / PRODUCE_TICK_S)
+        # the per-second samples alone need 60 of the 600
+        assert 60 <= len(worked) < 0.25 * eng.clock.ticks
 
     def test_agents_are_polled_in_few_ticks_of_a_steady_run(self, monkeypatch):
         polled_ticks = set()

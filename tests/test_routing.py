@@ -95,6 +95,46 @@ class TestSummaryCodec:
         assert held[("L2", "QC")] == 7 and len(held) == 2 * len(topo.links)
 
 
+class TestDatabaseSummary:
+    """``LinkStateDB.summary``: entries in instance-hash order, rebuilt after
+    every install."""
+
+    def _install(self, topo, order, seqs):
+        db = LinkStateDB(topo)
+        for link_id, origin in order:
+            db.update(LinkStateAd(link_id, origin, seqs.get((link_id, origin), 1),
+                                  True, 131072, 1000.0, 0))
+        return db
+
+    def test_same_instances_and_seqs_give_equal_bytes_in_any_order(self):
+        topo = vienna_preset()
+        order = [(link.id, origin) for link in topo.links for origin in (link.a, link.b)]
+        seqs = {order[3]: 5, order[8]: 2}
+        a = self._install(topo, order, seqs)
+        b = self._install(topo, order[::-1], seqs)
+        assert list(a.lsas()) != list(b.lsas())
+        assert a.summary() == b.summary()
+        hashes = [h for h, _ in struct.iter_unpack(">IQ", a.summary())]
+        assert hashes == sorted(hashes) and len(hashes) == len(order)
+
+    def test_one_differing_seq_gives_different_bytes(self):
+        topo = vienna_preset()
+        order = [(link.id, origin) for link in topo.links for origin in (link.a, link.b)]
+        a = self._install(topo, order, {})
+        b = self._install(topo, order, {})
+        assert a.summary() == b.summary()
+        a.update(LinkStateAd(*order[5], 2, True, 131072, 1000.0, 0))
+        assert a.summary() != b.summary() and len(a.summary()) == len(b.summary())
+
+    def test_decodes_as_the_installation_order_encoding(self):
+        topo = building_block_preset()
+        db = saturated_db(topo)
+        set_level(db, "L2", 500, seq=7)
+        table = lsa_instances(topo)
+        assert (decode_summary(db.summary(), table)
+                == decode_summary(encode_summary(db.lsas()), table))
+
+
 class TestLinkCost:
     def test_saturated_is_pure_hop_cost(self):
         db = saturated_db(building_block_preset())
@@ -530,3 +570,116 @@ class TestLevelTable:
                 for p in (params, RouteCostParams()):
                     want = _reference_link_cost(db, lid, p)
                     assert want == (math.inf if level is None else p.step_cost(level))
+
+
+# --- route cache ------------------------------------------------------------
+
+def _grid6_with_users():
+    """Six backbone nodes as two rows of three, with an end-user on two
+    corners: the harness tests' GRID6 shape."""
+    backbone = [("A", "B"), ("B", "C"), ("D", "E"), ("E", "F"),
+                ("A", "D"), ("B", "E"), ("C", "F")]
+    ends = ([(a, b, LinkClass.QBB_FIBER) for a, b in backbone]
+            + [("u0", "A", LinkClass.QAN_FIBER), ("u1", "F", LinkClass.QAN_FIBER)])
+    nodes = {n: NodeKind.QBB for n in "ABCDEF"}
+    nodes.update(u0=NodeKind.END_USER, u1=NodeKind.END_USER)
+    topo = Topology(nodes=nodes, profiles={"p": _PROFILE}, links=tuple(
+        LinkSpec(a + b, a, b, 10.0, "p", cls, 8192) for a, b, cls in ends))
+    validate_topology(topo)
+    return topo
+
+
+_GRID6 = _grid6_with_users()
+
+
+class TestRouteCache:
+    """``shortest_path`` keeps each answer until the database installs an
+    advertisement; a kept answer must be the one a fresh search gives."""
+
+    # few queries, so that most repeat one already answered; some differ
+    # only in their excludes or in their cost values
+    QUERIES = [
+        ("u0", "u1", frozenset(), frozenset(), None),
+        ("u0", "u1", frozenset(), frozenset(), RouteCostParams(scarcity_weight=0.0)),
+        ("u0", "u1", frozenset(), frozenset(), RouteCostParams(target_level_bytes=8192)),
+        ("u0", "u1", {"BE"}, frozenset(), None),
+        ("A", "F", frozenset(), frozenset(), RouteCostParams()),
+        ("A", "F", frozenset(), {"E"}, RouteCostParams()),
+        ("C", "D", frozenset({"AB", "EF"}), frozenset(), RouteCostParams(hop_cost=0.0)),
+        ("B", "D", frozenset({"AB", "EF"}), frozenset(), RouteCostParams(hop_cost=0.0)),
+        # with every cost 0 the tie-break takes A-B-C-F-E over A-B-E
+        ("A", "E", frozenset(), frozenset(), RouteCostParams()),
+        ("A", "E", frozenset(), frozenset(), RouteCostParams(hop_cost=0.0, scarcity_weight=0.0)),
+    ]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_answers_equal_a_fresh_databases(self, data):
+        topo = _GRID6
+        link_ids = sorted(link.id for link in topo.links)
+        db = LinkStateDB(topo)
+        installed = []
+        if data.draw(st.booleans(), label="start saturated"):
+            installed = list(saturated_db(topo).lsas())
+            for lsa in installed:
+                db.update(lsa)
+        for _ in range(data.draw(st.integers(1, 40), label="steps")):
+            if data.draw(st.integers(0, 2), label="install") == 0:
+                link = topo.link(data.draw(st.sampled_from(link_ids)))
+                origin = data.draw(st.sampled_from([link.a, link.b]))
+                held = db.ads.get(link.id, {}).get(origin)
+                if held is not None and data.draw(st.booleans(), label="same view"):
+                    # newer, but nothing usable changes
+                    lsa = LinkStateAd(link.id, origin, held.seq + 1, held.up,
+                                      held.level_bytes, held.rate_bps, 0)
+                else:
+                    seq = data.draw(st.integers(0, 2)) + (held.seq if held is not None else 0)
+                    lsa = LinkStateAd(link.id, origin, seq, data.draw(st.integers(0, 5)) != 0,
+                                      data.draw(_LEVELS), 1000.0, 0)
+                db.update(lsa)
+                installed.append(lsa)
+                continue
+            src, dst, exclude_links, exclude_nodes, params = data.draw(
+                st.sampled_from(self.QUERIES), label="query")
+            k = data.draw(st.integers(1, 3))
+            fresh = LinkStateDB(topo)
+            for lsa in installed:
+                fresh.update(lsa)
+            kwargs = dict(exclude_links=exclude_links, exclude_nodes=exclude_nodes)
+            assert (_route(shortest_path, db, src, dst, params, **kwargs)
+                    == _route(shortest_path, fresh, src, dst, params, **kwargs))
+            assert (disjoint_paths(db, src, dst, k, params, exclude_links=exclude_links)
+                    == disjoint_paths(fresh, src, dst, k, params, exclude_links=exclude_links))
+
+    def test_repeated_query_is_searched_once_per_install(self, monkeypatch):
+        db = saturated_db(_GRID6)
+        searches = []
+        search = routing._search
+
+        def counted(*args):
+            searches.append(args[1:3])
+            return search(*args)
+
+        monkeypatch.setattr(routing, "_search", counted)
+        first = shortest_path(db, "u0", "u1")
+        assert shortest_path(db, "u0", "u1") is first and len(searches) == 1
+        # another exclude set, or other cost values, is another query
+        shortest_path(db, "u0", "u1", exclude_links={"AB"})
+        shortest_path(db, "u0", "u1", RouteCostParams(hop_cost=0.5))
+        assert len(searches) == 3
+        # an install that changes nothing usable still drops every answer
+        held = db.ads["AB"]["A"]
+        assert db.update(LinkStateAd("AB", "A", held.seq + 1, True, held.level_bytes,
+                                     held.rate_bps, 0))
+        assert shortest_path(db, "u0", "u1") == first and len(searches) == 4
+
+    def test_no_route_is_kept_and_raised_each_time(self, monkeypatch):
+        db = LinkStateDB(_GRID6)
+        searches = []
+        search = routing._search
+        monkeypatch.setattr(routing, "_search",
+                            lambda *args: searches.append(args) or search(*args))
+        for _ in range(2):
+            with pytest.raises(NoRoute):
+                shortest_path(db, "A", "F")
+        assert len(searches) == 1
