@@ -35,10 +35,10 @@ from .routing import (
     FloodingState,
     LinkStateAd,
     LinkStateDB,
+    LsaTable,
     NoRoute,
     Path,
     RouteCostParams,
-    decode_lsa,
     decode_summary,
     encode_lsa,
     lsa_instances,
@@ -304,6 +304,7 @@ class Engine:
         self._queue: list[tuple[float, int, Event]] = []
         self._order = 0
         self.instances = lsa_instances(topology)
+        self.lsa_table = LsaTable(self.instances)
         self._rng_secret = Random(sub_seed(self.seed, "secrets"))
         self.msg_counts: Counter = Counter()
         self.clock = ProductionClock()
@@ -326,7 +327,7 @@ class Engine:
             self.links[spec.id] = lrt
         self._link_list = list(self.links.values())
         self._refresh_eager()
-        self._wakes: defaultdict[int, list[_LinkRT]] = defaultdict(list)
+        self._wakes: defaultdict[int, set[int]] = defaultdict(set)   # tick -> link indices
         self.agents = {name: NodeAgent(self, name) for name in topology.nodes}
         self.requests: dict[int, _Request] = {}
         self._next_request_id = 0
@@ -528,8 +529,13 @@ class Engine:
                 gap_a, gap_b = hi_a - level_a, hi_b - level_b
                 wake = ticks - (-(gap_a if gap_a < gap_b else gap_b) // lrt.tick_bytes)
                 if wake != lrt.wake:
+                    stale = wakes.get(lrt.wake)
+                    if stale is not None:
+                        stale.discard(lrt.index)
+                        if not stale:
+                            del wakes[lrt.wake]
                     lrt.wake = wake
-                    wakes[wake].append(lrt)
+                    wakes[wake].add(lrt.index)
             else:
                 poll = True
             level = level_a if level_a < level_b else level_b
@@ -550,13 +556,12 @@ class Engine:
         """The links tick ``ticks`` examines, in link order: each link spent,
         pushed or re-advertised since its last examination (the clock's
         marks; the agents' first LSAs mark every link for tick 1), each link
-        under a DoS drain, and each link whose ``wake`` is this tick (a stale
-        wake entry, superseded by a later examination, is dropped)."""
+        under a DoS drain, and each link whose ``wake`` is this tick. A link
+        sits in ``_wakes`` only at its current ``wake`` (``_tick`` moves it
+        and drops emptied ticks): there are no stale entries."""
         links = self._link_list
         due, self.clock.spent = self.clock.spent, set()
-        for lrt in self._wakes.pop(ticks, ()):
-            if lrt.wake == ticks:
-                due.add(lrt.index)
+        due.update(self._wakes.pop(ticks, ()))
         for drain in self._drains:
             due.add(self.links[drain.link_id].index)
         return [links[i] for i in sorted(due)]
@@ -685,7 +690,9 @@ class Engine:
         frags = req.received
         if rec.fragments_total and len(frags) == rec.fragments_total:
             rec.status = DeliveryStatus.DELIVERED
-            rec.secret_at_dst = b"".join(frags[i] for i in range(rec.fragments_total))
+            secret = b"".join(frags[i] for i in range(rec.fragments_total))
+            # equal ends share the source's bytes: a delivered secret is held once
+            rec.secret_at_dst = rec.secret_at_src if secret == rec.secret_at_src else secret
             rec.completion_time_s = self.now
             rec.failure_reason = None   # set by a copy a relay gave up on
         elif frags:
@@ -787,13 +794,13 @@ class NodeAgent:
             seq=held.seq + 1 if held is not None else 1,
             up=lrt.runtime.status.state is _UP,
             level_bytes=store.available_bytes,
-            rate_bps=lrt.runtime.rate_bps,
+            rate_bps=round(lrt.runtime.rate_bps * 1000) / 1000,   # as the wire carries it
             timestamp_ms=int(self.engine.now * 1000),
         )
         self.flood.accept(lsa)
         lrt.advertised[side] = (lsa.up, *_band(lsa.level_bytes))
         self.engine.clock.spent.add(lrt.index)       # its band moved: examine it
-        self._flood_out(encode_lsa(lsa), arrived_on=None)
+        self._flood_out(self.engine.lsa_table.encode(lsa), arrived_on=None)
 
     def _flood_out(self, payload: bytes, arrived_on: str | None) -> None:
         """Send one encoded LSA on every incident link but the one it came on."""
@@ -860,7 +867,7 @@ class NodeAgent:
             self.engine.msg_counts["replay_drops"] += 1
             return
         if msg.channel == Channel.ROUTING:
-            if self.flood.accept(decode_lsa(payload, self.engine.instances)):
+            if self.flood.accept(self.engine.lsa_table.decode(payload)):
                 self._flood_out(payload, arrived_on=link_id)
         elif msg.channel == Channel.LSDB_SUMMARY:
             # a summary equal to our own lacks nothing we hold

@@ -17,6 +17,11 @@ entries in instance-hash order, as a CSNP lists LSP IDs in order, so two
 databases that hold the same LSAs give equal bytes, and a node that
 receives a summary equal to its own has nothing to send back.
 
+An advertisement is held once per run, not once per node: a node whose
+frame carries the bytes of an instance's last origination (``LsaTable``)
+installs the originator's own, frozen, object. Only a frame that matches
+none, such as an older instance still in flight, is decoded.
+
 Each node's database keeps one number per link beside the advertisements:
 the lower of the two ends' levels when the link is usable, set when an
 advertisement is installed. Path search reads that table and never
@@ -46,9 +51,10 @@ class NoRoute(Exception):
     """No usable path exists between the requested endpoints."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, frozen=True)
 class LinkStateAd:
-    """One endpoint's advertised view of its link."""
+    """One endpoint's advertised view of its link; frozen, because every
+    database that installed an advertisement holds the same object."""
 
     link_id: str
     origin: str
@@ -106,6 +112,31 @@ def decode_summary(data: bytes,
     """(link, origin) -> seq held by the summary's sender; ``instances``
     maps hash -> (link, origin)."""
     return {instances[h]: seq for h, seq in _SUMMARY_ENTRY.iter_unpack(data)}
+
+
+class LsaTable:
+    """One run's last origination of each (link, origin) instance, keyed by
+    its wire bytes: only ``encode`` writes it, so it holds at most one entry
+    per instance. ``instances`` maps hash -> (link, origin)."""
+
+    def __init__(self, instances: dict[int, tuple[str, str]]) -> None:
+        self.instances = instances
+        self._ads: dict[bytes, LinkStateAd] = {}              # wire bytes -> entry
+        self._wire: dict[tuple[str, str], bytes] = {}         # instance -> its entry's bytes
+
+    def encode(self, lsa: LinkStateAd) -> bytes:
+        """``encode_lsa(lsa)``, kept as its instance's entry in place of the last."""
+        payload = encode_lsa(lsa)
+        instance = (lsa.link_id, lsa.origin)
+        self._ads.pop(self._wire.get(instance), None)
+        self._wire[instance] = payload
+        self._ads[payload] = lsa
+        return payload
+
+    def decode(self, payload: bytes) -> LinkStateAd:
+        """The entry whose bytes equal ``payload``, else a decoded copy."""
+        lsa = self._ads.get(payload)
+        return lsa if lsa is not None else decode_lsa(payload, self.instances)
 
 
 def lsa_instances(topo: Topology) -> dict[int, tuple[str, str]]:

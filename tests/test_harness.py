@@ -1,6 +1,7 @@
 """Event engine: scenario parsing, determinism, conservation, drains,
 flooding convergence, event ordering."""
 
+import dataclasses
 import tracemalloc
 from collections import Counter
 from random import Random
@@ -409,10 +410,18 @@ def _idle_grid(n: int) -> str:
 
 
 def _held(db):
-    """(link, origin) -> (seq, up, level) of every advertisement a database
-    holds; the rate is left out, as it travels rounded to millibits."""
-    return {(link_id, origin): (ad.seq, ad.up, ad.level_bytes)
+    """(link, origin) -> (seq, up, level, rate) of every advertisement a
+    database holds."""
+    return {(link_id, origin): (ad.seq, ad.up, ad.level_bytes, ad.rate_bps)
             for link_id, both in db.ads.items() for origin, ad in both.items()}
+
+
+def _count_decodes(monkeypatch) -> list:
+    """Wrap ``routing.decode_lsa``; returns the list of payloads it decodes."""
+    decoded, decode = [], routing.decode_lsa
+    monkeypatch.setattr(routing, "decode_lsa",
+                        lambda *args: decoded.append(args[0]) or decode(*args))
+    return decoded
 
 
 class TestFloodingIntegration:
@@ -469,16 +478,18 @@ class TestFloodingIntegration:
         return eng
 
     @staticmethod
-    def _summary_to_n1(eng: Engine, summary: bytes) -> tuple[list, list]:
-        """Seal ``summary`` at N2 and hand it to N1 over R12; return the
-        frames N1 sent in reply, as (link, channel, payload), and whether
-        each of N1's stores reserved key."""
+    def _summary_to_n1(eng: Engine, summary: bytes,
+                       channel: Channel = Channel.LSDB_SUMMARY) -> tuple[list, list]:
+        """Seal ``summary`` (or another routing payload, on ``channel``) at
+        N2 and hand it to N1 over R12; return the frames N1 sent in reply,
+        as (link, channel, payload), and whether each of N1's stores
+        reserved key."""
         n1 = eng.agents["N1"]
         sent = []
         eng.send_message = lambda link_id, _, msg, route=(): sent.append(
             (link_id, msg.channel, msg.payload))
         ledgers = [len(store.ledger) for _, _, store in n1._ends.values()]
-        msg = eng.links["R12"].q3p.seal(1, Channel.LSDB_SUMMARY, summary, encrypt=False)
+        msg = eng.links["R12"].q3p.seal(1, channel, summary, encrypt=False)
         n1.on_message("R12", msg, ())
         spent = [len(store.ledger) != n for (_, _, store), n in zip(n1._ends.values(), ledgers)]
         return sent, spent
@@ -499,6 +510,45 @@ class TestFloodingIntegration:
             eng, routing.encode_summary(lsa for lsa in lsas if lsa is not lacking))
         assert sent == [("R12", Channel.ROUTING, routing.encode_lsa(lacking))]
         assert spent == [link.id == "R12" for link in eng.agents["N1"].incident]
+
+    def test_every_node_holds_the_originators_own_advertisement(self, monkeypatch):
+        # a drain, a refill and a cut and restore re-originate; the databases
+        # converge on the originators' own objects without decoding a frame
+        decoded = _count_decodes(monkeypatch)
+        eng = Engine(vienna_preset(), parse_scenario(
+            DOS_RECOVERY
+            + "[event] t=2 kind=fail link=BREIT-STP\n[event] t=2.5 kind=restore link=BREIT-STP\n"
+            + "[event] t=3 kind=request src=alice dst=GUD bytes=4096 k=2\n"))
+        eng.run()
+        held = [(agent.name, lsa) for agent in eng.agents.values() for lsa in agent.db.lsas()]
+        assert len(held) == len(eng.agents) * len(eng.instances)
+        for name, lsa in held:
+            assert lsa is eng.agents[lsa.origin].db.ads[lsa.link_id][lsa.origin], (name, lsa)
+        assert max(lsa.seq for _, lsa in held) > 1
+        assert decoded == []
+
+    def test_an_older_instance_in_flight_is_decoded_and_refused(self, monkeypatch):
+        eng = self._converged_ring()
+        n1, n2 = eng.agents["N1"], eng.agents["N2"]
+        old = n2.db.ads["R12"]["N2"]
+        old_wire = routing.encode_lsa(old)
+        n2.originate("R12")            # its frames are queued past the run's end
+        new = n2.db.ads["R12"]["N2"]
+        new_wire = routing.encode_lsa(new)
+        decoded = _count_decodes(monkeypatch)
+        sent, _ = self._summary_to_n1(eng, new_wire, Channel.ROUTING)
+        assert n1.db.ads["R12"]["N2"] is new and decoded == []
+        assert sent == [("R41", Channel.ROUTING, new_wire)]    # flooded on as it came
+        sent, _ = self._summary_to_n1(eng, old_wire, Channel.ROUTING)
+        assert decoded == [old_wire] and sent == []
+        assert n1.db.ads["R12"]["N2"] is new
+
+    def test_an_installed_advertisement_is_frozen(self):
+        eng = self._converged_ring()
+        held = eng.agents["N3"].db.ads["R12"]["N1"]
+        assert held is eng.agents["N1"].db.ads["R12"]["N1"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            held.level_bytes = 0
 
     @given(
         name=st.sampled_from(sorted(PRESETS)),
@@ -1039,6 +1089,47 @@ class TestGatedTick:
         assert all(rec.status is DeliveryStatus.DELIVERED for rec in rep.records)
         assert eng.clock.ticks == round(120 / PRODUCE_TICK_S)
         assert 0 < len(polled_ticks) < 0.05 * eng.clock.ticks
+
+
+class TestWakeTable:
+    """A link sits in the wake table only at its current ``wake``, so the
+    table never holds more entries than there are links."""
+
+    CHURN = (
+        "[scenario] duration=40 seed=3 loss=0.01\n"
+        "[event] t=1 kind=dos link=SIE-ERD rate=60000 duration=3\n"
+        "[event] t=2 kind=fail link=BREIT-STP\n"
+        "[event] t=4 kind=restore link=BREIT-STP\n"
+        "[event] t=5 kind=fail link=ERD-GUD\n"
+        "[event] t=9 kind=restore link=ERD-GUD\n"
+        "[event] t=6 kind=refill link=SIE-ERD bytes=8192 k=2\n"
+        + "".join(f"[event] t={t / 2} kind=request src=alice dst=bob bytes=2048 k=2\n"
+                  for t in range(2, 76))
+    )
+
+    @pytest.mark.parametrize("topology, scenario", [
+        ("grid8", "[scenario] duration=30 seed=1\n"),
+        ("vienna", CHURN),
+    ], ids=["idle-grid8", "vienna-churn"])
+    def test_entries_are_live_and_at_most_one_per_link(self, topology, scenario):
+        topo = load_topology(_idle_grid(8)) if topology == "grid8" else vienna_preset()
+        eng = Engine(topo, parse_scenario(scenario))
+        links = eng._link_list
+        sizes = []
+        tick = eng._tick
+
+        def checked_tick():
+            tick()
+            ticks = eng.clock.ticks
+            for t, due in eng._wakes.items():
+                assert due and t > ticks
+                assert all(links[i].wake == t for i in due)
+            sizes.append(sum(map(len, eng._wakes.values())))
+
+        eng._tick = checked_tick
+        eng.run()
+        assert len(sizes) == eng.clock.ticks
+        assert 0 < max(sizes) <= len(links)
 
 
 class TestLazyProduction:

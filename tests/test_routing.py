@@ -28,6 +28,7 @@ from qkdnet.routing import (
     FloodingState,
     LinkStateAd,
     LinkStateDB,
+    LsaTable,
     NoRoute,
     Path,
     RouteCostParams,
@@ -74,6 +75,41 @@ class TestLsaCodec:
         assert back.link_id == "L2" and back.origin == "QC"
         assert back.seq == 3 and back.up is False and back.level_bytes == 500
         assert back.rate_bps == pytest.approx(3162.277, abs=1e-3)
+
+
+class TestLsaTable:
+    """One run's last origination per instance: its bytes stand for the
+    originator's own object, and any other frame is decoded."""
+
+    @staticmethod
+    def _table():
+        return LsaTable(lsa_instances(building_block_preset()))
+
+    def test_an_entrys_bytes_give_back_the_originated_object(self):
+        table = self._table()
+        lsa = LinkStateAd("L2", "QC", 3, True, 500, 3162.277, 42)
+        wire = table.encode(lsa)
+        assert wire == encode_lsa(lsa)
+        assert table.decode(wire) is lsa
+        assert table.decode(bytes(bytearray(wire))) is lsa     # equal bytes, another object
+
+    def test_an_older_instance_is_decoded_and_refused(self, monkeypatch):
+        table = self._table()
+        old = LinkStateAd("L2", "QC", 3, True, 500, 8000.0, 42)
+        new = LinkStateAd("L2", "QC", 4, False, 500, 8000.0, 43)
+        old_wire = table.encode(old)
+        new_wire = table.encode(new)
+        decoded = []
+        monkeypatch.setattr(routing, "decode_lsa",
+                            lambda *args: decoded.append(args[0]) or decode_lsa(*args))
+        db = LinkStateDB(building_block_preset())
+        assert db.update(table.decode(new_wire))
+        assert decoded == []
+        back = table.decode(old_wire)
+        assert decoded == [old_wire]
+        assert back == old and back is not old
+        assert not db.update(back)
+        assert db.ads["L2"]["QC"] is new
 
 
 class TestSummaryCodec:

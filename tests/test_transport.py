@@ -343,6 +343,41 @@ class TestRetransmission:
         assert rec.secret_at_dst is None
 
 
+class TestHeldSecret:
+    """A delivered secret whose two ends agree is held once: the record's
+    destination field is the source's bytes object."""
+
+    REQUEST = ("[scenario] duration=4 seed=3\n"
+               "[event] t=1.0 kind=request src=alice dst=bob bytes=3072 k=2\n")
+
+    def test_delivered_record_shares_the_sources_bytes(self):
+        eng, rep = run_scenario(building_block_preset(), self.REQUEST)
+        rec = rep.records[0]
+        assert rec.status is DeliveryStatus.DELIVERED
+        assert rec.secret_at_dst is rec.secret_at_src
+        assert rec.summary()["ends_match"] is True
+
+    def test_ends_that_differ_keep_their_own_bytes(self, monkeypatch):
+        # one bit of the second fragment flips on arrival at the destination
+        delivered = Engine.fragment_delivered
+
+        def altered(engine, req, seq, fragment):
+            if seq == 1:
+                fragment = bytes([fragment[0] ^ 1]) + fragment[1:]
+            delivered(engine, req, seq, fragment)
+
+        monkeypatch.setattr(Engine, "fragment_delivered", altered)
+        eng, rep = run_scenario(building_block_preset(), self.REQUEST)
+        rec = rep.records[0]
+        assert rec.status is DeliveryStatus.DELIVERED
+        src, dst = rec.secret_at_src, rec.secret_at_dst
+        assert len(dst) == len(src) == rec.n_bytes
+        assert [i for i in range(len(src)) if src[i] != dst[i]] == [1024]
+        summary = rec.summary()
+        assert summary["ends_match"] is False
+        assert summary["secret_dst_sha256"] != summary["secret_src_sha256"]
+
+
 class TestExhaustionReroute:
     def test_low_store_steers_new_segments_elsewhere(self):
         # drain the direct link under the transport low-water mark before the
