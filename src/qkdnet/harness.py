@@ -305,7 +305,7 @@ class Engine:
         self._order = 0
         self.instances = lsa_instances(topology)
         self.lsa_table = LsaTable(self.instances)
-        self._rng_secret = Random(sub_seed(self.seed, "secrets"))
+        self._secrets_seed = sub_seed(self.seed, "secrets").to_bytes(8, "big")
         self.msg_counts: Counter = Counter()
         self.clock = ProductionClock()
         self.links: dict[str, _LinkRT] = {}
@@ -383,7 +383,8 @@ class Engine:
         rid = self._next_request_id
         record = DeliveryRecord(
             request_id=rid, src=req_payload["src"], dst=req_payload["dst"],
-            n_bytes=req_payload["n_bytes"], started_s=at,
+            n_bytes=req_payload["n_bytes"],
+            secret_seed=self._secrets_seed + rid.to_bytes(8, "big"), started_s=at,
         )
         self.requests[rid] = _Request(record, req_payload["multipath"], refill_target)
         self._schedule(Event(at, EventKind.KEY_REQUEST, {"request_id": rid}))
@@ -690,9 +691,12 @@ class Engine:
         frags = req.received
         if rec.fragments_total and len(frags) == rec.fragments_total:
             rec.status = DeliveryStatus.DELIVERED
-            secret = b"".join(frags[i] for i in range(rec.fragments_total))
-            # equal ends share the source's bytes: a delivered secret is held once
-            rec.secret_at_dst = rec.secret_at_src if secret == rec.secret_at_src else secret
+            arrived = [frags[i] for i in range(rec.fragments_total)]
+            secret = b"".join(arrived)
+            rec.secret_dst_sha256 = hashlib.sha256(secret).digest()
+            # equal ends keep only the digest: the source's secret derives again
+            if arrived != req.fragments:
+                rec.secret_dst_own = secret
             rec.completion_time_s = self.now
             rec.failure_reason = None   # set by a copy a relay gave up on
         elif frags:
@@ -723,9 +727,6 @@ class Engine:
         self.exposure_nodes.append(node)
         self.exposure_requests.append(request_id)
         self.exposure_bytes.append(n_bytes)
-
-    def draw_secret(self, n: int) -> bytes:
-        return self._rng_secret.randbytes(n)
 
     # -- observation -------------------------------------------------------------
 
@@ -880,9 +881,7 @@ class NodeAgent:
 
     def start_delivery(self, req: _Request) -> None:
         rec = req.record
-        secret = self.engine.draw_secret(rec.n_bytes)
-        rec.secret_at_src = secret
-        fragments = split_fragments(secret, MTU_BYTES)
+        fragments = split_fragments(rec.secret_at_src, MTU_BYTES)
         rec.fragments_total = len(fragments)
         paths = disjoint_paths(
             self.db, rec.src, rec.dst, req.multipath,

@@ -1,6 +1,6 @@
 """End-to-end secret transport over trusted relays.
 
-The source draws a fresh secret, slices it into MTU-sized fragments, and
+The source derives a fresh secret, slices it into MTU-sized fragments, and
 relays each fragment hop by hop: sealed (OTP + tag) on one link, opened at
 the next node, re-sealed on the following link. The event-driven mechanics
 (acks, retransmission with fresh key, rerouting) live in the harness; this
@@ -36,15 +36,23 @@ class DeliveryStatus(Enum):
 
 @dataclass
 class DeliveryRecord:
-    """Outcome of one end-to-end delivery."""
+    """Outcome of one end-to-end delivery.
+
+    No secret bytes are stored. ``secret_at_src`` derives the source's secret
+    on every read from ``secret_seed`` (counter-mode KDF: SHAKE128 of the
+    run's secrets sub-seed and the request id, 8 bytes each). The destination
+    keeps the sha256 of the bytes that arrived, and those bytes only when
+    they differ from the source's.
+    """
 
     request_id: int
     src: str
     dst: str
     n_bytes: int
+    secret_seed: bytes
     status: DeliveryStatus = DeliveryStatus.FAILED
-    secret_at_src: bytes = b""
-    secret_at_dst: bytes | None = None
+    secret_dst_sha256: bytes | None = None   # of the arrived bytes; None unless all arrived
+    secret_dst_own: bytes | None = None      # the arrived bytes, only when they differ
     per_link_consumed: dict[str, int] = field(default_factory=dict)
     paths_used: list[Path] = field(default_factory=list)
     started_s: float = 0.0
@@ -52,6 +60,23 @@ class DeliveryRecord:
     fragments_total: int = 0
     fragments_delivered: int = 0
     failure_reason: str | None = None
+
+    @property
+    def secret_at_src(self) -> bytes:
+        """The source's secret, derived again on every read."""
+        return hashlib.shake_128(self.secret_seed).digest(self.n_bytes)
+
+    @property
+    def secret_at_dst(self) -> bytes | None:
+        """The secret as it arrived at the destination; None unless every
+        fragment arrived."""
+        if self.secret_dst_sha256 is None:
+            return None
+        return self.secret_at_src if self.secret_dst_own is None else self.secret_dst_own
+
+    @property
+    def ends_match(self) -> bool:
+        return self.secret_dst_sha256 is not None and self.secret_dst_own is None
 
     def summary(self) -> dict:
         return {
@@ -62,10 +87,9 @@ class DeliveryRecord:
             "status": self.status.value,
             "secret_src_sha256": hashlib.sha256(self.secret_at_src).hexdigest(),
             "secret_dst_sha256": (
-                hashlib.sha256(self.secret_at_dst).hexdigest()
-                if self.secret_at_dst is not None else None
+                self.secret_dst_sha256.hex() if self.secret_dst_sha256 is not None else None
             ),
-            "ends_match": self.secret_at_dst == self.secret_at_src,
+            "ends_match": self.ends_match,
             "per_link_consumed": dict(sorted(self.per_link_consumed.items())),
             "paths_used": [list(p.links) for p in self.paths_used],
             "started_s": self.started_s,

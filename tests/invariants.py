@@ -6,6 +6,8 @@ the receiver never opened) is not checked: a lost keyed message still leaves
 that gap today (ROADMAP item 6).
 """
 
+import hashlib
+
 from qkdnet.transport import DeliveryStatus
 
 
@@ -22,7 +24,9 @@ def check_run(engine, report) -> None:
     - the store's ledger spans are disjoint, lie in its own pool below its
       cursor and cover it;
     - the spans it opened of the peer's pool lie below the peer's cursor;
-    - a DELIVERED record's secret is the same at both ends;
+    - a DELIVERED record's secret is the same at both ends, and the source's
+      secret, derived again, has the digest the destination took of the
+      bytes that arrived;
     - a PARTIAL or FAILED record names a failure reason.
     """
     for link_id, lrt in engine.links.items():
@@ -50,5 +54,7 @@ def check_run(engine, report) -> None:
     for rec in report.records:
         if rec.status is DeliveryStatus.DELIVERED:
             assert rec.secret_at_dst == rec.secret_at_src, rec.request_id
+            assert (hashlib.sha256(rec.secret_at_src).digest()
+                    == rec.secret_dst_sha256), rec.request_id
         else:
             assert rec.failure_reason is not None, rec.request_id

@@ -54,37 +54,37 @@ WRITTEN = {"lossy": LOSSY, "jittered": JITTERED, "daylight-restart": DAYLIGHT_RE
 GOLDEN = {
     "baseline": {
         "metrics.csv": "b8cb3816a05e8ea26b919c9f5ae24487d3aeb5f364eed14c86a91a82336df890",
-        "summary.json": "84e449196242cdf5a0aa232a3d0ddc2c7a6ad20a04d7b7ed3692035e612c869e",
+        "summary.json": "5a5d443322aff70b06953c62a15916c234879ef5b5788374b853c8bc080ab3aa",
         "audit.log": "6f67237a049a1964260f478e49f4911a41cfc11ce0ba855073bdff7af5fc2ed1",
     },
     "failover": {
         "metrics.csv": "49be7c67ba94203dddf6f11f8bd368d6725e3b4dc0bfff1ab4c3f7cfc3ab806b",
-        "summary.json": "50040a56e37e42c2fb4f79a22ccad705a16c9f529721838796797b489b9c8340",
+        "summary.json": "d2597cb291a82e74f3c3845e1ffc76ffc436d79ca01e160bac7c7be337d90cb7",
         "audit.log": "d4b792523b56667d38ac249c06839f5a9217a22c42590d1cd92de827204fd797",
     },
     "daylight-restart": {
         "metrics.csv": "8b8eef34ae2b1c8cb25bbdf5d8e212f24ebe08661bab4665ef94322c8a895dcf",
-        "summary.json": "89f99e5bd6d33495cb0a76a6c6733a4d60015dd86f662a1b1b2d31d7cef1093f",
+        "summary.json": "ab7089835ad1f7d228c492dc59613e4210cf0a7a4832b2e2426459d0b89e0e09",
         "audit.log": "b553eff446e5d3b2b7504a418ebefec1167b443b454c6cc8a91a9a51fbe520e7",
     },
     "dos-recovery": {
         "metrics.csv": "e02a5830af1d0066496c84bd0046b2d32b7ccaec56ed09c9a0613a686dfbe23e",
-        "summary.json": "1a2462d4d752dd7ec30ae315cc5acc4020f7533040c42ee9c824da554c2d068a",
+        "summary.json": "08ef261cda764d011fb4f4cb3f2e192ee41248b69d7871133765c4ab8c86c262",
         "audit.log": "1cf09643dc7e5c7e5d0312d42a0732f1dd27d6b182cae37ffe41c2a251533379",
     },
     "multipath": {
         "metrics.csv": "550e8ce7301b4c92b65f52a1a4f33de9bb3a097a6d7f0540f8d0a6c302e4a042",
-        "summary.json": "35afb8603780c80cc5ce27d5e4dfe6faffdc1a0e5d7b86d4f7d8838291026143",
+        "summary.json": "29bf962e04817b94055a483ad80313e09d93d49e8e04adba35253e3dca515bb8",
         "audit.log": "67c40bb200413d0e49e42de190da9d12baab74234f6ccd442b35468c7d899ea5",
     },
     "jittered": {
         "metrics.csv": "c4d1397d3380a578161d4ebe3a2e694ff4112eb55a6ee2aa97b5976dfbf2440a",
-        "summary.json": "31eac3bb28e57b408751548fde5f8dfecc7f5691946ea00bac4ffb18633aa388",
+        "summary.json": "2e9934017d559d8c3f705bc7fc2afc52eba80d7a92fb90d2486eddb817bcad04",
         "audit.log": "eb40b5ce21cbc1445d34d6798294d8c242d87108c9edb7a8f9b3e5073629faf4",
     },
     "lossy": {
         "metrics.csv": "7a4052da64cc7492e5c8b0920cec86f837ee2f3ca50395f6d14ae3a964063848",
-        "summary.json": "5d975bcb68d1b3f78a0a5e92c10355afacbc6b6b1f1b4b8172e4c47a37961a47",
+        "summary.json": "3c0ed77642e8567ee2312c424316d6ab7fb7cc7b358bf6745b6a7b077be08513",
         "audit.log": "79cec2b5593961bc51ed78e6c2925ac6564bc2a813c127cb3aed524498e2494a",
     },
 }

@@ -1,9 +1,12 @@
 """Hop-by-hop transport: accounting, multipath split, retransmission with
 fresh key, refill of a drained pre-shared secret."""
 
+import hashlib
+import tracemalloc
+
 from qkdnet import parse_scenario
-from qkdnet.harness import Engine
-from qkdnet.model import building_block_preset, vienna_preset
+from qkdnet.harness import Engine, sub_seed
+from qkdnet.model import building_block_preset, load_topology, vienna_preset
 from qkdnet.q3p import Channel
 from qkdnet.routing import LinkStateAd, LinkStateDB
 from qkdnet.transport import (
@@ -344,18 +347,71 @@ class TestRetransmission:
 
 
 class TestHeldSecret:
-    """A delivered secret whose two ends agree is held once: the record's
-    destination field is the source's bytes object."""
+    """A record holds no secret bytes while its two ends agree: the source's
+    secret derives from the run's seed and the request id on every read, and
+    the destination keeps the sha256 of what arrived."""
 
     REQUEST = ("[scenario] duration=4 seed=3\n"
                "[event] t=1.0 kind=request src=alice dst=bob bytes=3072 k=2\n")
 
-    def test_delivered_record_shares_the_sources_bytes(self):
+    def test_delivered_record_holds_no_secret_bytes(self):
         eng, rep = run_scenario(building_block_preset(), self.REQUEST)
         rec = rep.records[0]
         assert rec.status is DeliveryStatus.DELIVERED
-        assert rec.secret_at_dst is rec.secret_at_src
+        assert rec.secret_dst_own is None
+        # the 16-byte KDF input and the 32-byte digest are all the bytes it holds
+        assert sorted(len(v) for v in vars(rec).values() if isinstance(v, bytes)) == [16, 32]
+        first, second = rec.secret_at_src, rec.secret_at_src
+        assert first == second and first is not second     # derived again, not cached
+        assert len(first) == rec.n_bytes
+        assert rec.secret_at_dst == first
+        assert rec.secret_dst_sha256 == hashlib.sha256(first).digest()
         assert rec.summary()["ends_match"] is True
+
+    def test_same_seed_and_request_id_give_the_same_secret(self):
+        # in the second run request 1 starts after request 2: a secret drawn
+        # from one stream in start order would differ
+        first = "[event] t=1.0 kind=request src=alice dst=bob bytes=3072 k=2\n"
+        _, one = run_scenario(vienna_preset(), "[scenario] duration=4 seed=3\n" + first)
+        _, two = run_scenario(
+            vienna_preset(),
+            "[scenario] duration=4 seed=3\n"
+            + first.replace("t=1.0", "t=2.0")
+            + "[event] t=1.0 kind=request src=SIE dst=GUD bytes=2048 k=1\n",
+        )
+        a, b = one.records[0], two.records[0]
+        assert (a.request_id, b.request_id) == (1, 1)
+        assert a.secret_at_src == b.secret_at_src == hashlib.shake_128(
+            sub_seed(3, "secrets").to_bytes(8, "big") + (1).to_bytes(8, "big")).digest(3072)
+        assert two.records[1].secret_at_src != a.secret_at_src[:2048]
+        assert a.status is b.status is DeliveryStatus.DELIVERED
+        assert a.secret_at_dst == b.secret_at_dst == a.secret_at_src
+
+    def test_records_hold_well_under_a_kibibyte_each(self):
+        # eight 64 KiB secrets along a three-node line of fast links. What the
+        # records hold is what their fields free when dropped: a record that
+        # kept its secret held over 64 KiB; one that derives it keeps its
+        # seed, a digest and its bookkeeping
+        topo = ["[profile] id=fast r0_bps=2000000 alpha=0.2 max_km=60 restart_s=30"]
+        topo += [f"[node] name=L{i} kind=qbb" for i in range(3)]
+        topo += [f"[link] id=L{i}-L{i + 1} a=L{i} b=L{i + 1} km=1 profile=fast class=qbb "
+                 "preshared=131072" for i in range(2)]
+        lines = ["[scenario] duration=6 seed=1"]
+        lines += [f"[event] t={i / 2 + 0.5} kind=request src=L0 dst=L2 bytes=65536 k=1"
+                  for i in range(8)]
+        tracemalloc.start()
+        try:
+            rep = Engine(load_topology("\n".join(topo) + "\n"),
+                         parse_scenario("\n".join(lines) + "\n")).run()
+            held, _ = tracemalloc.get_traced_memory()
+            statuses = [rec.status for rec in rep.records]
+            for rec in rep.records:
+                vars(rec).clear()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert statuses == [DeliveryStatus.DELIVERED] * 8
+        assert freed / 8 < 1024
 
     def test_ends_that_differ_keep_their_own_bytes(self, monkeypatch):
         # one bit of the second fragment flips on arrival at the destination
@@ -424,6 +480,25 @@ class TestRefill:
         # both ends read the link's one stream
         assert lrt.q3p.stores[0].stream is lrt.q3p.stores[1].stream is lrt.q3p.stream
         assert ("SIE-ERD" not in rec.per_link_consumed)  # routed around itself
+
+    def test_refill_pushes_the_secret_that_arrived(self):
+        pushed = []
+
+        def prep(eng):
+            q3p = eng.links["SIE-ERD"].q3p
+            original = q3p.push
+            q3p.push = lambda data: (pushed.append(data), original(data))
+
+        eng, rep = run_scenario(
+            vienna_preset(),
+            "[scenario] duration=4 seed=3\n"
+            "[event] t=1.0 kind=refill link=SIE-ERD bytes=8192 k=2\n",
+            prep=prep,
+        )
+        rec = rep.records[0]
+        assert rec.status is DeliveryStatus.DELIVERED
+        assert pushed == [rec.secret_at_dst]
+        assert len(pushed[0]) == 8192
 
     def test_refill_of_leaf_spur_has_no_route(self):
         topo = vienna_preset()
