@@ -496,7 +496,8 @@ class Engine:
         (``NodeAgent.on_tick``, in node order) only when an end left its
         band or a link came up during production. Usability is judged from
         the examined levels unless an agent was polled or a summary was sent,
-        either of which may have spent key since; then over all links.
+        either of which may have spent key since; then over all links. The
+        run's last tick sends no summaries: they would arrive after the end.
 
         A tick with no eager link, no drain, nothing spent, no wake and no
         summary or sample due examines nothing and polls no one, so it
@@ -516,7 +517,7 @@ class Engine:
         if poll:
             self._refresh_eager()
         self._apply_drains()
-        summary = ticks % _SUMMARY_TICKS == 0
+        summary = ticks % _SUMMARY_TICKS == 0 and ticks < self._last_tick
         sample = ticks % _SAMPLE_TICKS == 0
         wakes = self._wakes
         if not (eager or self._drains or clock.spent or ticks in wakes or summary or sample):

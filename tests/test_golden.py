@@ -53,8 +53,8 @@ WRITTEN = {"lossy": LOSSY, "jittered": JITTERED, "daylight-restart": DAYLIGHT_RE
 
 GOLDEN = {
     "baseline": {
-        "metrics.csv": "b8cb3816a05e8ea26b919c9f5ae24487d3aeb5f364eed14c86a91a82336df890",
-        "summary.json": "5a5d443322aff70b06953c62a15916c234879ef5b5788374b853c8bc080ab3aa",
+        "metrics.csv": "f37950a87c8131b4f7a2249d860109a1c5fc565c0e4592c4bb928e990ec2a406",
+        "summary.json": "c697d9f3bd91c709af7aaf340b6ec5aa6d8a6afb2ad549be4349a981354b522d",
         "audit.log": "6f67237a049a1964260f478e49f4911a41cfc11ce0ba855073bdff7af5fc2ed1",
     },
     "failover": {
@@ -63,8 +63,8 @@ GOLDEN = {
         "audit.log": "d4b792523b56667d38ac249c06839f5a9217a22c42590d1cd92de827204fd797",
     },
     "daylight-restart": {
-        "metrics.csv": "8b8eef34ae2b1c8cb25bbdf5d8e212f24ebe08661bab4665ef94322c8a895dcf",
-        "summary.json": "ab7089835ad1f7d228c492dc59613e4210cf0a7a4832b2e2426459d0b89e0e09",
+        "metrics.csv": "2b534166219533f236288e2fab9c18c7799316e4302fce35a1cc5ef65abae805",
+        "summary.json": "21d0e7a7bcaeb04c131abb218b2d0e44436433d495d0a5acf6ea4c77a6ed1182",
         "audit.log": "b553eff446e5d3b2b7504a418ebefec1167b443b454c6cc8a91a9a51fbe520e7",
     },
     "dos-recovery": {
@@ -78,13 +78,13 @@ GOLDEN = {
         "audit.log": "67c40bb200413d0e49e42de190da9d12baab74234f6ccd442b35468c7d899ea5",
     },
     "jittered": {
-        "metrics.csv": "c4d1397d3380a578161d4ebe3a2e694ff4112eb55a6ee2aa97b5976dfbf2440a",
-        "summary.json": "2e9934017d559d8c3f705bc7fc2afc52eba80d7a92fb90d2486eddb817bcad04",
+        "metrics.csv": "a430ce3ac641e23ecc9a17df68fb7d25606b2ce61adffec3b122676c27552573",
+        "summary.json": "8c55c1c0ea52766171616a43acc144d1b9188302b591a0c573226c8db78b343d",
         "audit.log": "eb40b5ce21cbc1445d34d6798294d8c242d87108c9edb7a8f9b3e5073629faf4",
     },
     "lossy": {
-        "metrics.csv": "7a4052da64cc7492e5c8b0920cec86f837ee2f3ca50395f6d14ae3a964063848",
-        "summary.json": "3c0ed77642e8567ee2312c424316d6ab7fb7cc7b358bf6745b6a7b077be08513",
+        "metrics.csv": "943774e677504cbaad6bfad666d6c4eb91a68a4c0b4366a9754bb1afe876a4a0",
+        "summary.json": "8bd297aa126cd253a9325e0d3535e7c3900e8149572d759f562e841a6ebe6ac0",
         "audit.log": "79cec2b5593961bc51ed78e6c2925ac6564bc2a813c127cb3aed524498e2494a",
     },
 }

@@ -425,6 +425,17 @@ def _count_decodes(monkeypatch) -> list:
 
 
 class TestFloodingIntegration:
+    def test_no_summary_round_at_the_runs_last_tick(self):
+        # a round at t = duration would arrive after the run ends, where no
+        # one opens it: a 20 s run exchanges summaries at t = 10 s only
+        eng = Engine(load_topology(RING4), parse_scenario("[scenario] duration=20 seed=1\n"))
+        sent = []
+        for agent in eng.agents.values():
+            agent.send_summary = lambda _send=agent.send_summary: (sent.append(eng.now), _send())
+        rep = eng.run()
+        assert len(sent) == 4 and {round(t, 9) for t in sent} == {10.0}
+        assert rep.msg_counts["lsdb_summaries_sent"] == 8   # each node, both its links
+
     def test_ring_databases_converge(self):
         topo = load_topology(RING4)
         eng = Engine(topo, parse_scenario("[scenario] duration=2 seed=1\n"))
