@@ -74,10 +74,6 @@ class DeliveryRecord:
             return None
         return self.secret_at_src if self.secret_dst_own is None else self.secret_dst_own
 
-    @property
-    def ends_match(self) -> bool:
-        return self.secret_dst_sha256 is not None and self.secret_dst_own is None
-
     def summary(self) -> dict:
         return {
             "request_id": self.request_id,
@@ -89,7 +85,7 @@ class DeliveryRecord:
             "secret_dst_sha256": (
                 self.secret_dst_sha256.hex() if self.secret_dst_sha256 is not None else None
             ),
-            "ends_match": self.ends_match,
+            "ends_match": self.secret_dst_sha256 is not None and self.secret_dst_own is None,
             "per_link_consumed": dict(sorted(self.per_link_consumed.items())),
             "paths_used": [list(p.links) for p in self.paths_used],
             "started_s": self.started_s,
