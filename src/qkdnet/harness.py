@@ -84,9 +84,12 @@ def sub_seed(master: int, label: str) -> int:
 
 
 def _band(level: int) -> tuple[int, int]:
-    """The open band ``(lo, hi)`` of levels that need no new LSA after an
-    end advertised ``level``: the level stays on the same side of the
-    authentication floor and moves less than ``max(2048, level // 4)``."""
+    """The open band ``(lo, hi)`` of store levels that need no new LSA
+    after an end advertised at store level ``level``: the level stays on the
+    same side of the authentication floor and moves less than
+    ``max(2048, level // 4)``. The band watches the store level, not the
+    sending pool the LSA carries: a band on the pool would re-advertise
+    after every few sends."""
     floor = AUTH_RESERVE_DEFAULT
     step = max(2048, level // 4)
     if level > floor:
@@ -97,10 +100,10 @@ def _band(level: int) -> tuple[int, int]:
 @dataclass(eq=False)
 class _LinkRT:
     """One link's engine state. ``advertised[side]`` is what that end's
-    last LSA said: ``(up, lo, hi)``, the up state and the band (``_band``)
-    of its level, set by ``NodeAgent.originate``; the tick reads the bands
-    to decide whether the agents need polling. Until an end first
-    advertises, its band is empty.
+    last LSA said and where its store level stood: ``(up, lo, hi)``, the up
+    state and the band (``_band``) of the end's store level, set by
+    ``NodeAgent.originate``; the tick reads the bands to decide whether the
+    agents need polling. Until an end first advertises, its band is empty.
 
     Production is lazy. ``settle`` brings the link up to the engine's last
     tick; the link's ``KeyStream`` calls it on the first read that finds it
@@ -785,9 +788,10 @@ class NodeAgent:
             self.originate(link.id)
 
     def originate(self, link_id: str) -> None:
-        """Advertise our end's current view of one incident link, and note
-        on the link's record what it said: the up state and the band of
-        levels that need no new LSA."""
+        """Advertise our end's current view of one incident link: its up
+        state and the key our end can send, our own pool. Note on the link's
+        record the up state and the band of store levels that need no new
+        LSA."""
         lrt, side, store = self._ends[link_id]
         held = self.db.ads.get(link_id, {}).get(self.name)    # our last one
         lsa = LinkStateAd(
@@ -795,12 +799,12 @@ class NodeAgent:
             origin=self.name,
             seq=held.seq + 1 if held is not None else 1,
             up=lrt.runtime.status.state is _UP,
-            level_bytes=store.available_bytes,
+            level_bytes=store.pool_available(side),
             rate_bps=round(lrt.runtime.rate_bps * 1000) / 1000,   # as the wire carries it
             timestamp_ms=int(self.engine.now * 1000),
         )
         self.flood.accept(lsa)
-        lrt.advertised[side] = (lsa.up, *_band(lsa.level_bytes))
+        lrt.advertised[side] = (lsa.up, *_band(store.available_bytes))
         self.engine.clock.spent.add(lrt.index)       # its band moved: examine it
         self._flood_out(self.engine.lsa_table.encode(lsa), arrived_on=None)
 

@@ -1,15 +1,18 @@
-"""Key-aware link-state routing: flooded advertisements carry each link's
-status, key level, and rate; path costs grow as stores drain, so traffic
-steers away from scarce links.
+"""Key-aware link-state routing: flooded advertisements carry each link
+end's status, the key that end can send, and the link's rate; path costs
+grow as sending pools drain, so traffic steers away from scarce links.
 
-Each link end originates an advertisement (LSA) only when its view changes:
-up/down, a crossing of the authentication floor, or a level move past the
-hysteresis. LSAs are flooded with sequence-number duplicate suppression.
-Flooding is made reliable the way IS-IS does it, with complete
-sequence-number summaries (ISO/IEC 10589 CSNP) instead of per-LSA acks:
-every ``SUMMARY_S`` and when a link is restored, each node sends each
-neighbour one authenticated frame listing ``(instance hash, seq)`` for every
-LSA in its database, and a node that receives one sends back every LSA the
+An end sends only from its own pool, so that pool is the level it
+advertises, as an OSPF router-LSA advertises the cost out of its
+originating router (RFC 2328 §12.4.1). Each link end originates an
+advertisement (LSA) only when its view changes: up/down, or its store level
+(own pool plus the peer's unopened pool) crossing the authentication floor
+or moving past the hysteresis. LSAs are flooded with sequence-number
+duplicate suppression. Flooding is made reliable the way IS-IS does it,
+with complete sequence-number summaries (ISO/IEC 10589 CSNP) instead of
+per-LSA acks: every ``SUMMARY_S`` and when a link is restored, each node
+sends each neighbour one authenticated frame listing ``(instance hash,
+seq)`` for every LSA in its database, and a node that receives one sends back every LSA the
 summary lacks or holds older. That one path repairs lost LSAs, LSAs skipped
 for lack of key and cuts healed by a restore, at a constant 32 bytes of
 authentication key per link direction per period. A summary lists its
@@ -23,8 +26,8 @@ installs the originator's own, frozen, object. Only a frame that matches
 none, such as an older instance still in flight, is decoded.
 
 Each node's database keeps one number per link beside the advertisements:
-the lower of the two ends' levels when the link is usable, set when an
-advertisement is installed. Path search reads that table and never
+the lower of the two ends' sendable key when the link is usable, set when
+an advertisement is installed. Path search reads that table and never
 re-derives an advertisement pair on an edge. Everything derived from the
 database (its summary and every path search's answer) is kept until the
 database next installs an advertisement, as OSPF recomputes routes only
@@ -54,7 +57,9 @@ class NoRoute(Exception):
 @dataclass(slots=True, frozen=True)
 class LinkStateAd:
     """One endpoint's advertised view of its link; frozen, because every
-    database that installed an advertisement holds the same object."""
+    database that installed an advertisement holds the same object.
+    ``level_bytes`` is the key that end can send: its own pool
+    (``KeyStore.pool_available``), not its store level."""
 
     link_id: str
     origin: str

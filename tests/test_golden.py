@@ -78,14 +78,14 @@ GOLDEN = {
         "audit.log": "67c40bb200413d0e49e42de190da9d12baab74234f6ccd442b35468c7d899ea5",
     },
     "jittered": {
-        "metrics.csv": "a430ce3ac641e23ecc9a17df68fb7d25606b2ce61adffec3b122676c27552573",
-        "summary.json": "8c55c1c0ea52766171616a43acc144d1b9188302b591a0c573226c8db78b343d",
-        "audit.log": "eb40b5ce21cbc1445d34d6798294d8c242d87108c9edb7a8f9b3e5073629faf4",
+        "metrics.csv": "4b5a616c73d19f26db2fb82462e2050aa3db827a2a2fc1ad2b80ee81eb7c9f4b",
+        "summary.json": "1dc410a3d561bc792eae5727e5e35bd65c4128a87545cecdc37429c01028caba",
+        "audit.log": "5705fade6159d4b2d9b3136c45159041150ea8f9a3087357c006db33db7e4934",
     },
     "lossy": {
-        "metrics.csv": "943774e677504cbaad6bfad666d6c4eb91a68a4c0b4366a9754bb1afe876a4a0",
-        "summary.json": "8bd297aa126cd253a9325e0d3535e7c3900e8149572d759f562e841a6ebe6ac0",
-        "audit.log": "79cec2b5593961bc51ed78e6c2925ac6564bc2a813c127cb3aed524498e2494a",
+        "metrics.csv": "0333c80952f4b5525b2741b6f661516c154827c33694be3e9447ad55f15bdde4",
+        "summary.json": "b26d7d00d7e6a85784696c0c42d88bec0d6318aacb2623bd093afba444efb2ea",
+        "audit.log": "4c451983b39516eeb02ef6804ed3692c0ecaacda748073a05de6bc31bc6c9fbe",
     },
 }
 

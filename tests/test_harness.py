@@ -2,8 +2,11 @@
 flooding convergence, event ordering."""
 
 import dataclasses
+import importlib.util
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
@@ -36,7 +39,7 @@ from qkdnet.q3p import (
     Q3PLink,
 )
 from qkdnet.scenarios import BASELINE, DOS_RECOVERY
-from qkdnet.transport import DeliveryStatus, encode_ack
+from qkdnet.transport import LOW_WATER_FACTOR, DeliveryStatus, encode_ack
 
 RING4 = """
 [profile] id=p r0_bps=10000 alpha=0.2 max_km=60 restart_s=30
@@ -1251,3 +1254,79 @@ class TestChannelStreams:
             if link_id != "SIE-ERD":
                 assert draws_a[link_id] == draws_b[link_id], link_id
                 assert draws_a[link_id], link_id
+
+
+TRIANGLE = """
+[profile] id=p r0_bps=10000 alpha=0.2 max_km=60 restart_s=30
+[node] name=A kind=qbb
+[node] name=B kind=qbb
+[node] name=C kind=qbb
+[link] id=AC a=A b=C km=10 profile=p class=qbb preshared=131072
+[link] id=AB a=A b=B km=10 profile=p class=qbb preshared=131072
+[link] id=BC a=B b=C km=10 profile=p class=qbb preshared=131072
+"""
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def _spend_direction(lrt, side: int, keep: int) -> None:
+    """Spend the pool the end at ``side`` sends from down to ``keep`` bytes,
+    opened at the other end as a drain's spends are: the other direction,
+    and so the store level at ``side``, keep what they hold."""
+    sender, peer = lrt.q3p.stores[side], lrt.q3p.stores[1 - side]
+    peer.reserve_exact(sender.reserve(sender.pool_available(side) - keep, Purpose.AUTHENTICATE))
+
+
+class TestSendingLevel:
+    """An advertisement carries the key its end can send, its own pool; the
+    re-advertise band still watches the end's store level."""
+
+    def test_origination_advertises_the_sending_pool_in_a_band_of_the_store_level(self):
+        eng = Engine(load_topology(TRIANGLE), parse_scenario("[scenario] duration=1 seed=1\n"))
+        lrt = eng.links["AC"]
+        _spend_direction(lrt, 0, 5000)
+        for side, name in enumerate(("A", "C")):
+            store = lrt.q3p.stores[side]
+            sendable, level = store.pool_available(side), store.available_bytes
+            eng.agents[name].originate("AC")
+            assert eng.agents[name].db.ads["AC"][name].level_bytes == sendable
+            up, lo, hi = lrt.advertised[side]
+            assert up and (lo, hi) == harness._band(level)
+            if name == "A":
+                # C's full direction keeps A's store level far above the pool
+                assert sendable == 5000 and lo > sendable
+        db = eng.agents["A"].db
+        db.update(eng.agents["C"].db.ads["AC"]["C"])
+        assert db.usable_levels["AC"] == 5000
+
+    def test_a_drained_sending_direction_is_planned_around(self):
+        # A's direction of AC holds less than the authentication floor, but
+        # A's store level counts C's full direction and stays high
+        eng = Engine(load_topology(TRIANGLE), parse_scenario(
+            "[scenario] duration=3 seed=1\n"
+            "[event] t=0.5 kind=request src=A dst=C bytes=4096 k=1\n"))
+        lrt = eng.links["AC"]
+        _spend_direction(lrt, 0, 1024)
+        assert lrt.q3p.stores[0].available_bytes > LOW_WATER_FACTOR * AUTH_RESERVE_DEFAULT
+        rep = eng.run()
+        check_run(eng, rep)
+        record, = rep.records
+        assert record.status is DeliveryStatus.DELIVERED
+        assert [path.links for path in record.paths_used] == [("AB", "BC")]
+        assert set(record.per_link_consumed) == {"AB", "BC"}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_relay_bulk_delivers_every_request(self, seed, monkeypatch):
+        # the relay-bulk benchmark's shape for 15 s: a 3x3 grid of 1 Mbit/s
+        # links, a 64 KiB k=2 request every 0.5 s, 1% loss
+        spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        # its dataclasses look their module up while the file executes
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        work = workloads.relay_bulk(seed, 15.0)
+        eng = Engine(load_topology(work.topology), parse_scenario(work.scenario))
+        rep = eng.run()
+        assert len(rep.records) == 26
+        assert all(rec.status is DeliveryStatus.DELIVERED for rec in rep.records)
+        assert "retry_limit_exceeded" not in rep.msg_counts
