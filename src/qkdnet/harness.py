@@ -334,6 +334,7 @@ class Engine:
         self.agents = {name: NodeAgent(self, name) for name in topology.nodes}
         self.requests: dict[int, _Request] = {}
         self._next_request_id = 0
+        self._retries: deque[tuple[float, int, NodeAgent, _HopState]] = deque()   # arm order
         self._drains: list[_Drain] = []
         # per-second samples, as columns: the times, then for each link in
         # id order its id, levels and rates
@@ -354,6 +355,21 @@ class Engine:
     def _schedule(self, event: Event, order: int | None = None) -> None:
         self._order += 1
         heapq.heappush(self._queue, (event.time_s, order if order is not None else self._order, event))
+
+    def arm_retry(self, agent: "NodeAgent", hop: _HopState) -> None:
+        """Start the retry timer of ``hop``, held at ``agent``. Every timer
+        runs ``RETRY_TIMEOUT_S`` and ``now`` never decreases, so timers
+        expire in the order they were armed: they wait in one FIFO, each
+        under the order number an event of its own would take, and the
+        event queue holds one TIMER entry, for the head."""
+        self._order += 1
+        self._retries.append((self.now + RETRY_TIMEOUT_S, self._order, agent, hop))
+        if len(self._retries) == 1:
+            self._queue_retry()
+
+    def _queue_retry(self) -> None:
+        due, order, _, _ = self._retries[0]
+        heapq.heappush(self._queue, (due, order, Event(due, EventKind.TIMER, {})))
 
     def inject(self, event: Event) -> None:
         """Queue an externally supplied scenario event, checked as the
@@ -636,7 +652,16 @@ class Engine:
             lrt.runtime.daytime = p["daytime"]
 
     def _on_timer(self, p: dict) -> None:
-        self.agents[p["node"]].on_timer(p)
+        """Fire the head timer, drop the timers behind it whose hop its node
+        no longer holds (a stale hop stays stale), and queue the next."""
+        retries = self._retries
+        _, _, agent, hop = retries[0]
+        agent.on_timer(hop)           # a re-arm joins the FIFO behind the head
+        retries.popleft()
+        while retries and not retries[0][2].holds(retries[0][3]):
+            retries.popleft()
+        if retries:
+            self._queue_retry()
 
     def _on_deadline(self, p: dict) -> None:
         self._finalize_record(self.requests[p["request_id"]], reason="deadline")
@@ -977,19 +1002,21 @@ class NodeAgent:
         self._arm_retry(hop)
 
     def _arm_retry(self, hop: _HopState) -> None:
-        """Hold a fragment at this node and start its retry timer, which
-        carries the hop. A hop is re-armed only by its own timer, so it has
-        one timer at most; a newer hop held for the fragment supersedes it."""
+        """Hold a fragment at this node and start its retry timer
+        (``Engine.arm_retry``). A hop is re-armed only by its own timer, so
+        it has one timer at most; a newer hop held for the fragment
+        supersedes it."""
         self._relays[(hop.req.record.request_id, hop.seq)] = hop
-        self.engine._schedule(Event(self.engine.now + RETRY_TIMEOUT_S, EventKind.TIMER, {
-            "node": self.name, "hop": hop,
-        }))
+        self.engine.arm_retry(self, hop)
 
-    def on_timer(self, p: dict) -> None:
-        hop = p["hop"]
-        key = (hop.req.record.request_id, hop.seq)
-        if self._relays.get(key) is not hop:
+    def holds(self, hop: _HopState) -> bool:
+        """Whether ``hop`` is the one this node holds for its fragment."""
+        return self._relays.get((hop.req.record.request_id, hop.seq)) is hop
+
+    def on_timer(self, hop: _HopState) -> None:
+        if not self.holds(hop):
             return
+        key = (hop.req.record.request_id, hop.seq)
         if hop.req.final:
             del self._relays[key]
             return

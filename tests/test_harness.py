@@ -39,7 +39,7 @@ from qkdnet.q3p import (
     Q3PLink,
 )
 from qkdnet.scenarios import BASELINE, DOS_RECOVERY
-from qkdnet.transport import LOW_WATER_FACTOR, DeliveryStatus, encode_ack
+from qkdnet.transport import LOW_WATER_FACTOR, RETRY_TIMEOUT_S, DeliveryStatus, encode_ack
 
 RING4 = """
 [profile] id=p r0_bps=10000 alpha=0.2 max_km=60 restart_s=30
@@ -1144,6 +1144,42 @@ class TestWakeTable:
         eng.run()
         assert len(sizes) == eng.clock.ticks
         assert 0 < max(sizes) <= len(links)
+
+
+class TestRetryTimers:
+    """Retry timers wait in one FIFO with a single TIMER entry in the event
+    queue; the run must equal one with an event per timer."""
+
+    def test_fifo_equals_an_event_per_timer_and_queues_one_timer(self):
+        runs = []
+        for fifo in (True, False):
+            eng = Engine(vienna_preset(), parse_scenario(TestWakeTable.CHURN))
+            timers = []
+            dispatch = eng._dispatch
+
+            def counted(event, eng=eng, timers=timers):
+                if event.kind is EventKind.TIMER:
+                    timers.append(event)
+                if fifo:
+                    assert sum(e.kind is EventKind.TIMER for _, _, e in eng._queue) <= 1
+                dispatch(event)
+
+            eng._dispatch = counted
+            if not fifo:
+                def per_timer(agent, hop, eng=eng):
+                    eng._schedule(Event(eng.now + RETRY_TIMEOUT_S, EventKind.TIMER,
+                                        {"agent": agent, "hop": hop}))
+                eng.arm_retry = per_timer
+                eng._on_timer = lambda p: p["agent"].on_timer(p["hop"])
+            rep = eng.run()
+            check_run(eng, rep)
+            runs.append((rep, len(timers)))
+        (fifo_rep, fifo_timers), (ref_rep, ref_timers) = runs
+        assert fifo_rep.metrics_csv() == ref_rep.metrics_csv()
+        assert fifo_rep.summary_json() == ref_rep.summary_json()
+        assert fifo_rep.audit_text() == ref_rep.audit_text()
+        assert ref_rep.msg_counts["retransmissions"] > 0
+        assert 0 < fifo_timers < ref_timers / 2
 
 
 class TestLazyProduction:
