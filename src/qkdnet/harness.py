@@ -826,7 +826,6 @@ class NodeAgent:
             up=lrt.runtime.status.state is _UP,
             level_bytes=store.pool_available(side),
             rate_bps=round(lrt.runtime.rate_bps * 1000) / 1000,   # as the wire carries it
-            timestamp_ms=int(self.engine.now * 1000),
         )
         self.flood.accept(lsa)
         lrt.advertised[side] = (lsa.up, *_band(store.available_bytes))

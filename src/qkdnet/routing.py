@@ -46,7 +46,7 @@ from typing import Iterable
 from .model import NodeKind, Topology
 from .q3p import AUTH_RESERVE_DEFAULT
 
-_LSA_WIRE = struct.Struct(">IQBQQQ")
+_LSA_WIRE = struct.Struct(">IQBQQ")
 _SUMMARY_ENTRY = struct.Struct(">IQ")
 
 
@@ -67,7 +67,6 @@ class LinkStateAd:
     up: bool
     level_bytes: int
     rate_bps: float
-    timestamp_ms: int
 
 
 @cache
@@ -78,10 +77,10 @@ def lsa_instance_hash(link_id: str, origin: str) -> int:
 
 
 def encode_lsa(lsa: LinkStateAd) -> bytes:
-    """37-byte advertisement payload carried inside routing frames.
+    """29-byte advertisement payload carried inside routing frames.
 
     Big-endian: u32 instance hash, u64 seq, u8 status, u64 level bytes,
-    u64 rate in millibits/s, u64 timestamp in ms.
+    u64 rate in millibits/s.
     """
     return _LSA_WIRE.pack(
         lsa_instance_hash(lsa.link_id, lsa.origin),
@@ -89,17 +88,16 @@ def encode_lsa(lsa: LinkStateAd) -> bytes:
         1 if lsa.up else 0,
         lsa.level_bytes,
         round(lsa.rate_bps * 1000),
-        lsa.timestamp_ms,
     )
 
 
 def decode_lsa(data: bytes, instances: dict[int, tuple[str, str]]) -> LinkStateAd:
     """Decode an advertisement; ``instances`` maps hash -> (link, origin)."""
-    h, seq, status, level, rate_milli, ts = _LSA_WIRE.unpack(data)
+    h, seq, status, level, rate_milli = _LSA_WIRE.unpack(data)
     link_id, origin = instances[h]
     return LinkStateAd(
         link_id=link_id, origin=origin, seq=seq, up=status == 1,
-        level_bytes=level, rate_bps=rate_milli / 1000.0, timestamp_ms=ts,
+        level_bytes=level, rate_bps=rate_milli / 1000.0,
     )
 
 

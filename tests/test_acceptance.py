@@ -54,7 +54,7 @@ def test_criterion_2_building_block_multipath():
         for link in topo.links:
             for origin in (link.a, link.b):
                 db.update(LinkStateAd(link.id, origin, 1, True, 131072,
-                                      topo.profile_of(link).r0_bps, 0))
+                                      topo.profile_of(link).r0_bps))
         paths = disjoint_paths(db, "alice", "bob", 3)
         assert [p.links for p in paths] == [
             ("LA", "L5", "LB"),

@@ -599,12 +599,12 @@ class TestFloodingIntegration:
         log = _log_originations(eng)
         eng.run()
         originated = Counter((node, link) for _, node, link, *_ in log)
-        recent_ms = (end - 0.5) * 1000
+        originated_at = {(node, link): t for t, node, link, *_ in log}
         for origin, agent in eng.agents.items():
             for link in agent.incident:
                 latest = agent.db.ads[link.id][origin]
                 assert latest.seq == originated[origin, link.id]
-                if latest.timestamp_ms >= recent_ms:
+                if originated_at[origin, link.id] >= end - 0.5:
                     continue   # may still be on its way
                 for other in eng.agents.values():
                     held = other.db.ads[link.id][origin]

@@ -47,7 +47,7 @@ def saturated_db(topo, level=131072):
     for link in topo.links:
         rate = topo.profile_of(link).r0_bps
         for origin in (link.a, link.b):
-            db.update(LinkStateAd(link.id, origin, 1, True, level, rate, 0))
+            db.update(LinkStateAd(link.id, origin, 1, True, level, rate))
     return db
 
 
@@ -55,22 +55,21 @@ def set_level(db, link_id, level, seq=2):
     link = db.topology.link(link_id)
     for origin in (link.a, link.b):
         db.update(LinkStateAd(link_id, origin, seq, True, level,
-                              db.topology.profile_of(link).r0_bps, 0))
+                              db.topology.profile_of(link).r0_bps))
 
 
 class TestLsaCodec:
     def test_golden_layout(self):
-        lsa = LinkStateAd("L5", "QA", 9, True, 131072, 8000.0, 1234)
+        lsa = LinkStateAd("L5", "QA", 9, True, 131072, 8000.0)
         data = encode_lsa(lsa)
-        expected = struct.pack(
-            ">IQBQQQ", zlib.crc32(b"L5/QA"), 9, 1, 131072, 8000000, 1234)
+        expected = struct.pack(">IQBQQ", zlib.crc32(b"L5/QA"), 9, 1, 131072, 8000000)
         assert data == expected
-        assert len(data) == 37
+        assert len(data) == 29
 
     def test_round_trip(self):
         topo = building_block_preset()
         table = lsa_instances(topo)
-        lsa = LinkStateAd("L2", "QC", 3, False, 500, 3162.277, 42)
+        lsa = LinkStateAd("L2", "QC", 3, False, 500, 3162.277)
         back = decode_lsa(encode_lsa(lsa), table)
         assert back.link_id == "L2" and back.origin == "QC"
         assert back.seq == 3 and back.up is False and back.level_bytes == 500
@@ -87,7 +86,7 @@ class TestLsaTable:
 
     def test_an_entrys_bytes_give_back_the_originated_object(self):
         table = self._table()
-        lsa = LinkStateAd("L2", "QC", 3, True, 500, 3162.277, 42)
+        lsa = LinkStateAd("L2", "QC", 3, True, 500, 3162.277)
         wire = table.encode(lsa)
         assert wire == encode_lsa(lsa)
         assert table.decode(wire) is lsa
@@ -95,8 +94,8 @@ class TestLsaTable:
 
     def test_an_older_instance_is_decoded_and_refused(self, monkeypatch):
         table = self._table()
-        old = LinkStateAd("L2", "QC", 3, True, 500, 8000.0, 42)
-        new = LinkStateAd("L2", "QC", 4, False, 500, 8000.0, 43)
+        old = LinkStateAd("L2", "QC", 3, True, 500, 8000.0)
+        new = LinkStateAd("L2", "QC", 4, False, 500, 8000.0)
         old_wire = table.encode(old)
         new_wire = table.encode(new)
         decoded = []
@@ -114,8 +113,8 @@ class TestLsaTable:
 
 class TestSummaryCodec:
     def test_golden_layout(self):
-        lsas = [LinkStateAd("L5", "QA", 9, True, 131072, 8000.0, 1234),
-                LinkStateAd("L2", "QC", 2**40, False, 0, 0.0, 0)]
+        lsas = [LinkStateAd("L5", "QA", 9, True, 131072, 8000.0),
+                LinkStateAd("L2", "QC", 2**40, False, 0, 0.0)]
         data = encode_summary(lsas)
         assert data == (struct.pack(">IQ", zlib.crc32(b"L5/QA"), 9)
                         + struct.pack(">IQ", zlib.crc32(b"L2/QC"), 2**40))
@@ -139,7 +138,7 @@ class TestDatabaseSummary:
         db = LinkStateDB(topo)
         for link_id, origin in order:
             db.update(LinkStateAd(link_id, origin, seqs.get((link_id, origin), 1),
-                                  True, 131072, 1000.0, 0))
+                                  True, 131072, 1000.0))
         return db
 
     def test_same_instances_and_seqs_give_equal_bytes_in_any_order(self):
@@ -159,7 +158,7 @@ class TestDatabaseSummary:
         a = self._install(topo, order, {})
         b = self._install(topo, order, {})
         assert a.summary() == b.summary()
-        a.update(LinkStateAd(*order[5], 2, True, 131072, 1000.0, 0))
+        a.update(LinkStateAd(*order[5], 2, True, 131072, 1000.0))
         assert a.summary() != b.summary() and len(a.summary()) == len(b.summary())
 
     def test_decodes_as_the_installation_order_encoding(self):
@@ -184,7 +183,7 @@ class TestLinkCost:
 
     def test_down_end_is_unusable(self):
         db = saturated_db(building_block_preset())
-        db.update(LinkStateAd("L5", "QA", 2, False, 131072, 8000.0, 0))
+        db.update(LinkStateAd("L5", "QA", 2, False, 131072, 8000.0))
         assert "L5" not in db.usable_levels
         assert not db.usable("L5")
 
@@ -230,7 +229,7 @@ class TestShortestPath:
         for link_id in ("L1", "L2", "L3", "L4", "L5", "L6"):
             link = db.topology.link(link_id)
             for origin in (link.a, link.b):
-                db.update(LinkStateAd(link_id, origin, 2, False, 0, 0.0, 0))
+                db.update(LinkStateAd(link_id, origin, 2, False, 0, 0.0))
         with pytest.raises(NoRoute):
             shortest_path(db, "alice", "bob")
 
@@ -340,17 +339,17 @@ class TestDisjointPaths:
 class TestFlooding:
     def test_duplicate_sequence_suppressed(self):
         fs = FloodingState(LinkStateDB(building_block_preset()))
-        lsa = LinkStateAd("L1", "QA", 5, True, 100, 1.0, 0)
+        lsa = LinkStateAd("L1", "QA", 5, True, 100, 1.0)
         assert fs.accept(lsa)
         assert not fs.accept(lsa)
-        assert fs.accept(LinkStateAd("L1", "QA", 6, True, 100, 1.0, 0))
-        assert not fs.accept(LinkStateAd("L1", "QA", 4, True, 100, 1.0, 0))
+        assert fs.accept(LinkStateAd("L1", "QA", 6, True, 100, 1.0))
+        assert not fs.accept(LinkStateAd("L1", "QA", 4, True, 100, 1.0))
 
     def test_stale_update_ignored_by_db(self):
         db = saturated_db(building_block_preset())
-        fresh = LinkStateAd("L1", "QA", 9, False, 5, 1.0, 0)
+        fresh = LinkStateAd("L1", "QA", 9, False, 5, 1.0)
         assert db.update(fresh)
-        assert not db.update(LinkStateAd("L1", "QA", 3, True, 131072, 8000.0, 0))
+        assert not db.update(LinkStateAd("L1", "QA", 3, True, 131072, 8000.0))
         assert db.ads["L1"]["QA"].seq == 9
 
 
@@ -493,7 +492,7 @@ def routing_cases(draw):
                 continue  # this end never advertised
             up = draw(st.integers(0, 7)) != 0
             level = 131072 if uniform else draw(_LEVELS)
-            db.update(LinkStateAd(link.id, origin, 1, up, level, 1000.0, 0))
+            db.update(LinkStateAd(link.id, origin, 1, up, level, 1000.0))
     names = sorted(topo.nodes)
     src = draw(st.sampled_from(names))
     dst = draw(st.sampled_from([n for n in names if n != src]))
@@ -595,7 +594,7 @@ class TestLevelTable:
             origin = link.a if a_end else link.b
             held = db.ads.get(link_id, {}).get(origin)
             newer = held is None or seq > held.seq
-            assert db.update(LinkStateAd(link_id, origin, seq, up, level, 1.0, 0)) is newer
+            assert db.update(LinkStateAd(link_id, origin, seq, up, level, 1.0)) is newer
             for lid in link_ids:
                 assert db.usable(lid) is _reference_usable(db, lid)
                 if _reference_usable(db, lid):
@@ -667,11 +666,11 @@ class TestRouteCache:
                 if held is not None and data.draw(st.booleans(), label="same view"):
                     # newer, but nothing usable changes
                     lsa = LinkStateAd(link.id, origin, held.seq + 1, held.up,
-                                      held.level_bytes, held.rate_bps, 0)
+                                      held.level_bytes, held.rate_bps)
                 else:
                     seq = data.draw(st.integers(0, 2)) + (held.seq if held is not None else 0)
                     lsa = LinkStateAd(link.id, origin, seq, data.draw(st.integers(0, 5)) != 0,
-                                      data.draw(_LEVELS), 1000.0, 0)
+                                      data.draw(_LEVELS), 1000.0)
                 db.update(lsa)
                 installed.append(lsa)
                 continue
@@ -706,7 +705,7 @@ class TestRouteCache:
         # an install that changes nothing usable still drops every answer
         held = db.ads["AB"]["A"]
         assert db.update(LinkStateAd("AB", "A", held.seq + 1, True, held.level_bytes,
-                                     held.rate_bps, 0))
+                                     held.rate_bps))
         assert shortest_path(db, "u0", "u1") == first and len(searches) == 4
 
     def test_no_route_is_kept_and_raised_each_time(self, monkeypatch):

@@ -72,7 +72,7 @@ def saturated_db(topo, level=131072):
     for link in topo.links:
         rate = topo.profile_of(link).r0_bps
         for origin in (link.a, link.b):
-            db.update(LinkStateAd(link.id, origin, 1, True, level, rate, 0))
+            db.update(LinkStateAd(link.id, origin, 1, True, level, rate))
     return db
 
 
@@ -127,7 +127,7 @@ class TestAggregateRate:
         topo = building_block_preset()
         db = saturated_db(topo)
         for origin in ("QA", "QB"):
-            db.update(LinkStateAd("L5", origin, 2, False, 0, 0.0, 0))
+            db.update(LinkStateAd("L5", origin, 2, False, 0, 0.0))
         assert aggregate_rate(db, "QA", "QB", 3) == 2 * 8000.0
 
     def test_no_route_is_zero(self):
