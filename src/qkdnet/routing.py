@@ -3,22 +3,22 @@ end's status, the key that end can send, and the link's rate; path costs
 grow as sending pools drain, so traffic steers away from scarce links.
 
 An end sends only from its own pool, so that pool is the level it
-advertises, as an OSPF router-LSA advertises the cost out of its
-originating router (RFC 2328 §12.4.1). Each link end originates an
-advertisement (LSA) only when its view changes: up/down, or its store level
-(own pool plus the peer's unopened pool) crossing the authentication floor
-or moving past the hysteresis. LSAs are flooded with sequence-number
-duplicate suppression. Flooding is made reliable the way IS-IS does it,
-with complete sequence-number summaries (ISO/IEC 10589 CSNP) instead of
-per-LSA acks: every ``SUMMARY_S`` and when a link is restored, each node
-sends each neighbour one authenticated frame listing ``(instance hash,
-seq)`` for every LSA in its database, and a node that receives one sends back every LSA the
+advertises, as an OSPF router-LSA advertises the cost out of its originating
+router (RFC 2328 §12.4.1). Each link end originates an advertisement (LSA)
+only when its view changes: up/down, or its store level (own pool plus the
+peer's unopened pool) crossing the authentication floor or moving past the
+hysteresis. LSAs are flooded with sequence-number duplicate suppression.
+Flooding is made reliable the way IS-IS does it, with complete
+sequence-number summaries (ISO/IEC 10589 CSNP) instead of per-LSA acks:
+every ``SUMMARY_S`` and when a link is restored, each node sends each
+neighbour one authenticated frame listing ``(instance hash, seq)`` for every
+LSA in its database, and a node that receives one sends back every LSA the
 summary lacks or holds older. That one path repairs lost LSAs, LSAs skipped
 for lack of key and cuts healed by a restore, at a constant 32 bytes of
 authentication key per link direction per period. A summary lists its
 entries in instance-hash order, as a CSNP lists LSP IDs in order, so two
-databases that hold the same LSAs give equal bytes, and a node that
-receives a summary equal to its own has nothing to send back.
+databases that hold the same LSAs give equal bytes, and a node that receives
+a summary equal to its own has nothing to send back.
 
 An advertisement is held once per run, not once per node: a node whose
 frame carries the bytes of an instance's last origination (``LsaTable``)
