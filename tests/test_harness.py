@@ -1157,7 +1157,7 @@ class TestRetryTimers:
             timers = []
             dispatch = eng._dispatch
 
-            def counted(event, eng=eng, timers=timers):
+            def counted(event, eng=eng, timers=timers, fifo=fifo):
                 if event.kind is EventKind.TIMER:
                     timers.append(event)
                 if fifo:
@@ -1307,8 +1307,9 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 def _spend_direction(lrt, side: int, keep: int) -> None:
     """Spend the pool the end at ``side`` sends from down to ``keep`` bytes,
-    opened at the other end as a drain's spends are: the other direction,
-    and so the store level at ``side``, keep what they hold."""
+    opened at the other end as a drain's spends are. The other direction
+    keeps what it holds, so the store level at ``side`` stays above the
+    sending pool by all of it."""
     sender, peer = lrt.q3p.stores[side], lrt.q3p.stores[1 - side]
     peer.reserve_exact(sender.reserve(sender.pool_available(side) - keep, Purpose.AUTHENTICATE))
 
