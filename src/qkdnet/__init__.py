@@ -48,7 +48,6 @@ from .routing import (
     LinkStateDB,
     NoRoute,
     Path,
-    RouteCostParams,
     disjoint_paths,
     shortest_path,
 )

@@ -38,7 +38,6 @@ from .routing import (
     LsaTable,
     NoRoute,
     Path,
-    RouteCostParams,
     decode_summary,
     encode_lsa,
     lsa_instances,
@@ -301,7 +300,6 @@ class Engine:
         self.topology = topology
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
-        self.cost_params = RouteCostParams()
         self.now = 0.0
         self._last_tick = round(scenario.duration_s / PRODUCE_TICK_S)
         self._queue: list[tuple[float, int, Event]] = []
@@ -825,7 +823,6 @@ class NodeAgent:
             seq=held.seq + 1 if held is not None else 1,
             up=lrt.runtime.status.state is _UP,
             level_bytes=store.pool_available(side),
-            rate_bps=round(lrt.runtime.rate_bps * 1000) / 1000,   # as the wire carries it
         )
         self.flood.accept(lsa)
         lrt.advertised[side] = (lsa.up, *_band(store.available_bytes))
@@ -912,10 +909,7 @@ class NodeAgent:
         rec = req.record
         fragments = split_fragments(rec.secret_at_src, MTU_BYTES)
         rec.fragments_total = len(fragments)
-        paths = disjoint_paths(
-            self.db, rec.src, rec.dst, req.multipath,
-            self.engine.cost_params, exclude_links=req.exclude,
-        )
+        paths = disjoint_paths(self.db, rec.src, rec.dst, req.multipath, exclude_links=req.exclude)
         if not paths:
             rec.failure_reason = "no_route"
             self.engine._finalize_record(req, reason="no_route")
@@ -960,7 +954,7 @@ class NodeAgent:
             if not self._eligible(link.id, len(hop.fragment)):
                 exclude.add(link.id)
         try:
-            return shortest_path(self.db, self.name, hop.req.record.dst, self.engine.cost_params,
+            return shortest_path(self.db, self.name, hop.req.record.dst,
                                  exclude_links=frozenset(exclude))
         except NoRoute:
             return None

@@ -40,11 +40,10 @@ class PlannerParams:
     alpha_db_per_km: float = 0.2
     total_distance_km: float = 100.0
     geometry: Geometry = Geometry.CHAIN
-    target_pair_rate_bps: float = 1000.0
 
     def __post_init__(self) -> None:
         if min(self.device_cost, self.r0_bps, self.alpha_db_per_km,
-               self.total_distance_km, self.target_pair_rate_bps) <= 0:
+               self.total_distance_km) <= 0:
             raise ValueError("planner parameters must be positive")
 
     def profile(self) -> DeviceProfile:

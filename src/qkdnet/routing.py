@@ -1,6 +1,6 @@
 """Key-aware link-state routing: flooded advertisements carry each link
-end's status, the key that end can send, and the link's rate; path costs
-grow as sending pools drain, so traffic steers away from scarce links.
+end's status and the key that end can send; path costs grow as sending
+pools drain, so traffic steers away from scarce links.
 
 An end sends only from its own pool, so that pool is the level it
 advertises, as an OSPF router-LSA advertises the cost out of its originating
@@ -35,7 +35,6 @@ when its LSDB changes (RFC 2328 §16)."""
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ from typing import Iterable
 from .model import NodeKind, Topology
 from .q3p import AUTH_RESERVE_DEFAULT
 
-_LSA_WIRE = struct.Struct(">IQBQQ")
+_LSA_WIRE = struct.Struct(">IQBQ")
 _SUMMARY_ENTRY = struct.Struct(">IQ")
 
 
@@ -66,7 +65,6 @@ class LinkStateAd:
     seq: int
     up: bool
     level_bytes: int
-    rate_bps: float
 
 
 @cache
@@ -77,28 +75,24 @@ def lsa_instance_hash(link_id: str, origin: str) -> int:
 
 
 def encode_lsa(lsa: LinkStateAd) -> bytes:
-    """29-byte advertisement payload carried inside routing frames.
+    """21-byte advertisement payload carried inside routing frames.
 
-    Big-endian: u32 instance hash, u64 seq, u8 status, u64 level bytes,
-    u64 rate in millibits/s.
+    Big-endian: u32 instance hash, u64 seq, u8 status, u64 level bytes.
     """
     return _LSA_WIRE.pack(
         lsa_instance_hash(lsa.link_id, lsa.origin),
         lsa.seq,
         1 if lsa.up else 0,
         lsa.level_bytes,
-        round(lsa.rate_bps * 1000),
     )
 
 
 def decode_lsa(data: bytes, instances: dict[int, tuple[str, str]]) -> LinkStateAd:
     """Decode an advertisement; ``instances`` maps hash -> (link, origin)."""
-    h, seq, status, level, rate_milli = _LSA_WIRE.unpack(data)
+    h, seq, status, level = _LSA_WIRE.unpack(data)
     link_id, origin = instances[h]
-    return LinkStateAd(
-        link_id=link_id, origin=origin, seq=seq, up=status == 1,
-        level_bytes=level, rate_bps=rate_milli / 1000.0,
-    )
+    return LinkStateAd(link_id=link_id, origin=origin, seq=seq, up=status == 1,
+                       level_bytes=level)
 
 
 def encode_summary(lsas: Iterable[LinkStateAd]) -> bytes:
@@ -153,23 +147,16 @@ def lsa_instances(topo: Topology) -> dict[int, tuple[str, str]]:
     return out
 
 
-@dataclass
-class RouteCostParams:
-    """Cost = hop_cost + scarcity_weight * normalized key depletion."""
+# cost of one usable link = HOP_COST + SCARCITY_WEIGHT * its key depletion,
+# the shortfall of its lower end's level below TARGET_LEVEL_BYTES
+HOP_COST = 1.0
+SCARCITY_WEIGHT = 1.0
+TARGET_LEVEL_BYTES = 65536
 
-    hop_cost: float = 1.0
-    scarcity_weight: float = 1.0
-    target_level_bytes: int = 65536
 
-    def __post_init__(self) -> None:
-        values = (self.hop_cost, self.scarcity_weight, self.target_level_bytes)
-        if not all(0 <= v < math.inf for v in values):
-            raise ValueError("route cost parameters must be finite and non-negative")
-
-    def step_cost(self, level_bytes: int) -> float:
-        """Cost of one usable link whose lower end holds ``level_bytes``."""
-        target = max(1, self.target_level_bytes)  # degenerate target: hop cost only
-        return self.hop_cost + self.scarcity_weight * max(0.0, 1.0 - level_bytes / target)
+def step_cost(level_bytes: int) -> float:
+    """Cost of one usable link whose lower end holds ``level_bytes``."""
+    return HOP_COST + SCARCITY_WEIGHT * max(0.0, 1.0 - level_bytes / TARGET_LEVEL_BYTES)
 
 
 class LinkStateDB:
@@ -226,13 +213,6 @@ class LinkStateDB:
                 self.lsas(), key=lambda lsa: lsa_instance_hash(lsa.link_id, lsa.origin)))
         return self._summary
 
-    def pair(self, link_id: str) -> tuple[LinkStateAd, LinkStateAd] | None:
-        link = self.topology.link(link_id)
-        both = self.ads.get(link_id, {})
-        if link.a in both and link.b in both:
-            return both[link.a], both[link.b]
-        return None
-
     def usable(self, link_id: str) -> bool:
         """A link carries traffic only if both ends advertise Up and hold
         more key than the authentication floor."""
@@ -241,12 +221,6 @@ class LinkStateDB:
     def min_level(self, link_id: str) -> int:
         """The lower advertised level of a usable link; paths hold no other."""
         return self.usable_levels[link_id]
-
-    def min_rate(self, link_id: str) -> float:
-        pair = self.pair(link_id)
-        if pair is None:
-            return 0.0
-        return min(ad.rate_bps for ad in pair)
 
 
 @dataclass(frozen=True)
@@ -271,7 +245,6 @@ def shortest_path(
     db: LinkStateDB,
     src: str,
     dst: str,
-    params: RouteCostParams | None = None,
     exclude_links: frozenset[str] | set[str] = frozenset(),
     exclude_nodes: frozenset[str] | set[str] = frozenset(),
 ) -> Path:
@@ -288,26 +261,23 @@ def shortest_path(
     """
     if src == dst:
         raise ValueError("src and dst must differ")
-    params = params or RouteCostParams()
-    query = (src, dst, frozenset(exclude_links), frozenset(exclude_nodes),
-             params.hop_cost, params.scarcity_weight, params.target_level_bytes)
+    query = (src, dst, frozenset(exclude_links), frozenset(exclude_nodes))
     try:
         path = db.routes[query]
     except KeyError:
-        path = db.routes[query] = _search(db, src, dst, params, exclude_links, exclude_nodes)
+        path = db.routes[query] = _search(db, src, dst, exclude_links, exclude_nodes)
     if path is None:
         raise NoRoute(f"no usable path {src} -> {dst}")
     return path
 
 
-def _search(db: LinkStateDB, src: str, dst: str, params: RouteCostParams,
+def _search(db: LinkStateDB, src: str, dst: str,
             exclude_links: frozenset[str] | set[str],
             exclude_nodes: frozenset[str] | set[str]) -> Path | None:
     """``shortest_path``'s search itself; None when there is no route."""
     topo = db.topology
     kinds = topo.nodes
     levels = db.usable_levels
-    step_cost = params.step_cost
     heap: list[tuple[float, tuple[str, ...], tuple[str, ...]]] = [(0.0, (src,), ())]
     done: set[str] = set()
     while heap:
@@ -347,7 +317,6 @@ def disjoint_paths(
     src: str,
     dst: str,
     k: int,
-    params: RouteCostParams | None = None,
     exclude_links: frozenset[str] | set[str] = frozenset(),
 ) -> list[Path]:
     """Up to ``k`` usable paths whose interiors share no node, by iterative
@@ -359,7 +328,6 @@ def disjoint_paths(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    params = params or RouteCostParams()
     topo = db.topology
     src_anchor, src_access = _collapse_user(topo, src)
     dst_anchor, dst_access = _collapse_user(topo, dst)
@@ -391,7 +359,7 @@ def disjoint_paths(
     while len(found) < k:
         try:
             core = shortest_path(
-                db, src_anchor, dst_anchor, params,
+                db, src_anchor, dst_anchor,
                 exclude_links=frozenset(banned_links),
                 exclude_nodes=frozenset(banned_nodes),
             )

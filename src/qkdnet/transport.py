@@ -5,7 +5,8 @@ relays each fragment hop by hop: sealed (OTP + tag) on one link, opened at
 the next node, re-sealed on the following link. The event-driven mechanics
 (acks, retransmission with fresh key, rerouting) live in the harness; this
 module holds the data types, the fragment codec, the path-assignment policy,
-and the series-parallel rate calculation.
+and the series-parallel rate calculation, whose link rates come from the
+rate law (``links.key_rate``), not from the flooded advertisements.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .routing import LinkStateDB, Path, RouteCostParams, disjoint_paths
+from .links import key_rate
+from .routing import LinkStateDB, Path, disjoint_paths
 
 MTU_BYTES = 1024
 MAX_RETRIES = 5          # retransmissions per fragment hop, then give up
@@ -158,26 +160,34 @@ def aggregate_rate(
     src: str,
     dst: str,
     k: int,
-    params: RouteCostParams | None = None,
 ) -> float:
-    """Achievable end-to-end rate over up to ``k`` interior-disjoint paths.
+    """Rated end-to-end rate over up to ``k`` interior-disjoint paths.
 
+    The paths, and so which links count, come from the database's usable
+    links. Each link's rate is its rated one, ``key_rate`` of its profile at
+    its length, so a link paused by a daytime window keeps its rate here.
     Parallel sections add; series sections bottleneck. Links shared by every
     path (the access links of end-user endpoints) sit in series with the sum
     of the disjoint cores.
     """
-    paths = disjoint_paths(db, src, dst, k, params)
+    topo = db.topology
+
+    def rate(link_id: str) -> float:
+        link = topo.link(link_id)
+        return key_rate(topo.profile_of(link), link.length_km)
+
+    paths = disjoint_paths(db, src, dst, k)
     if not paths:
         return 0.0
     if len(paths) == 1:
-        return min(db.min_rate(l) for l in paths[0].links)
+        return min(rate(l) for l in paths[0].links)
     shared = set(paths[0].links)
     for p in paths[1:]:
         shared &= set(p.links)
     parallel = 0.0
     for p in paths:
         core = [l for l in p.links if l not in shared]
-        parallel += min(db.min_rate(l) for l in core)
+        parallel += min(rate(l) for l in core)
     if not shared:
         return parallel
-    return min(parallel, min(db.min_rate(l) for l in shared))
+    return min(parallel, min(rate(l) for l in shared))

@@ -24,9 +24,11 @@ from qkdnet.planner import (
     scaling_table,
 )
 from qkdnet.q3p import AUTH_RESERVE_DEFAULT, Channel, Q3PLink, Q3PMessage, TagMismatch, _poly_tag
-from qkdnet.routing import LinkStateAd, LinkStateDB, disjoint_paths
+from qkdnet.routing import disjoint_paths
 from qkdnet.scenarios import DOS_RECOVERY, FAILOVER
 from qkdnet.transport import DeliveryStatus, aggregate_rate
+
+from lsdb import saturated_db
 
 
 @contextmanager
@@ -50,11 +52,7 @@ def test_criterion_1_scaling_claim():
 def test_criterion_2_building_block_multipath():
     with criterion(2, "three disjoint routes and series-parallel rate", 1.0):
         topo = building_block_preset()
-        db = LinkStateDB(topo)
-        for link in topo.links:
-            for origin in (link.a, link.b):
-                db.update(LinkStateAd(link.id, origin, 1, True, 131072,
-                                      topo.profile_of(link).r0_bps))
+        db = saturated_db(topo)
         paths = disjoint_paths(db, "alice", "bob", 3)
         assert [p.links for p in paths] == [
             ("LA", "L5", "LB"),

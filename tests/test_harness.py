@@ -413,9 +413,9 @@ def _idle_grid(n: int) -> str:
 
 
 def _held(db):
-    """(link, origin) -> (seq, up, level, rate) of every advertisement a
-    database holds."""
-    return {(link_id, origin): (ad.seq, ad.up, ad.level_bytes, ad.rate_bps)
+    """(link, origin) -> (seq, up, level) of every advertisement a database
+    holds."""
+    return {(link_id, origin): (ad.seq, ad.up, ad.level_bytes)
             for link_id, both in db.ads.items() for origin, ad in both.items()}
 
 

@@ -26,12 +26,14 @@ from qkdnet.model import (
 )
 from qkdnet.routing import (
     FloodingState,
+    HOP_COST,
     LinkStateAd,
     LinkStateDB,
     LsaTable,
     NoRoute,
     Path,
-    RouteCostParams,
+    SCARCITY_WEIGHT,
+    TARGET_LEVEL_BYTES,
     decode_lsa,
     decode_summary,
     disjoint_paths,
@@ -39,41 +41,34 @@ from qkdnet.routing import (
     encode_summary,
     lsa_instances,
     shortest_path,
+    step_cost,
 )
 
-
-def saturated_db(topo, level=131072):
-    db = LinkStateDB(topo)
-    for link in topo.links:
-        rate = topo.profile_of(link).r0_bps
-        for origin in (link.a, link.b):
-            db.update(LinkStateAd(link.id, origin, 1, True, level, rate))
-    return db
+from lsdb import saturated_db
 
 
 def set_level(db, link_id, level, seq=2):
     link = db.topology.link(link_id)
     for origin in (link.a, link.b):
-        db.update(LinkStateAd(link_id, origin, seq, True, level,
-                              db.topology.profile_of(link).r0_bps))
+        db.update(LinkStateAd(link_id, origin, seq, True, level))
 
 
 class TestLsaCodec:
     def test_golden_layout(self):
-        lsa = LinkStateAd("L5", "QA", 9, True, 131072, 8000.0)
+        lsa = LinkStateAd("L5", "QA", 9, True, 131072)
         data = encode_lsa(lsa)
-        expected = struct.pack(">IQBQQ", zlib.crc32(b"L5/QA"), 9, 1, 131072, 8000000)
+        expected = struct.pack(">IQBQ", zlib.crc32(b"L5/QA"), 9, 1, 131072)
         assert data == expected
-        assert len(data) == 29
+        assert len(data) == 21
 
     def test_round_trip(self):
         topo = building_block_preset()
         table = lsa_instances(topo)
-        lsa = LinkStateAd("L2", "QC", 3, False, 500, 3162.277)
+        lsa = LinkStateAd("L2", "QC", 3, False, 500)
         back = decode_lsa(encode_lsa(lsa), table)
         assert back.link_id == "L2" and back.origin == "QC"
         assert back.seq == 3 and back.up is False and back.level_bytes == 500
-        assert back.rate_bps == pytest.approx(3162.277, abs=1e-3)
+        assert back == lsa
 
 
 class TestLsaTable:
@@ -86,7 +81,7 @@ class TestLsaTable:
 
     def test_an_entrys_bytes_give_back_the_originated_object(self):
         table = self._table()
-        lsa = LinkStateAd("L2", "QC", 3, True, 500, 3162.277)
+        lsa = LinkStateAd("L2", "QC", 3, True, 500)
         wire = table.encode(lsa)
         assert wire == encode_lsa(lsa)
         assert table.decode(wire) is lsa
@@ -94,8 +89,8 @@ class TestLsaTable:
 
     def test_an_older_instance_is_decoded_and_refused(self, monkeypatch):
         table = self._table()
-        old = LinkStateAd("L2", "QC", 3, True, 500, 8000.0)
-        new = LinkStateAd("L2", "QC", 4, False, 500, 8000.0)
+        old = LinkStateAd("L2", "QC", 3, True, 500)
+        new = LinkStateAd("L2", "QC", 4, False, 500)
         old_wire = table.encode(old)
         new_wire = table.encode(new)
         decoded = []
@@ -113,8 +108,8 @@ class TestLsaTable:
 
 class TestSummaryCodec:
     def test_golden_layout(self):
-        lsas = [LinkStateAd("L5", "QA", 9, True, 131072, 8000.0),
-                LinkStateAd("L2", "QC", 2**40, False, 0, 0.0)]
+        lsas = [LinkStateAd("L5", "QA", 9, True, 131072),
+                LinkStateAd("L2", "QC", 2**40, False, 0)]
         data = encode_summary(lsas)
         assert data == (struct.pack(">IQ", zlib.crc32(b"L5/QA"), 9)
                         + struct.pack(">IQ", zlib.crc32(b"L2/QC"), 2**40))
@@ -138,7 +133,7 @@ class TestDatabaseSummary:
         db = LinkStateDB(topo)
         for link_id, origin in order:
             db.update(LinkStateAd(link_id, origin, seqs.get((link_id, origin), 1),
-                                  True, 131072, 1000.0))
+                                  True, 131072))
         return db
 
     def test_same_instances_and_seqs_give_equal_bytes_in_any_order(self):
@@ -158,7 +153,7 @@ class TestDatabaseSummary:
         a = self._install(topo, order, {})
         b = self._install(topo, order, {})
         assert a.summary() == b.summary()
-        a.update(LinkStateAd(*order[5], 2, True, 131072, 1000.0))
+        a.update(LinkStateAd(*order[5], 2, True, 131072))
         assert a.summary() != b.summary() and len(a.summary()) == len(b.summary())
 
     def test_decodes_as_the_installation_order_encoding(self):
@@ -173,17 +168,18 @@ class TestDatabaseSummary:
 class TestLinkCost:
     def test_saturated_is_pure_hop_cost(self):
         db = saturated_db(building_block_preset())
-        assert RouteCostParams(target_level_bytes=65536).step_cost(db.usable_levels["L5"]) == 1.0
+        assert db.usable_levels["L5"] > TARGET_LEVEL_BYTES
+        assert step_cost(db.usable_levels["L5"]) == HOP_COST == 1.0
 
     def test_half_depleted_costs_one_and_a_half(self):
         db = saturated_db(building_block_preset())
-        params = RouteCostParams(target_level_bytes=65536)
-        set_level(db, "L5", 32768)
-        assert params.step_cost(db.usable_levels["L5"]) == pytest.approx(1.5)
+        set_level(db, "L5", TARGET_LEVEL_BYTES // 2)
+        assert SCARCITY_WEIGHT == 1.0
+        assert step_cost(db.usable_levels["L5"]) == pytest.approx(1.5)
 
     def test_down_end_is_unusable(self):
         db = saturated_db(building_block_preset())
-        db.update(LinkStateAd("L5", "QA", 2, False, 131072, 8000.0))
+        db.update(LinkStateAd("L5", "QA", 2, False, 131072))
         assert "L5" not in db.usable_levels
         assert not db.usable("L5")
 
@@ -191,24 +187,6 @@ class TestLinkCost:
         db = saturated_db(building_block_preset())
         set_level(db, "L5", 4096)
         assert not db.usable("L5")
-
-    def test_zero_target_degrades_to_hop_count(self):
-        db = saturated_db(building_block_preset())
-        params = RouteCostParams(target_level_bytes=0)
-        assert params.step_cost(db.usable_levels["L5"]) == 1.0
-
-
-class TestRouteCostParams:
-    @pytest.mark.parametrize("field", ["hop_cost", "scarcity_weight", "target_level_bytes"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
-    def test_rejects_non_finite_and_negative(self, field, value):
-        with pytest.raises(ValueError):
-            RouteCostParams(**{field: value})
-
-    def test_accepts_finite_non_negative(self):
-        params = RouteCostParams(hop_cost=0.0, scarcity_weight=0.0, target_level_bytes=0)
-        assert params.step_cost(0) == 0.0
-        assert RouteCostParams(scarcity_weight=1e300).step_cost(65536) == 1.0
 
 
 class TestShortestPath:
@@ -229,7 +207,7 @@ class TestShortestPath:
         for link_id in ("L1", "L2", "L3", "L4", "L5", "L6"):
             link = db.topology.link(link_id)
             for origin in (link.a, link.b):
-                db.update(LinkStateAd(link_id, origin, 2, False, 0, 0.0))
+                db.update(LinkStateAd(link_id, origin, 2, False, 0))
         with pytest.raises(NoRoute):
             shortest_path(db, "alice", "bob")
 
@@ -240,25 +218,25 @@ class TestShortestPath:
         assert len(routes) == 1
 
     def test_scarcity_steers_away_from_drained_link(self):
-        # weight > 1 lets depletion outweigh an extra hop
-        db = saturated_db(vienna_preset())
-        params = RouteCostParams(scarcity_weight=2.0, target_level_bytes=131072)
-        baseline = shortest_path(db, "SIE", "ERD", params)
-        assert baseline.links == ("SIE-ERD",)
-        set_level(db, "SIE-ERD", 8192)
-        rerouted = shortest_path(db, "SIE", "ERD", params)
-        assert "SIE-ERD" not in rerouted.links
+        # depletion decides between routes of equal hop count: with the
+        # direct L5 excluded, draining L1 moves the route from QC to QD
+        db = saturated_db(building_block_preset())
+        baseline = shortest_path(db, "alice", "bob", exclude_links={"L5"})
+        assert baseline.links == ("LA", "L1", "L2", "LB")   # QC sorts before QD
+        set_level(db, "L1", 8192)
+        rerouted = shortest_path(db, "alice", "bob", exclude_links={"L5"})
+        assert rerouted.links == ("LA", "L3", "L4", "LB")
 
     def test_draining_one_link_never_lowers_other_path_costs(self):
         db = saturated_db(building_block_preset())
-        params = RouteCostParams(target_level_bytes=131072)
-        costs_before = {lid: params.step_cost(level) for lid, level in db.usable_levels.items()}
+        set_level(db, "L2", 32768)       # half depleted: costs 1.5
+        costs_before = {lid: step_cost(level) for lid, level in db.usable_levels.items()}
         assert set(costs_before) == {l.id for l in db.topology.links}
         set_level(db, "L1", 1000)        # below the floor: L1 leaves the table
         assert "L1" not in db.usable_levels
         for link_id, before in costs_before.items():
             if link_id != "L1":
-                assert params.step_cost(db.usable_levels[link_id]) == before
+                assert step_cost(db.usable_levels[link_id]) == before
 
 
 def brute_force_disjoint(topo, db, src, dst, anchors):
@@ -339,17 +317,17 @@ class TestDisjointPaths:
 class TestFlooding:
     def test_duplicate_sequence_suppressed(self):
         fs = FloodingState(LinkStateDB(building_block_preset()))
-        lsa = LinkStateAd("L1", "QA", 5, True, 100, 1.0)
+        lsa = LinkStateAd("L1", "QA", 5, True, 100)
         assert fs.accept(lsa)
         assert not fs.accept(lsa)
-        assert fs.accept(LinkStateAd("L1", "QA", 6, True, 100, 1.0))
-        assert not fs.accept(LinkStateAd("L1", "QA", 4, True, 100, 1.0))
+        assert fs.accept(LinkStateAd("L1", "QA", 6, True, 100))
+        assert not fs.accept(LinkStateAd("L1", "QA", 4, True, 100))
 
     def test_stale_update_ignored_by_db(self):
         db = saturated_db(building_block_preset())
-        fresh = LinkStateAd("L1", "QA", 9, False, 5, 1.0)
+        fresh = LinkStateAd("L1", "QA", 9, False, 5)
         assert db.update(fresh)
-        assert not db.update(LinkStateAd("L1", "QA", 3, True, 131072, 8000.0))
+        assert not db.update(LinkStateAd("L1", "QA", 3, True, 131072))
         assert db.ads["L1"]["QA"].seq == 9
 
 
@@ -393,23 +371,18 @@ def _reference_min_level(db, link_id):
     return min(ad.level_bytes for ad in pair)
 
 
-def _reference_link_cost(db, link_id, params=None):
-    params = params or RouteCostParams()
+def _reference_link_cost(db, link_id):
     if not _reference_usable(db, link_id):
         return float("inf")
-    target = max(1, params.target_level_bytes)  # degenerate target: hop cost only
-    depletion = max(0.0, 1.0 - _reference_min_level(db, link_id) / target)
-    return params.hop_cost + params.scarcity_weight * depletion
+    depletion = max(0.0, 1.0 - _reference_min_level(db, link_id) / TARGET_LEVEL_BYTES)
+    return HOP_COST + SCARCITY_WEIGHT * depletion
 
 
-def _reference_shortest_path(
-    db, src, dst, params=None, exclude_links=frozenset(), exclude_nodes=frozenset(),
-):
+def _reference_shortest_path(db, src, dst, exclude_links=frozenset(), exclude_nodes=frozenset()):
     """``shortest_path`` as first written, with its edge costs taken from the
     reference rules above instead of the database's table."""
     if src == dst:
         raise ValueError("src and dst must differ")
-    params = params or RouteCostParams()
     topo = db.topology
     # Heap entries order by (cost, node sequence): the first pop per node is
     # both cheapest and lexicographically smallest among equal costs.
@@ -431,7 +404,7 @@ def _reference_shortest_path(
             # end-users never carry transit traffic
             if topo.kind(neighbor) is NodeKind.END_USER and neighbor != dst:
                 continue
-            step = _reference_link_cost(db, link.id, params)
+            step = _reference_link_cost(db, link.id)
             if step == float("inf"):
                 continue
             heappush(heap, (cost + step, nodes + (neighbor,), link_ids + (link.id,)))
@@ -471,18 +444,11 @@ def topologies(draw):
     return topo
 
 
-_PARAMS = st.builds(
-    RouteCostParams,
-    hop_cost=st.sampled_from([0.0, 0.5, 1.0]),
-    scarcity_weight=st.sampled_from([0.0, 0.0, 1.0, 2.5]),  # 0: all ties
-    target_level_bytes=st.sampled_from([0, 65536, 100_000, 131072]),
-)
-
-
 @st.composite
 def routing_cases(draw):
     """A database over a generated topology: ends missing, down, or at or
-    below the floor; equal levels often, so equal costs often."""
+    below the floor; equal levels often, and every level at or above
+    ``TARGET_LEVEL_BYTES`` costs the same, so equal costs often."""
     topo = draw(topologies())
     db = LinkStateDB(topo)
     uniform = draw(st.booleans())
@@ -492,14 +458,14 @@ def routing_cases(draw):
                 continue  # this end never advertised
             up = draw(st.integers(0, 7)) != 0
             level = 131072 if uniform else draw(_LEVELS)
-            db.update(LinkStateAd(link.id, origin, 1, up, level, 1000.0))
+            db.update(LinkStateAd(link.id, origin, 1, up, level))
     names = sorted(topo.nodes)
     src = draw(st.sampled_from(names))
     dst = draw(st.sampled_from([n for n in names if n != src]))
     link_ids = sorted(l.id for l in topo.links)
     exclude_links = frozenset(draw(st.lists(st.sampled_from(link_ids), max_size=3)))
     exclude_nodes = frozenset(draw(st.lists(st.sampled_from(names), max_size=2)))
-    return db, src, dst, draw(_PARAMS), exclude_links, exclude_nodes
+    return db, src, dst, exclude_links, exclude_nodes
 
 
 def _route(fn, *args, **kwargs):
@@ -513,24 +479,24 @@ class TestRoutesMatchReference:
     @given(routing_cases())
     @settings(max_examples=400, deadline=None)
     def test_shortest_path_matches_reference(self, case):
-        db, src, dst, params, exclude_links, exclude_nodes = case
+        db, src, dst, exclude_links, exclude_nodes = case
         kwargs = dict(exclude_links=exclude_links, exclude_nodes=exclude_nodes)
-        assert (_route(shortest_path, db, src, dst, params, **kwargs)
-                == _route(_reference_shortest_path, db, src, dst, params, **kwargs))
+        assert (_route(shortest_path, db, src, dst, **kwargs)
+                == _route(_reference_shortest_path, db, src, dst, **kwargs))
 
     @given(routing_cases(), st.integers(1, 4))
     @settings(max_examples=200, deadline=None)
     def test_disjoint_paths_matches_reference(self, case, k):
-        db, src, dst, params, exclude_links, _ = case
-        got = disjoint_paths(db, src, dst, k, params, exclude_links=exclude_links)
+        db, src, dst, exclude_links, _ = case
+        got = disjoint_paths(db, src, dst, k, exclude_links=exclude_links)
         with mock.patch.object(routing, "shortest_path", _reference_shortest_path):
-            want = disjoint_paths(db, src, dst, k, params, exclude_links=exclude_links)
+            want = disjoint_paths(db, src, dst, k, exclude_links=exclude_links)
         assert got == want
 
     @given(routing_cases())
     @settings(max_examples=300, deadline=None)
     def test_cost_matches_networkx_dijkstra(self, case):
-        db, src, dst, params, exclude_links, exclude_nodes = case
+        db, src, dst, exclude_links, exclude_nodes = case
         topo = db.topology
         banned = exclude_nodes - {src}  # exclusion applies to nodes reached
         g = nx.Graph()
@@ -543,7 +509,7 @@ class TestRoutesMatchReference:
             if any(topo.kind(n) is NodeKind.END_USER and n not in (src, dst)
                    for n in (link.a, link.b)):
                 continue  # end-users other than the endpoints relay nothing
-            w = params.step_cost(db.usable_levels[link.id])
+            w = step_cost(db.usable_levels[link.id])
             if g.has_edge(link.a, link.b):
                 w = min(w, g[link.a][link.b]["weight"])  # cheapest parallel link
             g.add_edge(link.a, link.b, weight=w)
@@ -552,13 +518,13 @@ class TestRoutesMatchReference:
         except nx.NetworkXNoPath:
             want = None
         try:
-            path = shortest_path(db, src, dst, params, exclude_links=exclude_links,
+            path = shortest_path(db, src, dst, exclude_links=exclude_links,
                                  exclude_nodes=exclude_nodes)
         except NoRoute:
             assert want is None
             return
         assert want is not None
-        assert sum(params.step_cost(db.usable_levels[l]) for l in path.links) == pytest.approx(
+        assert sum(step_cost(db.usable_levels[l]) for l in path.links) == pytest.approx(
             want, rel=1e-9, abs=1e-9)
 
 
@@ -567,7 +533,7 @@ class TestLevelTable:
         db = saturated_db(vienna_preset())
         set_level(db, "SIE-ERD", 8192)
         calls = []
-        for name in ("pair", "usable", "min_level"):
+        for name in ("usable", "min_level"):
             original = getattr(LinkStateDB, name)
 
             def counted(self, *args, _name=name, _original=original, **kwargs):
@@ -575,7 +541,7 @@ class TestLevelTable:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(LinkStateDB, name, counted)
-        path = shortest_path(db, "alice", "bob", RouteCostParams(scarcity_weight=2.0))
+        path = shortest_path(db, "alice", "bob")
         assert path.nodes[0] == "alice" and path.nodes[-1] == "bob"
         assert calls == []
 
@@ -583,7 +549,6 @@ class TestLevelTable:
     @settings(max_examples=150, deadline=None)
     def test_table_follows_every_update(self, topo, data):
         db = LinkStateDB(topo)
-        params = data.draw(_PARAMS)
         link_ids = [l.id for l in topo.links]
         updates = data.draw(st.lists(st.tuples(
             st.sampled_from(link_ids), st.booleans(),
@@ -594,7 +559,7 @@ class TestLevelTable:
             origin = link.a if a_end else link.b
             held = db.ads.get(link_id, {}).get(origin)
             newer = held is None or seq > held.seq
-            assert db.update(LinkStateAd(link_id, origin, seq, up, level, 1.0)) is newer
+            assert db.update(LinkStateAd(link_id, origin, seq, up, level)) is newer
             for lid in link_ids:
                 assert db.usable(lid) is _reference_usable(db, lid)
                 if _reference_usable(db, lid):
@@ -602,9 +567,8 @@ class TestLevelTable:
                 else:
                     assert lid not in db.usable_levels
                 level = db.usable_levels.get(lid)
-                for p in (params, RouteCostParams()):
-                    want = _reference_link_cost(db, lid, p)
-                    assert want == (math.inf if level is None else p.step_cost(level))
+                want = _reference_link_cost(db, lid)
+                assert want == (math.inf if level is None else step_cost(level))
 
 
 # --- route cache ------------------------------------------------------------
@@ -632,19 +596,15 @@ class TestRouteCache:
     advertisement; a kept answer must be the one a fresh search gives."""
 
     # few queries, so that most repeat one already answered; some differ
-    # only in their excludes or in their cost values
+    # only in their excludes
     QUERIES = [
-        ("u0", "u1", frozenset(), frozenset(), None),
-        ("u0", "u1", frozenset(), frozenset(), RouteCostParams(scarcity_weight=0.0)),
-        ("u0", "u1", frozenset(), frozenset(), RouteCostParams(target_level_bytes=8192)),
-        ("u0", "u1", {"BE"}, frozenset(), None),
-        ("A", "F", frozenset(), frozenset(), RouteCostParams()),
-        ("A", "F", frozenset(), {"E"}, RouteCostParams()),
-        ("C", "D", frozenset({"AB", "EF"}), frozenset(), RouteCostParams(hop_cost=0.0)),
-        ("B", "D", frozenset({"AB", "EF"}), frozenset(), RouteCostParams(hop_cost=0.0)),
-        # with every cost 0 the tie-break takes A-B-C-F-E over A-B-E
-        ("A", "E", frozenset(), frozenset(), RouteCostParams()),
-        ("A", "E", frozenset(), frozenset(), RouteCostParams(hop_cost=0.0, scarcity_weight=0.0)),
+        ("u0", "u1", frozenset(), frozenset()),
+        ("u0", "u1", {"BE"}, frozenset()),
+        ("A", "F", frozenset(), frozenset()),
+        ("A", "F", frozenset(), {"E"}),
+        ("C", "D", frozenset({"AB", "EF"}), frozenset()),
+        ("B", "D", frozenset({"AB", "EF"}), frozenset()),
+        ("A", "E", frozenset(), frozenset()),
     ]
 
     @given(st.data())
@@ -666,25 +626,25 @@ class TestRouteCache:
                 if held is not None and data.draw(st.booleans(), label="same view"):
                     # newer, but nothing usable changes
                     lsa = LinkStateAd(link.id, origin, held.seq + 1, held.up,
-                                      held.level_bytes, held.rate_bps)
+                                      held.level_bytes)
                 else:
                     seq = data.draw(st.integers(0, 2)) + (held.seq if held is not None else 0)
                     lsa = LinkStateAd(link.id, origin, seq, data.draw(st.integers(0, 5)) != 0,
-                                      data.draw(_LEVELS), 1000.0)
+                                      data.draw(_LEVELS))
                 db.update(lsa)
                 installed.append(lsa)
                 continue
-            src, dst, exclude_links, exclude_nodes, params = data.draw(
+            src, dst, exclude_links, exclude_nodes = data.draw(
                 st.sampled_from(self.QUERIES), label="query")
             k = data.draw(st.integers(1, 3))
             fresh = LinkStateDB(topo)
             for lsa in installed:
                 fresh.update(lsa)
             kwargs = dict(exclude_links=exclude_links, exclude_nodes=exclude_nodes)
-            assert (_route(shortest_path, db, src, dst, params, **kwargs)
-                    == _route(shortest_path, fresh, src, dst, params, **kwargs))
-            assert (disjoint_paths(db, src, dst, k, params, exclude_links=exclude_links)
-                    == disjoint_paths(fresh, src, dst, k, params, exclude_links=exclude_links))
+            assert (_route(shortest_path, db, src, dst, **kwargs)
+                    == _route(shortest_path, fresh, src, dst, **kwargs))
+            assert (disjoint_paths(db, src, dst, k, exclude_links=exclude_links)
+                    == disjoint_paths(fresh, src, dst, k, exclude_links=exclude_links))
 
     def test_repeated_query_is_searched_once_per_install(self, monkeypatch):
         db = saturated_db(_GRID6)
@@ -698,15 +658,13 @@ class TestRouteCache:
         monkeypatch.setattr(routing, "_search", counted)
         first = shortest_path(db, "u0", "u1")
         assert shortest_path(db, "u0", "u1") is first and len(searches) == 1
-        # another exclude set, or other cost values, is another query
+        # another exclude set is another query
         shortest_path(db, "u0", "u1", exclude_links={"AB"})
-        shortest_path(db, "u0", "u1", RouteCostParams(hop_cost=0.5))
-        assert len(searches) == 3
+        assert len(searches) == 2
         # an install that changes nothing usable still drops every answer
         held = db.ads["AB"]["A"]
-        assert db.update(LinkStateAd("AB", "A", held.seq + 1, True, held.level_bytes,
-                                     held.rate_bps))
-        assert shortest_path(db, "u0", "u1") == first and len(searches) == 4
+        assert db.update(LinkStateAd("AB", "A", held.seq + 1, True, held.level_bytes))
+        assert shortest_path(db, "u0", "u1") == first and len(searches) == 3
 
     def test_no_route_is_kept_and_raised_each_time(self, monkeypatch):
         db = LinkStateDB(_GRID6)

@@ -8,7 +8,7 @@ from qkdnet import parse_scenario
 from qkdnet.harness import Engine, sub_seed
 from qkdnet.model import building_block_preset, load_topology, vienna_preset
 from qkdnet.q3p import Channel
-from qkdnet.routing import LinkStateAd, LinkStateDB
+from qkdnet.routing import LinkStateAd, LinkStateDB, shortest_path
 from qkdnet.transport import (
     DeliveryStatus,
     aggregate_rate,
@@ -19,6 +19,8 @@ from qkdnet.transport import (
     encode_segment,
     split_fragments,
 )
+
+from lsdb import saturated_db
 
 
 def run_scenario(topo, text, seed=None, prep=None):
@@ -67,15 +69,6 @@ def fault_next(eng, link_id, n, corrupt=False):
     eng.send_message = faulty
 
 
-def saturated_db(topo, level=131072):
-    db = LinkStateDB(topo)
-    for link in topo.links:
-        rate = topo.profile_of(link).r0_bps
-        for origin in (link.a, link.b):
-            db.update(LinkStateAd(link.id, origin, 1, True, level, rate))
-    return db
-
-
 class TestCodecs:
     def test_segment_round_trip(self):
         data = encode_segment(7, 3, 12, b"frag")
@@ -110,10 +103,11 @@ class TestAggregateRate:
     def test_single_path_bottleneck(self):
         topo = vienna_preset()
         db = saturated_db(topo)
-        # alice->bob k=1: direct route min(freespace, pp-swap@17km, handheld@1km)
-        rate = aggregate_rate(db, "alice", "bob", 1)
-        direct = ["SIE-alice", "SIE-ERD", "ERD-bob"]
-        assert rate == min(db.min_rate(l) for l in direct)
+        # alice->bob k=1 takes the direct route. Its bottleneck is the
+        # handheld ERD-bob at 1 km: free-space SIE-alice at 3 km gives
+        # 25000 * 10**-0.3 and pp-swap SIE-ERD at 17 km 10000 * 10**-0.34
+        assert shortest_path(db, "alice", "bob").links == ("SIE-alice", "SIE-ERD", "ERD-bob")
+        assert aggregate_rate(db, "alice", "bob", 1) == 5000 * 10**-0.2
 
     def test_block_three_paths_sum_between_nodes(self):
         db = saturated_db(building_block_preset())
@@ -127,13 +121,34 @@ class TestAggregateRate:
         topo = building_block_preset()
         db = saturated_db(topo)
         for origin in ("QA", "QB"):
-            db.update(LinkStateAd("L5", origin, 2, False, 0, 0.0))
+            db.update(LinkStateAd("L5", origin, 2, False, 0))
         assert aggregate_rate(db, "QA", "QB", 3) == 2 * 8000.0
 
     def test_no_route_is_zero(self):
         topo = building_block_preset()
         db = LinkStateDB(topo)  # empty db: nothing usable
         assert aggregate_rate(db, "QA", "QB", 3) == 0.0
+
+    def test_rated_rate_holds_inside_a_daytime_window(self):
+        # the night-only SIE-alice produces nothing from t = 2 s to 5 s, but
+        # the aggregate takes each link's rated rate, so it does not move
+        eng = Engine(vienna_preset(), parse_scenario(
+            "[scenario] duration=8 seed=2\n[event] t=0 kind=daywindow start=2 end=5\n"))
+        seen = {}
+        tick = eng._tick
+
+        def watch():
+            tick()
+            if round(eng.now, 6) in (3.0, 6.0):
+                seen[round(eng.now, 6)] = (
+                    eng.links["SIE-alice"].runtime.rate_bps,
+                    aggregate_rate(eng.agents["GUD"].db, "alice", "bob", 1))
+
+        eng._tick = watch
+        eng.run()
+        (day_produced, day_rate), (night_produced, night_rate) = seen[3.0], seen[6.0]
+        assert day_produced == 0.0 < night_produced
+        assert day_rate == night_rate == 5000 * 10**-0.2
 
 
 class TestDeliveryAccounting:
